@@ -1,7 +1,7 @@
 # relaxlattice — reproduction of Herlihy & Wing, PODC 1987.
 GO ?= go
 
-.PHONY: all build test race fuzz bench bench-json bench-conc bench-trace bench-relaxd longhaul vet fmt lint lint-v2 experiments verify examples clean
+.PHONY: all build test race fuzz bench bench-e2e bench-json bench-conc bench-trace bench-relaxd longhaul vet fmt lint lint-v2 experiments verify examples clean
 
 all: build vet lint test
 
@@ -31,6 +31,12 @@ fuzz:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The end-to-end benchmark BENCHMARK.json declares: whole quorum
+# operations over loopback TCP and real fsyncs, four workloads, the
+# per-layer budget next to the headline numbers (bench/README.md).
+bench-e2e:
+	$(GO) run ./bench/relaxbench
 
 # Machine-readable benchmark snapshot (ns/op + allocs) for PR
 # before/after comparisons, with the deterministic obs metrics snapshot

@@ -10,13 +10,10 @@
 //
 //	relaxcli -peers 127.0.0.1:7410,127.0.0.1:7411,... [-rung Q1Q2|Q1|Q2|none]
 //	         [-op 'Enq(5)' | -ops N] [-seed N] [-clients N] [-client-base N]
-//	         [-deq-ratio F] [-certify] [-history F] [-transport pooled|simple]
+//	         [-deq-ratio F] [-certify] [-history F]
 //
-// The default transport is pooled: one multiplexed connection per site
-// carrying every in-flight request, with protocol steps fanned out in
-// parallel. -transport simple keeps the one-round-trip-at-a-time
-// connection per site; the differential battery holds the two to
-// identical results, so the choice is latency, never semantics.
+// The transport is pooled: one multiplexed connection per site carrying
+// every in-flight request, with protocol steps fanned out in parallel.
 //
 // Exit status is nonzero if the run was degraded below the claimed
 // rung (-certify), or if a one-shot operation fails.
@@ -68,7 +65,6 @@ func run(args []string, w io.Writer) error {
 	deqRatio := fs.Float64("deq-ratio", 0.45, "workload dequeue fraction")
 	certify := fs.Bool("certify", false, "attach the live relaxation checker and fail if the history escapes the claimed rung")
 	historyPath := fs.String("history", "", "append completed operations to this history file (the audit sidecar's input)")
-	transport := fs.String("transport", "pooled", "wire transport: pooled (multiplexed, parallel fanout) or simple (one round trip at a time)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -110,19 +106,8 @@ func run(args []string, w io.Writer) error {
 		checker.ObserveClaim(-1, *rung)
 	}
 
-	var tr relaxd.Transport
-	switch *transport {
-	case "pooled":
-		p := relaxd.NewPooledTransport(addrs, 0)
-		defer p.Close()
-		tr = p
-	case "simple":
-		s := relaxd.NewTCPTransport(addrs, 0)
-		defer s.Close()
-		tr = s
-	default:
-		return fmt.Errorf("unknown transport %q (want pooled or simple)", *transport)
-	}
+	tr := relaxd.NewPooledTransport(addrs, 0)
+	defer tr.Close()
 	base := *clientBase
 	if base <= 0 {
 		base = n + 1

@@ -49,7 +49,7 @@ func TestServeAllSitesAndRecover(t *testing.T) {
 	if len(addrs) != 3 {
 		t.Fatalf("got %d addresses, want 3", len(addrs))
 	}
-	tr := relaxd.NewTCPTransport(addrs, 0)
+	tr := relaxd.NewPooledTransport(addrs, 0)
 	cl := relaxd.NewClient(relaxd.PQClientConfig(tr), 4)
 	for i := 0; i < 9; i++ {
 		inv := history.EnqInv(i%5 + 1)
@@ -74,7 +74,7 @@ func TestServeAllSitesAndRecover(t *testing.T) {
 	if !strings.Contains(out.String(), "recovered 9 entries") {
 		t.Fatalf("restart did not report recovery:\n%s", out.String())
 	}
-	tr = relaxd.NewTCPTransport(addrs, 0)
+	tr = relaxd.NewPooledTransport(addrs, 0)
 	defer tr.Close()
 	cl = relaxd.NewClient(relaxd.PQClientConfig(tr), 5)
 	if _, err := cl.Execute(history.DeqInv()); err != nil {
@@ -97,7 +97,7 @@ func TestServeSingleSite(t *testing.T) {
 	}
 	// A lone site of a larger service answers protocol messages even
 	// though no quorum can form around it alone.
-	tr := relaxd.NewTCPTransport([]string{addrs[0]}, 0)
+	tr := relaxd.NewPooledTransport([]string{addrs[0]}, 0)
 	defer tr.Close()
 	resp, err := tr.RoundTrip(0, relaxd.Message{Type: relaxd.MsgPing})
 	if err != nil || resp.Type != relaxd.MsgPong {
@@ -112,7 +112,7 @@ func TestJoinMode(t *testing.T) {
 	dir := t.TempDir()
 	addrs, _, shutdown := startServer(t,
 		[]string{"-sites", "3", "-listen", "127.0.0.1:0", "-dir", dir, "-snapshot-every", "4", "-segment-records", "3"})
-	tr := relaxd.NewTCPTransport(addrs, 0)
+	tr := relaxd.NewPooledTransport(addrs, 0)
 	cl := relaxd.NewClient(relaxd.PQClientConfig(tr), 4)
 	for i := 0; i < 9; i++ {
 		inv := history.EnqInv(i%5 + 1)
@@ -133,7 +133,7 @@ func TestJoinMode(t *testing.T) {
 	if !strings.Contains(out.String(), "site 2 joined from site 0 (8 snapshot + 1 wal entries, certified)") {
 		t.Fatalf("no join announce line:\n%s", out.String())
 	}
-	jtr := relaxd.NewTCPTransport([]string{joinAddrs[0]}, 0)
+	jtr := relaxd.NewPooledTransport([]string{joinAddrs[0]}, 0)
 	defer jtr.Close()
 	resp, err := jtr.RoundTrip(0, relaxd.Message{Type: relaxd.MsgGetLog})
 	if err != nil || resp.Type != relaxd.MsgLog {

@@ -13,7 +13,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -26,15 +25,6 @@ import (
 	"relaxlattice/internal/quorum"
 	"relaxlattice/internal/value"
 )
-
-// ErrUnavailable is returned when a client cannot assemble the quorums
-// its operation requires (and degradation is not enabled).
-var ErrUnavailable = errors.New("cluster: quorum unavailable")
-
-// ErrNoResponse is returned when no response to the invocation is
-// consistent with the view (e.g. dequeuing from an apparently empty
-// queue).
-var ErrNoResponse = errors.New("cluster: no response consistent with view")
 
 // Responder chooses the response to an invocation given the view's
 // value, completing step 2 of the protocol. ok=false means no response
@@ -91,44 +81,18 @@ type Config struct {
 
 // Cluster is the simulated replicated object.
 type Cluster struct {
-	mu       sync.Mutex
-	cfg      Config           // immutable after New
-	eval     quorum.Eval      // immutable after New
-	fold     *quorum.FoldEval // immutable after New; nil when Eval is used
-	logs     []quorum.Log     // guarded by mu
-	up       []bool           // guarded by mu
-	comp     []int            // guarded by mu; network component per site; equal = mutually reachable
-	observed history.History  // guarded by mu
-	nextID   int              // guarded by mu
-	ltime    obs.Logical      // default trace clock; ticked only under mu
+	mu     sync.Mutex
+	cfg    Config       // immutable after New
+	eng    *Engine      // guarded by mu; the protocol, the observed history, the view cache
+	logs   []quorum.Log // guarded by mu
+	up     []bool       // guarded by mu
+	comp   []int        // guarded by mu; network component per site; equal = mutually reachable
+	nextID int          // guarded by mu
+	ltime  obs.Logical  // default trace clock; ticked only under mu
 	// lastWrite is, per site, the step-3 span that last recorded an
 	// entry on that site's log — the happens-before link targets of the
 	// next step-1 view that merges the log. All zeros when Spans is nil.
 	lastWrite []trace.SpanID // guarded by mu
-
-	// View-evaluation cache (fold mode only): η of recently evaluated
-	// views. A client's next view usually extends a previous one by a
-	// single entry (new entries carry fresh maximal timestamps, so
-	// appends never reorder), and then η of the new view is one fold
-	// step from the cached states instead of a full O(|view|) replay —
-	// the difference between O(n²) and O(n) total work on a 10k-op soak.
-	// Multiple slots track the divergent log lineages a partition
-	// creates (one per network component); replacement is round-robin,
-	// so cache behavior — like everything else under mu — is
-	// deterministic.
-	viewCache [viewCacheSlots]viewEntry // guarded by mu
-	viewNext  int                       // guarded by mu; round-robin victim
-}
-
-// viewCacheSlots bounds the view-evaluation cache: comfortably more
-// lineages than a minority partition of a small cluster can create.
-const viewCacheSlots = 8
-
-// viewEntry is one cached (view, η(view)) pair; states == nil marks a
-// free slot.
-type viewEntry struct {
-	log    quorum.Log
-	states []value.Value
 }
 
 // New builds a cluster with all sites up and fully connected. It
@@ -143,15 +107,9 @@ func New(cfg Config) *Cluster {
 	if cfg.Quorums.Sites() != cfg.Sites {
 		panic(fmt.Sprintf("cluster: assignment over %d sites, cluster has %d", cfg.Quorums.Sites(), cfg.Sites))
 	}
-	fold := cfg.Fold
-	eval := cfg.Eval
-	if fold == nil && eval == nil {
-		fold = quorum.DeltaFold(cfg.Base)
-	}
 	c := &Cluster{
 		cfg:       cfg,
-		eval:      eval,
-		fold:      fold,
+		eng:       NewEngine("cluster", cfg),
 		logs:      make([]quorum.Log, cfg.Sites),
 		up:        make([]bool, cfg.Sites),
 		comp:      make([]int, cfg.Sites),
@@ -284,7 +242,7 @@ func (c *Cluster) PropagateFrom(site int) {
 func (c *Cluster) Observed() history.History {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.observed.Append() // copy
+	return c.eng.Observed()
 }
 
 // MergedLog returns the union of all resident logs (the object's "true"
@@ -313,8 +271,7 @@ func (c *Cluster) LoadSiteLog(site int, l quorum.Log) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.logs[site] = quorum.Merge(l) // Merge of one shares the immutable log
-	c.viewCache = [viewCacheSlots]viewEntry{}
-	c.viewNext = 0
+	c.eng.dropViewCache()
 }
 
 // Client is a protocol participant attached (by locality) to a home
@@ -325,6 +282,8 @@ type Client struct {
 	clock *quorum.Clock
 	home  int
 	id    int // globally unique client identifier (for trace events)
+	// spanAttrs identify the client on its operation spans.
+	spanAttrs []obs.KV
 	// lastEpisode is the client's current (behavior, constraint set)
 	// pair; read and written only under the cluster's mu.
 	lastEpisode string
@@ -350,6 +309,10 @@ func (c *Cluster) Client(home int) *Client {
 		clock: quorum.NewClock(len(c.logs) + c.nextID),
 		home:  home,
 		id:    c.nextID,
+		spanAttrs: []obs.KV{
+			{K: "client", V: strconv.Itoa(c.nextID)},
+			{K: "home", V: strconv.Itoa(home)},
+		},
 	}
 }
 
@@ -385,173 +348,54 @@ func (cl *Client) ExecuteUnderSpan(inv history.Invocation, gate quorum.Assignmen
 	return cl.c.execute(cl, inv, gate, label, parent)
 }
 
-// beginOpSpan opens the operation span (nil when spans are off). The
-// "rung" attribute carries the ladder label, or "base" on the plain
-// path — the key the critical-path analyzer aggregates by.
-func (c *Cluster) beginOpSpan(cl *Client, inv history.Invocation, label string, parent *trace.SpanRef) *trace.SpanRef {
-	if c.cfg.Spans == nil {
-		return nil
-	}
-	rung := label
-	if rung == "" {
-		rung = "base"
-	}
-	attrs := []obs.KV{
-		{K: "op", V: inv.Name},
-		{K: "client", V: strconv.Itoa(cl.id)},
-		{K: "home", V: strconv.Itoa(cl.home)},
-		{K: "rung", V: rung},
-	}
-	if parent != nil {
-		return parent.Child("cluster.op", attrs...)
-	}
-	return c.cfg.Spans.Begin("cluster.op", attrs...)
-}
-
-// execute is the shared protocol body. A non-empty label marks a
-// ladder-gated execution (behavior "level:<label>", no degraded
-// fallback); an empty label is the plain path, byte-compatible with
-// the original Execute.
+// execute runs the shared protocol engine over the cluster's in-memory
+// sites, atomically: the whole operation happens under mu.
 func (c *Cluster) execute(cl *Client, inv history.Invocation, gate quorum.Assignment, label string, parent *trace.SpanRef) (history.Op, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-
-	span := c.beginOpSpan(cl, inv, label, parent)
-	reachable := c.reachableFrom(cl.home)
-	if !c.up[cl.home] {
-		reachable = nil // a client whose site is down reaches nothing
-	}
-	metrics := c.cfg.Metrics
-	metrics.Counter("cluster.execute.attempt." + inv.Name).Add(1)
-	metrics.Histogram("cluster.reachable", reachableBounds).Observe(int64(len(reachable)))
-	quorumOK := hasQuorum(gate, inv.Name, reachable, len(c.logs))
-	if !quorumOK && (label != "" || !cl.Degrade) {
-		metrics.Counter("cluster.execute.unavailable." + inv.Name).Add(1)
-		c.observeEpisode(cl, inv.Name, reachable, behaviorReject)
-		span.End(obs.KV{K: "outcome", V: "unavailable"})
-		return history.Op{}, fmt.Errorf("%w: op %s reaches %d site(s)", ErrUnavailable, inv.Name, len(reachable))
-	}
-	if len(reachable) == 0 {
-		metrics.Counter("cluster.execute.unavailable." + inv.Name).Add(1)
-		c.observeEpisode(cl, inv.Name, reachable, behaviorReject)
-		span.End(obs.KV{K: "outcome", V: "unavailable"})
-		return history.Op{}, fmt.Errorf("%w: op %s reaches no sites", ErrUnavailable, inv.Name)
-	}
-	behavior := behaviorQuorum
-	if label != "" {
-		behavior = behaviorLevel + label
-	} else if !quorumOK {
-		behavior = behaviorDegraded
-		metrics.Counter("cluster.execute.degraded." + inv.Name).Add(1)
-	}
-	c.observeEpisode(cl, inv.Name, reachable, behavior)
-	span.Annotate(obs.KV{K: "behavior", V: behavior})
-
-	// Step 1: merge the logs from an initial quorum into a view. (All
-	// reachable sites participate; any superset of an initial quorum is
-	// an initial quorum.) The step span links to the step-3 span that
-	// last wrote each merged site log — the cross-operation
-	// happens-before edges of the causal DAG.
-	s1 := span.Child("cluster.step1.view")
-	logs := make([]quorum.Log, 0, len(reachable))
-	for _, s := range reachable {
-		logs = append(logs, c.logs[s])
-		s1.Link(c.lastWrite[s])
-	}
-	view := quorum.Merge(logs...)
-	states := c.evalView(view)
-	if len(states) == 0 {
-		s1.End(obs.KV{K: "sites", V: strconv.Itoa(len(reachable))})
-		span.End(obs.KV{K: "outcome", V: "uninterpretable"})
-		return history.Op{}, fmt.Errorf("cluster: view not interpretable by η")
-	}
-	s := states[0]
-	s1.End(obs.KV{K: "sites", V: strconv.Itoa(len(reachable))})
-
-	// Step 2: choose a response consistent with the view.
-	s2 := span.Child("cluster.step2.respond")
-	op, ok := c.cfg.Respond(s, inv)
-	if !ok {
-		metrics.Counter("cluster.execute.noresponse." + inv.Name).Add(1)
-		s2.End(obs.KV{K: "outcome", V: "no-response"})
-		span.End(obs.KV{K: "outcome", V: "no-response"})
-		return history.Op{}, fmt.Errorf("%w: %s on view %s", ErrNoResponse, inv, s)
-	}
-	if !c.cfg.Base.PreHolds(s, op) {
-		metrics.Counter("cluster.execute.noresponse." + inv.Name).Add(1)
-		s2.End(obs.KV{K: "outcome", V: "no-response"})
-		span.End(obs.KV{K: "outcome", V: "no-response"})
-		return history.Op{}, fmt.Errorf("%w: precondition of %s fails on view %s", ErrNoResponse, op, s)
-	}
-	s2.End(obs.KV{K: "outcome", V: "ok"})
-
-	// Step 3: append the entry and send the updated view to a final
-	// quorum (here: every reachable site).
-	s3 := span.Child("cluster.step3.record")
-	if maxTS, any := view.MaxTS(); any {
-		cl.clock.Witness(maxTS)
-	}
-	entry := quorum.Entry{TS: cl.clock.Tick(), Op: op}
-	updated := view.Append(entry)
-	for _, site := range reachable {
-		c.logs[site] = quorum.Merge(c.logs[site], updated)
-		c.lastWrite[site] = s3.ID()
-	}
-	s3.End(obs.KV{K: "sites", V: strconv.Itoa(len(reachable))})
-	// Grown in place: Observed copies on read, and only Execute (under
-	// mu) appends, so amortized growth never aliases a caller's snapshot.
-	c.observed = append(c.observed, op)
-	metrics.Counter("cluster.execute.ok." + inv.Name).Add(1)
-	if c.cfg.Audit != nil {
-		c.cfg.Audit.ObserveOp(op)
-	}
-	span.End(obs.KV{K: "outcome", V: "ok"})
-	return op, nil
+	return c.eng.Execute(simSites{c, cl.home}, Exec{
+		Inv:     inv,
+		Gate:    gate,
+		Label:   label,
+		Degrade: cl.Degrade,
+		Clock:   cl.clock,
+		Parent:  parent,
+		Attrs:   cl.spanAttrs,
+		Episode: func(reachable []int, behavior string) {
+			c.observeEpisode(cl, inv.Name, reachable, behavior)
+		},
+	})
 }
 
-// evalView interprets a view through η. Caller holds mu.
-//
-//lint:ignore lock-guard caller holds mu (every call site is under Lock)
-func (c *Cluster) evalView(view quorum.Log) []value.Value {
-	if c.fold == nil {
-		return c.eval(view.History())
-	}
-	// Fold from the cached view with the longest prefix of this one
-	// (lowest slot wins ties, keeping the scan deterministic).
-	best := -1
-	for i, e := range c.viewCache {
-		if e.states == nil || !view.HasPrefix(e.log) {
-			continue
-		}
-		if best < 0 || e.log.Len() > c.viewCache[best].log.Len() {
-			best = i
-		}
-	}
-	var states []value.Value
-	if best >= 0 {
-		states = c.fold.EvalLogFrom(c.viewCache[best].states, view, c.viewCache[best].log.Len())
-	} else {
-		states = c.fold.EvalLog(view)
-	}
-	if len(states) > 0 {
-		// Advance the matched lineage in place; a miss claims the next
-		// round-robin victim so each partition component keeps a slot.
-		slot := best
-		if slot < 0 {
-			slot = c.viewNext
-			c.viewNext = (c.viewNext + 1) % viewCacheSlots
-		}
-		c.viewCache[slot] = viewEntry{log: view, states: states}
-	}
-	return states
+// simSites is the engine's site access for a client homed at home: the
+// up sites in home's network component answer step 1 with their
+// resident logs, and every one of them records step 3 — the simulation
+// loses neither answers nor acks, only whole sites. Methods run inside
+// execute, under c.mu.
+type simSites struct {
+	c    *Cluster
+	home int
 }
 
-func hasQuorum(v quorum.Assignment, op string, reachable []int, sites int) bool {
-	alive := make([]bool, sites)
-	for _, s := range reachable {
-		alive[s] = true
+func (a simSites) Read() []SiteLog {
+	c := a.c
+	if !c.up[a.home] {
+		return nil // a client whose site is down reaches nothing
 	}
-	return v.HasQuorum(op, alive)
+	reachable := c.reachableFrom(a.home)
+	out := make([]SiteLog, len(reachable))
+	for i, s := range reachable {
+		out[i] = SiteLog{Site: s, Log: c.logs[s], LastWrite: c.lastWrite[s]}
+	}
+	return out
+}
+
+func (a simSites) Record(sites []int, updated quorum.Log, by trace.SpanID) []int {
+	for _, s := range sites {
+		a.c.logs[s] = quorum.Merge(a.c.logs[s], updated)
+		a.c.lastWrite[s] = by
+	}
+	return sites
 }
 
 // Probe reports whether a client homed at home could currently

@@ -90,19 +90,28 @@ func (q *DupQueue) findSeg(idx uint64) *dupSeg {
 	return s
 }
 
-// Enq implements RelaxedQueue.
+// Enq implements RelaxedQueue. The linearization ticket is taken
+// before the slot is claimed, not after: an enqueuer preempted between
+// the two then holds an early ticket for a late slot — its element sits
+// unserved, the oldest of the window, until it resumes — which is one
+// held element per in-flight operation, the skew the claim's +w
+// absorbs. Ticketing after the claim would be unbounded the other way:
+// every enqueue that overtook the stalled one in ticket order queues
+// behind its slot, so the stalled element, served first, would appear
+// arbitrarily deep in the recorded arrival order.
 func (q *DupQueue) Enq(e int) {
+	var t uint64
+	if q.j != nil {
+		t = q.j.Tick()
+	}
 	i := q.enq.Add(1) - 1
 	s := q.findSeg(i / dupSegSize)
 	sl := &s.slots[i%dupSegSize]
 	sl.val = e
-	if q.j != nil {
-		t := q.j.Tick()
-		sl.ready.Store(1)
-		q.j.Record(t, history.Enq(e))
-		return
-	}
 	sl.ready.Store(1)
+	if q.j != nil {
+		q.j.Record(t, history.Enq(e))
+	}
 }
 
 // Deq implements RelaxedQueue: read the front, then race to advance

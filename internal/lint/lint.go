@@ -108,14 +108,16 @@ type Config struct {
 	Sites int
 }
 
-// DefaultConfig returns the repository's rule scoping: the ten
+// DefaultConfig returns the repository's rule scoping: the eleven
 // model-layer packages (including the observability substrate and its
 // causal span tracer, whose logical-clock journal and span IDs must
 // themselves stay wall-clock-free; the
 // resilience layer, whose retry timing and jitter must come from the
-// simulated clock and injected RNG alone; and the online relaxation
-// checker, whose verdicts certify byte-identical soak replays) and the
-// specification catalog.
+// simulated clock and injected RNG alone; the online relaxation
+// checker, whose verdicts certify byte-identical soak replays; and the
+// cluster package, whose protocol engine the networked runtime also
+// executes and must therefore be deterministic given its site access)
+// and the specification catalog.
 //
 // internal/conc is deliberately absent: it is the runtime concurrency
 // layer — lock-free structures whose schedules are inherently
@@ -145,6 +147,7 @@ func DefaultConfig() Config {
 			"internal/obs/trace",
 			"internal/resilience",
 			"internal/relaxcheck",
+			"internal/cluster",
 		},
 		SpecPaths: []string{"internal/specs"},
 		Sites:     5,

@@ -211,6 +211,11 @@ func TestRelaxdLayerClassification(t *testing.T) {
 	if !pathMatches("internal/relaxcheck", DefaultConfig().ModelPaths) {
 		t.Fatal("internal/relaxcheck no longer matches ModelPaths; the checker is model-layer")
 	}
+	// The protocol relaxd executes is not in relaxd: cluster.Engine is
+	// model-layer, and the determinism rules certify it for both callers.
+	if !pathMatches("internal/cluster", DefaultConfig().ModelPaths) {
+		t.Fatal("internal/cluster no longer matches ModelPaths; the shared protocol engine is model-layer")
+	}
 }
 
 // TestLockBalanceBranchCases asserts the branch fixtures resolve the

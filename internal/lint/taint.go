@@ -34,9 +34,9 @@ import (
 // object, object-insensitively — writing a tainted value into field F
 // anywhere taints reads of F everywhere, which is exactly the
 // conservative direction for a determinism audit. Function literals,
-// interface method calls, and unknown (extra-module, non-source)
-// callees are treated as clean: sources can only enter through the
-// recognized time/rand functions and map iteration.
+// method values, interface method calls, and unknown (extra-module,
+// non-source) callees are treated as clean: sources can only enter
+// through the recognized time/rand functions and map iteration.
 type taintKind uint8
 
 const (
@@ -516,6 +516,12 @@ func (a *taintAnalysis) exprMask(e ast.Expr) taintMask {
 		m.kinds |= a.w.stateTaint[obj]
 		return m
 	case *ast.SelectorExpr:
+		if _, isFunc := a.p.Info.Uses[x.Sel].(*types.Func); isFunc {
+			// A method value or function reference is code, not a value
+			// derived from a source: like the function literal that would
+			// wrap the same call, it is conservatively clean.
+			return taintMask{}
+		}
 		m := taintMask{}
 		if fieldObj := a.fieldOf(x); fieldObj != nil {
 			m.kinds |= a.w.stateTaint[fieldObj]

@@ -1,9 +1,7 @@
 package relaxd
 
 import (
-	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"relaxlattice/internal/automaton"
@@ -12,21 +10,15 @@ import (
 	"relaxlattice/internal/obs"
 	"relaxlattice/internal/obs/trace"
 	"relaxlattice/internal/quorum"
-	"relaxlattice/internal/value"
 )
 
-// ErrNoQuorumAck is returned when step 3 could not collect write-quorum
-// acknowledgements: the operation may be durable at some sites but the
-// client cannot claim it completed. The entry is NOT reported to the
-// audit — a later view may surface its effects, which is exactly the
-// ambiguity a lost ack creates in any quorum system.
-var ErrNoQuorumAck = errors.New("relaxd: write quorum not acknowledged")
+// ErrNoQuorumAck is the engine's lost-ack refusal: step 3 did not
+// collect write-quorum acknowledgements, so the operation may be
+// durable at some sites but is not reported complete.
+var ErrNoQuorumAck = cluster.ErrNoQuorumAck
 
 // ClientConfig configures a protocol client. Base, Respond, Quorums,
 // and Transport are required; Fold (preferred) or Eval supplies η.
-// The types deliberately reuse internal/cluster's: the deterministic
-// cluster is the model oracle, and the differential tests hold this
-// client to byte-equal behavior.
 type ClientConfig struct {
 	// Transport reaches the replicas.
 	Transport Transport
@@ -45,28 +37,31 @@ type ClientConfig struct {
 	// attachment point for the online checker, same contract as
 	// cluster.Config.Audit.
 	Audit cluster.Audit
-	// Spans, when set, receives one span per executed operation with
-	// step-1/2/3 children, rung-attributed like the cluster's.
+	// Spans, when set, receives one "relaxd.op" span per executed
+	// operation with step-1/2/3 children, as cluster.Config.Spans does.
 	Spans *trace.Tracer
-	// Metrics, when set, receives attempt/ok/unavailable counters.
+	// Metrics, when set, receives the engine's "relaxd.execute.*"
+	// counters and the "relaxd.reachable" histogram.
 	Metrics *obs.Registry
 }
 
 // ClientHooks are test-only crash points between protocol steps.
 type ClientHooks struct {
-	// AfterStep1 runs after the views are assembled, before step 2.
+	// AfterStep1 runs after the view is assembled and interpreted,
+	// before step 2.
 	AfterStep1 func()
 	// AfterStep2 runs after the response is chosen, before step 3.
 	AfterStep2 func()
 }
 
-// Client runs the three-step quorum protocol against live replicas.
-// It is one protocol participant: not safe for concurrent use (run
-// one Client per goroutine), exactly like a cluster.Client.
+// Client runs the three-step quorum protocol — cluster.Engine, the
+// same body the simulation runs — against live replicas. It is one
+// protocol participant: not safe for concurrent use (run one Client per
+// goroutine), exactly like a cluster.Client.
 type Client struct {
-	cfg      ClientConfig
-	clock    *quorum.Clock
-	observed history.History
+	cfg   ClientConfig
+	eng   *cluster.Engine
+	clock *quorum.Clock
 	// Degrade enables graceful degradation: when the gate quorum is
 	// unavailable the client proceeds with every responding site.
 	Degrade bool
@@ -85,16 +80,22 @@ func NewClient(cfg ClientConfig, clockSite int) *Client {
 		panic(fmt.Sprintf("relaxd: assignment over %d sites, transport has %d",
 			cfg.Quorums.Sites(), cfg.Transport.Sites()))
 	}
-	if cfg.Fold == nil && cfg.Eval == nil {
-		cfg.Fold = quorum.DeltaFold(cfg.Base)
-	}
-	return &Client{cfg: cfg, clock: quorum.NewClock(clockSite)}
+	eng := cluster.NewEngine("relaxd", cluster.Config{
+		Base:    cfg.Base,
+		Fold:    cfg.Fold,
+		Eval:    cfg.Eval,
+		Respond: cfg.Respond,
+		Audit:   cfg.Audit,
+		Spans:   cfg.Spans,
+		Metrics: cfg.Metrics,
+	})
+	return &Client{cfg: cfg, eng: eng, clock: quorum.NewClock(clockSite)}
 }
 
 // Observed returns the client's history of completed operations in
 // completion order.
 func (c *Client) Observed() history.History {
-	return c.observed.Append() // copy
+	return c.eng.Observed()
 }
 
 // Execute runs the protocol for one invocation under the base quorum
@@ -104,9 +105,8 @@ func (c *Client) Execute(inv history.Invocation) (history.Op, error) {
 }
 
 // ExecuteUnder runs the protocol gated by an alternative quorum
-// assignment — one rung of a degradation ladder. Semantics mirror
-// (*cluster.Client).ExecuteUnder: the gate decides availability, the
-// protocol itself uses every responding site.
+// assignment — one rung of a degradation ladder: the gate decides
+// availability, the protocol itself uses every responding site.
 func (c *Client) ExecuteUnder(inv history.Invocation, gate quorum.Assignment, label string) (history.Op, error) {
 	if gate.Sites() != c.cfg.Transport.Sites() {
 		panic(fmt.Sprintf("relaxd: gate assignment over %d sites, transport has %d",
@@ -127,154 +127,74 @@ func (c *Client) Ping(site int) error {
 	return nil
 }
 
-// execute is the protocol body. Step structure, gating, and error
-// vocabulary deliberately mirror cluster.execute.
+// execute runs the shared protocol engine over the transport.
 func (c *Client) execute(inv history.Invocation, gate quorum.Assignment, label string) (history.Op, error) {
-	n := c.cfg.Transport.Sites()
-	rung := label
-	if rung == "" {
-		rung = "base"
-	}
-	var span *trace.SpanRef
-	if c.cfg.Spans != nil {
-		span = c.cfg.Spans.Begin("relaxd.op",
-			obs.KV{K: "op", V: inv.Name},
-			obs.KV{K: "rung", V: rung})
-	}
-	c.cfg.Metrics.Counter("relaxd.execute.attempt." + inv.Name).Add(1)
-
-	// Step 1: assemble views from every site that answers — any
-	// superset of an initial quorum is an initial quorum. Over a
-	// concurrent transport the fetches fan out in parallel; the reply
-	// slice keeps site order either way, so the merged view (and
-	// everything downstream) is transport-independent.
-	s1 := span.Child("relaxd.step1.view")
-	logs := make([]quorum.Log, 0, n)
-	responding := make([]int, 0, n)
-	alive := make([]bool, n)
-	for site, reply := range c.fanout(nil, func(int) Message { return Message{Type: MsgGetLog} }) {
-		if reply.skipped || reply.err != nil || reply.msg.Type != MsgLog {
-			continue
-		}
-		logs = append(logs, quorum.LogOf(reply.msg.Entries...))
-		responding = append(responding, site)
-		alive[site] = true
-	}
-	s1.End(obs.KV{K: "sites", V: strconv.Itoa(len(responding))})
-	quorumOK := gate.HasQuorum(inv.Name, alive)
-	if !quorumOK && (label != "" || !c.Degrade) {
-		c.cfg.Metrics.Counter("relaxd.execute.unavailable." + inv.Name).Add(1)
-		span.End(obs.KV{K: "outcome", V: "unavailable"})
-		return history.Op{}, fmt.Errorf("%w: op %s reaches %d site(s)", cluster.ErrUnavailable, inv.Name, len(responding))
-	}
-	if len(responding) == 0 {
-		c.cfg.Metrics.Counter("relaxd.execute.unavailable." + inv.Name).Add(1)
-		span.End(obs.KV{K: "outcome", V: "unavailable"})
-		return history.Op{}, fmt.Errorf("%w: op %s reaches no sites", cluster.ErrUnavailable, inv.Name)
-	}
-	view := quorum.Merge(logs...)
-	states := c.evalView(view)
-	if len(states) == 0 {
-		span.End(obs.KV{K: "outcome", V: "uninterpretable"})
-		return history.Op{}, fmt.Errorf("relaxd: view not interpretable by η")
-	}
-	s := states[0]
-	if c.Hooks.AfterStep1 != nil {
-		c.Hooks.AfterStep1()
-	}
-
-	// Step 2: choose a response consistent with the view.
-	s2 := span.Child("relaxd.step2.respond")
-	op, ok := c.cfg.Respond(s, inv)
-	if !ok {
-		c.cfg.Metrics.Counter("relaxd.execute.noresponse." + inv.Name).Add(1)
-		s2.End(obs.KV{K: "outcome", V: "no-response"})
-		span.End(obs.KV{K: "outcome", V: "no-response"})
-		return history.Op{}, fmt.Errorf("%w: %s on view %s", cluster.ErrNoResponse, inv, s)
-	}
-	if !c.cfg.Base.PreHolds(s, op) {
-		c.cfg.Metrics.Counter("relaxd.execute.noresponse." + inv.Name).Add(1)
-		s2.End(obs.KV{K: "outcome", V: "no-response"})
-		span.End(obs.KV{K: "outcome", V: "no-response"})
-		return history.Op{}, fmt.Errorf("%w: precondition of %s fails on view %s", cluster.ErrNoResponse, op, s)
-	}
-	s2.End(obs.KV{K: "outcome", V: "ok"})
-	if c.Hooks.AfterStep2 != nil {
-		c.Hooks.AfterStep2()
-	}
-
-	// Step 3: append the entry and record the updated view at a write
-	// quorum of the responding sites.
-	s3 := span.Child("relaxd.step3.record")
-	if maxTS, any := view.MaxTS(); any {
-		c.clock.Witness(maxTS)
-	}
-	entry := quorum.Entry{TS: c.clock.Tick(), Op: op}
-	updated := view.Append(entry).Entries()
-	acked := make([]bool, n)
-	nacked := 0
-	for site, reply := range c.fanout(responding, func(int) Message {
-		return Message{Type: MsgAppend, Entries: updated}
-	}) {
-		if reply.skipped || reply.err != nil || reply.msg.Type != MsgAck {
-			continue
-		}
-		acked[site] = true
-		nacked++
-	}
-	s3.End(obs.KV{K: "sites", V: strconv.Itoa(nacked)})
-	if !gate.HasQuorum(inv.Name, acked) && (label != "" || !c.Degrade) {
-		c.cfg.Metrics.Counter("relaxd.execute.noack." + inv.Name).Add(1)
-		span.End(obs.KV{K: "outcome", V: "no-quorum-ack"})
-		return history.Op{}, fmt.Errorf("%w: op %s acked by %d of %d site(s)",
-			ErrNoQuorumAck, inv.Name, nacked, len(responding))
-	}
-	if nacked == 0 {
-		c.cfg.Metrics.Counter("relaxd.execute.noack." + inv.Name).Add(1)
-		span.End(obs.KV{K: "outcome", V: "no-quorum-ack"})
-		return history.Op{}, fmt.Errorf("%w: op %s acked by no sites", ErrNoQuorumAck, inv.Name)
-	}
-	c.observed = append(c.observed, op)
-	c.cfg.Metrics.Counter("relaxd.execute.ok." + inv.Name).Add(1)
-	if c.cfg.Audit != nil {
-		c.cfg.Audit.ObserveOp(op)
-	}
-	span.End(obs.KV{K: "outcome", V: "ok"})
-	return op, nil
+	return c.eng.Execute(wireSites{c.cfg.Transport}, cluster.Exec{
+		Inv:        inv,
+		Gate:       gate,
+		Label:      label,
+		Degrade:    c.Degrade,
+		Clock:      c.clock,
+		AfterStep1: c.Hooks.AfterStep1,
+		AfterStep2: c.Hooks.AfterStep2,
+	})
 }
 
-// siteReply is one fanned-out round trip's outcome. skipped marks
-// sites the fanout was not asked to reach.
-type siteReply struct {
-	msg     Message
-	err     error
-	skipped bool
+// wireSites is the engine's site access over a Transport: step 1 asks
+// every site for its log and step 3 sends the updated view to the
+// step-1 responders, and in both a site counts only if its reply
+// arrived and has the expected type — a dead site, a dropped
+// connection, and a lost ack all look the same.
+type wireSites struct{ t Transport }
+
+func (w wireSites) Read() []cluster.SiteLog {
+	var out []cluster.SiteLog
+	for site, reply := range fanout(w.t, nil, Message{Type: MsgGetLog}) {
+		if reply.Type == MsgLog {
+			out = append(out, cluster.SiteLog{Site: site, Log: quorum.LogOf(reply.Entries...)})
+		}
+	}
+	return out
 }
 
-// fanout round-trips one request per listed site (nil means every
-// site) and returns the replies indexed by site. Over a transport
-// that advertises ConcurrentTransport the round trips run in
-// parallel — the pooled transport multiplexes them onto one
-// connection per site — while plain transports keep the sequential
-// site-order loop, which keeps the deterministic in-process path
-// byte-identical to the model oracle.
-func (c *Client) fanout(sites []int, mk func(site int) Message) []siteReply {
-	n := c.cfg.Transport.Sites()
-	out := make([]siteReply, n)
-	for i := range out {
-		out[i].skipped = true
+func (w wireSites) Record(sites []int, updated quorum.Log, _ trace.SpanID) []int {
+	var acked []int
+	for site, reply := range fanout(w.t, sites, Message{Type: MsgAppend, Entries: updated.Entries()}) {
+		if reply.Type == MsgAck {
+			acked = append(acked, site)
+		}
 	}
+	return acked
+}
+
+// fanout round-trips req to each listed site (nil means every site)
+// and returns the replies indexed by site; a site that was not asked
+// or gave no answer leaves the zero Message, whose Type matches no
+// reply. Over a transport that advertises ConcurrentTransport the
+// round trips run in parallel — the pooled transport multiplexes them
+// onto one connection per site — while Local keeps the sequential
+// site-order loop, so the in-process path stays deterministic. The
+// reply slice is in site order either way, so the merged view (and
+// everything downstream) is transport-independent.
+func fanout(t Transport, sites []int, req Message) []Message {
+	n := t.Sites()
+	out := make([]Message, n)
 	if sites == nil {
 		sites = make([]int, n)
 		for i := range sites {
 			sites[i] = i
 		}
 	}
-	ct, ok := c.cfg.Transport.(ConcurrentTransport)
+	ask := func(site int) {
+		// An error means the site gave no answer: it drops out of the step.
+		if m, err := t.RoundTrip(site, req); err == nil {
+			out[site] = m
+		}
+	}
+	ct, ok := t.(ConcurrentTransport)
 	if !ok || !ct.Concurrent() {
 		for _, site := range sites {
-			m, err := c.cfg.Transport.RoundTrip(site, mk(site))
-			out[site] = siteReply{msg: m, err: err}
+			ask(site)
 		}
 		return out
 	}
@@ -283,18 +203,9 @@ func (c *Client) fanout(sites []int, mk func(site int) Message) []siteReply {
 		wg.Add(1)
 		go func(site int) {
 			defer wg.Done()
-			m, err := c.cfg.Transport.RoundTrip(site, mk(site))
-			out[site] = siteReply{msg: m, err: err}
+			ask(site)
 		}(site)
 	}
 	wg.Wait()
 	return out
-}
-
-// evalView interprets a view through η.
-func (c *Client) evalView(view quorum.Log) []value.Value {
-	if c.cfg.Fold != nil {
-		return c.cfg.Fold.EvalLog(view)
-	}
-	return c.cfg.Eval(view.History())
 }

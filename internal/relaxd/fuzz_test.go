@@ -10,10 +10,12 @@ import (
 	"relaxlattice/internal/quorum"
 )
 
-// FuzzDecodeFrame hardens the wire decoder: arbitrary bytes must never
-// panic, never allocate past the declared caps, and anything that does
-// decode must re-encode to a frame that decodes back to the same
-// message (the codec is a bijection on its valid range).
+// FuzzDecodeFrame hardens the wire decoder, both as a frame stream
+// (ReadMuxFrame) and as a bare message body (DecodeMessage): arbitrary
+// bytes must never panic, never allocate past the declared caps, and
+// anything that does decode must re-encode to a frame that decodes back
+// to the same correlation id and message (the codec is a bijection on
+// its valid range).
 func FuzzDecodeFrame(f *testing.F) {
 	// One well-formed frame of each message kind, plus hostile shapes.
 	for _, m := range []Message{
@@ -26,37 +28,41 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Type: MsgAppend, Entries: sampleEntries()[:2]},
 	} {
 		var b bytes.Buffer
-		if err := WriteFrame(&b, m); err != nil {
+		if err := WriteMuxFrame(&b, 7, m); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b.Bytes())
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
-	f.Add([]byte{0, 0, 0, 2, MsgLog, 0xff})
+	f.Add([]byte{0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0, 7, MsgLog, 0xff})
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadFrame(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
+	stable := func(t *testing.T, data []byte, id uint64, m Message) {
 		if len(m.Entries) > len(data)/minEntryLen {
 			t.Fatalf("decoded %d entries from %d bytes — over-allocation past the cap", len(m.Entries), len(data))
 		}
 		var b bytes.Buffer
-		if err := WriteFrame(&b, m); err != nil {
+		if err := WriteMuxFrame(&b, id, m); err != nil {
 			t.Fatalf("decoded message does not re-encode: %v", err)
 		}
-		m2, err := ReadFrame(&b)
+		id2, m2, err := ReadMuxFrame(&b)
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
-		if m2.Type != m.Type || m2.N != m.N || m2.Err != m.Err || len(m2.Entries) != len(m.Entries) {
-			t.Fatalf("codec not stable: %+v vs %+v", m, m2)
+		if id2 != id || m2.Type != m.Type || m2.N != m.N || m2.Err != m.Err || len(m2.Entries) != len(m.Entries) {
+			t.Fatalf("codec not stable: %d %+v vs %d %+v", id, m, id2, m2)
 		}
 		for i := range m.Entries {
 			if m2.Entries[i].TS != m.Entries[i].TS || !m2.Entries[i].Op.Equal(m.Entries[i].Op) {
 				t.Fatalf("entry %d not stable: %v vs %v", i, m.Entries[i], m2.Entries[i])
 			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if id, m, err := ReadMuxFrame(bytes.NewReader(data)); err == nil {
+			stable(t, data, id, m)
+		}
+		if m, err := DecodeMessage(data); err == nil && len(data) <= MaxFrame {
+			stable(t, data, 0, m)
 		}
 	})
 }

@@ -13,13 +13,13 @@ import (
 	"relaxlattice/internal/specs"
 )
 
-// The three-way differential: the same seeded workload driven through
-// the pooled multiplexed transport, through the one-round-trip TCP
-// transport, and through the deterministic cluster — over real sockets,
-// with a hard kill and a restart in the middle. Per-operation results,
-// error strings, observed histories (byte-for-byte), per-site logs, and
-// online checker verdicts must be identical across all three: the
-// pooled fanout is a pure latency optimization, never a semantic one.
+// The socket differential: the same seeded workload driven through the
+// pooled multiplexed transport and through the deterministic cluster —
+// over real sockets, with a hard kill and a restart in the middle.
+// Per-operation results, error strings, observed histories
+// (byte-for-byte), per-site logs, and online checker verdicts must be
+// identical: the parallel fanout is a pure latency optimization, never
+// a semantic one.
 
 // tcpStack is one networked 5-site service under differential test.
 type tcpStack struct {
@@ -31,7 +31,7 @@ type tcpStack struct {
 	observed history.History
 }
 
-func openTCPStack(t *testing.T, sites, nclients int, pooled bool) *tcpStack {
+func openTCPStack(t *testing.T, sites, nclients int) *tcpStack {
 	t.Helper()
 	lat := core.TaxiSimpleLattice()
 	st := &tcpStack{
@@ -52,16 +52,9 @@ func openTCPStack(t *testing.T, sites, nclients int, pooled bool) *tcpStack {
 		st.servers[i] = s
 		st.addrs[i] = s.Addr()
 	}
-	var tr Transport
-	if pooled {
-		tr = NewPooledTransport(st.addrs, 0)
-	} else {
-		tr = NewTCPTransport(st.addrs, 0)
-	}
+	tr := NewPooledTransport(st.addrs, 0)
 	t.Cleanup(func() {
-		if c, ok := tr.(interface{ Close() error }); ok {
-			c.Close()
-		}
+		tr.Close()
 		for _, s := range st.servers {
 			s.Close()
 		}
@@ -92,7 +85,7 @@ func (st *tcpStack) heal(t *testing.T, victim int) {
 	st.servers[victim] = s
 }
 
-func TestDifferentialPooledVsSimpleVsOracle(t *testing.T) {
+func TestDifferentialPooledVsOracle(t *testing.T) {
 	const (
 		sites   = 5
 		clients = 4
@@ -118,19 +111,16 @@ func TestDifferentialPooledVsSimpleVsOracle(t *testing.T) {
 		oracleClients[i] = oracle.Client(0)
 	}
 
-	simple := openTCPStack(t, sites, clients, false)
-	pooled := openTCPStack(t, sites, clients, true)
+	pooled := openTCPStack(t, sites, clients)
 
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < ops; i++ {
 		switch i {
 		case crashAt:
 			oracle.Crash(victim)
-			simple.crash(victim)
 			pooled.crash(victim)
 		case healAt:
 			oracle.Restore(victim)
-			simple.heal(t, victim)
 			pooled.heal(t, victim)
 		}
 		var inv history.Invocation
@@ -141,61 +131,48 @@ func TestDifferentialPooledVsSimpleVsOracle(t *testing.T) {
 		}
 		cl := i % clients
 		wantOp, wantErr := oracleClients[cl].Execute(inv)
-		for _, st := range []struct {
-			name  string
-			stack *tcpStack
-		}{{"simple", simple}, {"pooled", pooled}} {
-			gotOp, gotErr := st.stack.clients[cl].Execute(inv)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("op %d (%s) via %s: oracle err %v, got err %v", i, inv, st.name, wantErr, gotErr)
-			}
-			if wantErr != nil {
-				if wantErr.Error() != gotErr.Error() {
-					t.Fatalf("op %d (%s) via %s: error text diverges:\noracle: %s\n   got: %s",
-						i, inv, st.name, wantErr, gotErr)
-				}
-				continue
-			}
-			if !gotOp.Equal(wantOp) {
-				t.Fatalf("op %d (%s) via %s: oracle answers %s, got %s", i, inv, st.name, wantOp, gotOp)
-			}
-			st.stack.observed = append(st.stack.observed, gotOp)
+		gotOp, gotErr := pooled.clients[cl].Execute(inv)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("op %d (%s): oracle err %v, got err %v", i, inv, wantErr, gotErr)
 		}
+		if wantErr != nil {
+			if wantErr.Error() != gotErr.Error() {
+				t.Fatalf("op %d (%s): error text diverges:\noracle: %s\n   got: %s", i, inv, wantErr, gotErr)
+			}
+			continue
+		}
+		if !gotOp.Equal(wantOp) {
+			t.Fatalf("op %d (%s): oracle answers %s, got %s", i, inv, wantOp, gotOp)
+		}
+		pooled.observed = append(pooled.observed, gotOp)
 	}
 
 	// Observed histories: byte-identical through the export encoding.
-	var wantBuf bytes.Buffer
+	var wantBuf, gotBuf bytes.Buffer
 	if err := history.WriteLines(&wantBuf, oracle.Observed()); err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range []struct {
-		name  string
-		stack *tcpStack
-	}{{"simple", simple}, {"pooled", pooled}} {
-		var gotBuf bytes.Buffer
-		if err := history.WriteLines(&gotBuf, st.stack.observed); err != nil {
-			t.Fatal(err)
+	if err := history.WriteLines(&gotBuf, pooled.observed); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wantBuf.Bytes(), gotBuf.Bytes()) {
+		t.Fatalf("observed history diverges from the oracle:\noracle:\n%s\npooled:\n%s", wantBuf.String(), gotBuf.String())
+	}
+	// Per-site logs: identical entry-for-entry.
+	for i := 0; i < sites; i++ {
+		if !pooled.replicas[i].Log().Equal(oracle.SiteLog(i)) {
+			t.Fatalf("site %d log diverges from the oracle", i)
 		}
-		if !bytes.Equal(wantBuf.Bytes(), gotBuf.Bytes()) {
-			t.Fatalf("%s observed history diverges from the oracle:\noracle:\n%s\n%s:\n%s",
-				st.name, wantBuf.String(), st.name, gotBuf.String())
-		}
-		// Per-site logs: identical entry-for-entry.
-		for i := 0; i < sites; i++ {
-			if !st.stack.replicas[i].Log().Equal(oracle.SiteLog(i)) {
-				t.Fatalf("%s site %d log diverges from the oracle", st.name, i)
-			}
-		}
-		// Checker verdicts: same level, same step count, clean.
-		if st.stack.audit.Level() != oracleAudit.Level() {
-			t.Fatalf("%s checker level %q, oracle %q", st.name, st.stack.audit.Level(), oracleAudit.Level())
-		}
-		if st.stack.audit.Steps() != oracleAudit.Steps() {
-			t.Fatalf("%s checker steps %d, oracle %d", st.name, st.stack.audit.Steps(), oracleAudit.Steps())
-		}
-		if v := st.stack.audit.Violation(); v != nil {
-			t.Fatalf("%s checker violation: %+v", st.name, v)
-		}
+	}
+	// Checker verdicts: same level, same step count, clean.
+	if pooled.audit.Level() != oracleAudit.Level() {
+		t.Fatalf("checker level %q, oracle %q", pooled.audit.Level(), oracleAudit.Level())
+	}
+	if pooled.audit.Steps() != oracleAudit.Steps() {
+		t.Fatalf("checker steps %d, oracle %d", pooled.audit.Steps(), oracleAudit.Steps())
+	}
+	if v := pooled.audit.Violation(); v != nil {
+		t.Fatalf("checker violation: %+v", v)
 	}
 	if v := oracleAudit.Violation(); v != nil {
 		t.Fatalf("oracle checker violation: %+v", v)
@@ -214,7 +191,7 @@ func TestPooledConcurrentClients(t *testing.T) {
 		nclients  = 6
 		perClient = 20
 	)
-	st := openTCPStack(t, sites, nclients, true)
+	st := openTCPStack(t, sites, nclients)
 
 	opMu := make(chan struct{}, 1)
 	errs := make(chan error, nclients)

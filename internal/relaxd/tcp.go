@@ -10,101 +10,11 @@ import (
 	"time"
 )
 
-// TCPTransport reaches each site at a fixed address over one cached
-// connection, redialing on failure. Any I/O error closes the cached
-// connection and reports the site unreachable for that call — the
-// protocol treats it exactly like a crashed site and proceeds with
-// the sites that do answer.
-type TCPTransport struct {
-	mu      sync.Mutex
-	addrs   []string
-	conns   []net.Conn // guarded by mu; nil entries redial lazily
-	timeout time.Duration
-}
-
-// NewTCPTransport builds a transport over one address per site.
-// timeout bounds each dial and each request/reply exchange; 0 means
-// 5 seconds.
-func NewTCPTransport(addrs []string, timeout time.Duration) *TCPTransport {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	return &TCPTransport{
-		addrs:   append([]string(nil), addrs...),
-		conns:   make([]net.Conn, len(addrs)),
-		timeout: timeout,
-	}
-}
-
-// Sites returns the number of configured sites.
-func (t *TCPTransport) Sites() int { return len(t.addrs) }
-
-// RoundTrip performs one framed exchange with site.
-func (t *TCPTransport) RoundTrip(site int, req Message) (Message, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if site < 0 || site >= len(t.addrs) {
-		return Message{}, fmt.Errorf("relaxd: site %d out of range", site)
-	}
-	c := t.conns[site]
-	if c == nil {
-		var err error
-		c, err = net.DialTimeout("tcp", t.addrs[site], t.timeout)
-		if err != nil {
-			return Message{}, fmt.Errorf("%w: site %d: %v", ErrDown, site, err)
-		}
-		t.conns[site] = c
-	}
-	if err := c.SetDeadline(time.Now().Add(t.timeout)); err != nil {
-		t.drop(site)
-		return Message{}, fmt.Errorf("%w: site %d: %v", ErrDown, site, err)
-	}
-	if err := WriteFrame(c, req); err != nil {
-		t.drop(site)
-		return Message{}, fmt.Errorf("%w: site %d: %v", ErrDown, site, err)
-	}
-	resp, err := ReadFrame(c)
-	if err != nil {
-		t.drop(site)
-		return Message{}, fmt.Errorf("%w: site %d: %v", ErrDown, site, err)
-	}
-	return resp, nil
-}
-
-// drop closes and forgets a failed connection. Caller holds mu.
-//
-//lint:ignore lock-guard caller holds mu (RoundTrip error paths)
-func (t *TCPTransport) drop(site int) {
-	if c := t.conns[site]; c != nil {
-		c.Close()
-		t.conns[site] = nil
-	}
-}
-
-// Close closes every cached connection.
-func (t *TCPTransport) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var first error
-	for i, c := range t.conns {
-		if c == nil {
-			continue
-		}
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-		t.conns[i] = nil
-	}
-	return first
-}
-
 // Serve accepts connections on l and answers framed requests against
 // r until l is closed (which makes Accept return and Serve exit) —
-// goroutine-per-connection. A connection that opens with the mux
-// preamble carries concurrent correlated exchanges (serveMux); anything
-// else gets the legacy one-exchange-at-a-time loop. A replica that is
-// down answers nothing: the connection is closed, which the client
-// reads as unreachability.
+// goroutine-per-connection, each carrying concurrent correlated
+// exchanges (serveMux). A replica that is down answers nothing: the
+// connection is closed, which the client reads as unreachability.
 func Serve(l net.Listener, r *Replica) error {
 	for {
 		conn, err := l.Accept()
@@ -115,42 +25,21 @@ func Serve(l net.Listener, r *Replica) error {
 	}
 }
 
-// maxInFlight bounds the handler goroutines one mux connection may
-// have running at once; further frames wait in the read loop.
+// maxInFlight bounds the handler goroutines one connection may have
+// running at once; further frames wait in the read loop.
 const maxInFlight = 64
 
-// serveConn sniffs the framing and runs the matching request loop.
-// The first four bytes decide: muxMagic starts with 'r', while a
-// legacy frame starts with a 4-byte length ≤ MaxFrame whose first
-// byte is always zero.
+// serveConn checks the preamble and runs the request loop. A peer that
+// does not open with exactly muxMagic is not speaking this protocol:
+// its connection is closed without a reply.
 func serveConn(conn net.Conn, r *Replica) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	head, err := br.Peek(4)
-	if err != nil {
+	magic := make([]byte, len(muxMagic))
+	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != muxMagic {
 		return
 	}
-	if string(head) == muxMagic[:4] {
-		magic := make([]byte, len(muxMagic))
-		if _, err := io.ReadFull(br, magic); err != nil || string(magic) != muxMagic {
-			return
-		}
-		serveMux(conn, br, r)
-		return
-	}
-	for {
-		req, err := ReadFrame(br)
-		if err != nil {
-			return // EOF, peer reset, or garbage: drop the connection
-		}
-		resp, err := r.Handle(req)
-		if err != nil {
-			return // down / crash hook: vanish like a dead site
-		}
-		if err := WriteFrame(conn, resp); err != nil {
-			return
-		}
-	}
+	serveMux(conn, br, r)
 }
 
 // serveMux runs the multiplexed request loop: frames are read in
@@ -193,13 +82,14 @@ func serveMux(conn net.Conn, br *bufio.Reader, r *Replica) {
 }
 
 // PooledTransport reaches each site over one multiplexed connection
-// carrying every in-flight request for that site, replacing
-// round-trip-per-message: RoundTrip is safe to call concurrently, and
+// carrying every in-flight request for that site: RoundTrip is safe to
+// call concurrently, and
 // concurrent calls to the same site share the connection instead of
 // queueing behind each other. Any I/O error or timeout fails the
 // connection (every in-flight request errors), reports the site
-// unreachable for those calls, and redials lazily — kill-9 semantics,
-// exactly like TCPTransport.
+// unreachable for those calls, and redials lazily — kill-9 semantics:
+// the protocol treats the site exactly like a crashed one and proceeds
+// with the sites that do answer.
 type PooledTransport struct {
 	addrs   []string
 	timeout time.Duration

@@ -1,7 +1,10 @@
 package relaxd
 
 import (
+	"io"
+	"net"
 	"testing"
+	"time"
 
 	"relaxlattice/internal/quorum"
 )
@@ -34,7 +37,7 @@ func TestTCPKillRestart(t *testing.T) {
 		}
 	}()
 
-	tr := NewTCPTransport(addrs, 0)
+	tr := NewPooledTransport(addrs, 0)
 	defer tr.Close()
 	cl := NewClient(PQClientConfig(tr), sites+1)
 
@@ -84,4 +87,47 @@ func TestTCPKillRestart(t *testing.T) {
 		t.Fatalf("restarted site behind: %d of %d entries", replicas[victim].Log().Len(), merged.Len())
 	}
 	certifyQ1Q2(t, "final merged log", merged.History())
+}
+
+// TestServeClosesNonPreambleConnections pins the listener's check on
+// outside input: a peer that does not open with the exact 8-byte
+// preamble — a well-formed frame with no preamble, a preamble of some
+// other version, a truncated one — gets no reply, only a closed
+// connection, while the real preamble on the same listener is served.
+func TestServeClosesNonPreambleConnections(t *testing.T) {
+	replicas, err := OpenSites("", 1, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ListenSite("127.0.0.1:0", replicas[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	for name, opening := range map[string][]byte{
+		"bare ping frame":    {0, 0, 0, 1, MsgPing},
+		"other version":      []byte("rlxmux2\n\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x01\x06"),
+		"preamble cut short": []byte("rlxmux1"),
+	} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(opening); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		conn.(*net.TCPConn).CloseWrite()
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if reply, err := io.ReadAll(conn); err != nil || len(reply) != 0 {
+			t.Errorf("%s: got reply %x (err %v), want a silent close", name, reply, err)
+		}
+		conn.Close()
+	}
+
+	tr := NewPooledTransport([]string{srv.Addr()}, 0)
+	defer tr.Close()
+	if resp, err := tr.RoundTrip(0, Message{Type: MsgPing}); err != nil || resp.Type != MsgPong {
+		t.Fatalf("ping after the refusals: %v (type %d)", err, resp.Type)
+	}
 }

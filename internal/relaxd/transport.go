@@ -8,7 +8,7 @@ import (
 // Transport carries one request/reply exchange to a site. The client
 // library is transport-agnostic: the in-process transport gives
 // deterministic tier-1 tests (synchronous calls, no sockets, no
-// sleeps), the TCP transport is the production face. A transport
+// sleeps), the pooled TCP transport is the production face. A transport
 // error means the site gave no answer and drops out of the quorum for
 // that protocol step.
 type Transport interface {
@@ -21,7 +21,7 @@ type Transport interface {
 // ConcurrentTransport marks a transport whose RoundTrip is safe to
 // call concurrently (PooledTransport). The client fans protocol steps
 // out in parallel over such transports and stays sequential — and
-// deterministic — over the rest (Local, TCPTransport).
+// deterministic — over the rest (Local).
 type ConcurrentTransport interface {
 	Transport
 	Concurrent() bool
@@ -64,11 +64,13 @@ func (t *Local) RoundTrip(site int, req Message) (Message, error) {
 }
 
 // reencode pushes a message through the wire codec (frame out, frame
-// back in), so in-process calls see exactly the bytes TCP would.
+// back in), so in-process calls see exactly the bytes — and the
+// MaxFrame bound — TCP would.
 func reencode(m Message) (Message, error) {
 	var b bytes.Buffer
-	if err := WriteFrame(&b, m); err != nil {
+	if err := WriteMuxFrame(&b, 0, m); err != nil {
 		return Message{}, err
 	}
-	return ReadFrame(&b)
+	_, decoded, err := ReadMuxFrame(&b)
+	return decoded, err
 }

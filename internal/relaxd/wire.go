@@ -1,17 +1,16 @@
 // Package relaxd is the production face of the replicated object: real
 // replicas behind a wire protocol, each with a durable append-only site
 // log, and a client library that runs the paper's three-step quorum
-// protocol (assemble views from a read quorum, choose a response
-// consistent with the view, record the new entry at a write quorum)
-// against them at a chosen degradation-ladder rung.
+// protocol against them at a chosen degradation-ladder rung.
 //
-// The package deliberately mirrors internal/cluster — the deterministic
-// in-memory cluster stays the model oracle (the differential tests
-// drive both through the same seeded workload and require byte-equal
-// logs, histories, and checker verdicts) — while adding the parts a
-// simulation cannot have: a length-prefixed binary protocol over
-// pluggable transports (a synchronous in-process transport for
-// deterministic tests, TCP for production), a per-site WAL with
+// The protocol itself is internal/cluster's Engine — the one body the
+// deterministic in-memory cluster also runs, so the cluster stays the
+// model oracle (the differential tests drive both through the same
+// seeded workload and require byte-equal logs, histories, and checker
+// verdicts). This package supplies the engine's site access and the
+// parts a simulation cannot have: a length-prefixed binary protocol
+// over pluggable transports (a synchronous in-process transport for
+// deterministic tests, pooled TCP for production), a per-site WAL with
 // per-record CRCs, fsync batching, snapshot + atomic tmp-then-rename
 // publish, and crash-restart recovery whose landing point the online
 // checker (internal/relaxcheck) certifies. DESIGN.md §15 documents the
@@ -181,41 +180,6 @@ func DecodeMessage(body []byte) (Message, error) {
 	return Message{}, fmt.Errorf("%w: unknown message type %d", ErrFrame, m.Type)
 }
 
-// WriteFrame writes one length-prefixed frame: a 4-byte big-endian
-// body length followed by the body.
-func WriteFrame(w io.Writer, m Message) error {
-	body, err := AppendMessage(make([]byte, 4, 64), m)
-	if err != nil {
-		return err
-	}
-	n := len(body) - 4
-	if n > MaxFrame {
-		return fmt.Errorf("%w: body %d exceeds MaxFrame", ErrFrame, n)
-	}
-	binary.BigEndian.PutUint32(body[:4], uint32(n))
-	_, err = w.Write(body)
-	return err
-}
-
-// ReadFrame reads one frame and decodes its body. The declared length
-// is validated against MaxFrame before any allocation, so a hostile
-// header cannot force an over-allocation past the cap.
-func ReadFrame(r io.Reader) (Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Message{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > MaxFrame {
-		return Message{}, fmt.Errorf("%w: declared body length %d", ErrFrame, n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Message{}, fmt.Errorf("%w: short body: %v", ErrFrame, err)
-	}
-	return DecodeMessage(body)
-}
-
 // appendEntryList encodes a uvarint count followed by the entries.
 func appendEntryList(b []byte, entries []quorum.Entry) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(entries)))
@@ -308,23 +272,20 @@ func readUvarint(b []byte) (uint64, []byte, error) {
 	return v, b[n:], nil
 }
 
-// Multiplexed framing. A pooled connection opens with the 8-byte
-// preamble muxMagic, after which every frame carries an 8-byte
-// correlation id between the length prefix and the message body:
+// Framing. A connection opens with the 8-byte preamble muxMagic, after
+// which every frame carries an 8-byte correlation id between the length
+// prefix and the message body:
 //
-//	mux frame: [4-byte BE length of (id+body)][8-byte BE id][body]
+//	frame: [4-byte BE length of (id+body)][8-byte BE id][body]
 //
 // Replies may arrive in any order; the id pairs them with requests, so
-// one connection carries many concurrent in-flight exchanges. The
-// server tells the two framings apart by the first bytes of the
-// stream: a legacy frame starts with a 4-byte length ≤ MaxFrame whose
-// first byte is always 0x00, while muxMagic starts with 'r'.
+// one connection carries many concurrent in-flight exchanges.
 const (
 	muxMagic  = "rlxmux1\n"
 	muxHdrLen = 8
 )
 
-// WriteMuxFrame writes one multiplexed frame.
+// WriteMuxFrame writes one frame.
 func WriteMuxFrame(w io.Writer, id uint64, m Message) error {
 	body, err := AppendMessage(make([]byte, 4+muxHdrLen, 64), m)
 	if err != nil {
@@ -340,8 +301,9 @@ func WriteMuxFrame(w io.Writer, id uint64, m Message) error {
 	return err
 }
 
-// ReadMuxFrame reads one multiplexed frame and decodes its body. Like
-// ReadFrame, the declared length is validated before any allocation.
+// ReadMuxFrame reads one frame and decodes its body. The declared
+// length is validated against MaxFrame before any allocation, so a
+// hostile header cannot force an over-allocation past the cap.
 func ReadMuxFrame(r io.Reader) (uint64, Message, error) {
 	var hdr [4 + muxHdrLen]byte
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {

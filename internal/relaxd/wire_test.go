@@ -34,14 +34,17 @@ func TestMessageRoundTrip(t *testing.T) {
 		{Type: MsgAck, N: 42},
 		{Type: MsgErr, Err: "site on fire"},
 	}
-	for _, m := range msgs {
+	for i, m := range msgs {
 		var b bytes.Buffer
-		if err := WriteFrame(&b, m); err != nil {
-			t.Fatalf("WriteFrame(%+v): %v", m, err)
+		if err := WriteMuxFrame(&b, uint64(i)<<33, m); err != nil {
+			t.Fatalf("WriteMuxFrame(%+v): %v", m, err)
 		}
-		got, err := ReadFrame(&b)
+		id, got, err := ReadMuxFrame(&b)
 		if err != nil {
-			t.Fatalf("ReadFrame(%+v): %v", m, err)
+			t.Fatalf("ReadMuxFrame(%+v): %v", m, err)
+		}
+		if id != uint64(i)<<33 {
+			t.Fatalf("correlation id: sent %d, got %d", uint64(i)<<33, id)
 		}
 		if got.Type != m.Type || got.N != m.N || got.Err != m.Err || len(got.Entries) != len(m.Entries) {
 			t.Fatalf("round trip: sent %+v, got %+v", m, got)
@@ -54,34 +57,41 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadFrameRejectsHostileHeaders(t *testing.T) {
+func TestReadMuxFrameRejectsHostileHeaders(t *testing.T) {
+	id := []byte{0, 0, 0, 0, 0, 0, 0, 7}
+	frame := func(hdr []byte, body ...byte) []byte {
+		return append(append(append([]byte(nil), hdr...), id...), body...)
+	}
 	cases := map[string][]byte{
 		"zero length":    {0, 0, 0, 0},
+		"id but no body": frame([]byte{0, 0, 0, 8}),
 		"over MaxFrame":  {0xff, 0xff, 0xff, 0xff},
-		"short body":     {0, 0, 0, 9, MsgPing},
+		"short id":       {0, 0, 0, 9, 0, 0, 0},
+		"short body":     frame([]byte{0, 0, 0, 17}, MsgPing),
 		"empty input":    {},
 		"header only":    {0, 0},
-		"unknown type":   {0, 0, 0, 1, 0xee},
-		"trailing bytes": {0, 0, 0, 3, MsgPing, 1, 2},
+		"unknown type":   frame([]byte{0, 0, 0, 9}, 0xee),
+		"trailing bytes": frame([]byte{0, 0, 0, 11}, MsgPing, 1, 2),
 	}
 	for name, data := range cases {
-		if _, err := ReadFrame(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: ReadFrame accepted %x", name, data)
+		if _, _, err := ReadMuxFrame(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: ReadMuxFrame accepted %x", name, data)
 		}
 	}
 }
 
-// TestReadFrameDoesNotOverAllocate pins the allocation cap: a header
+// TestReadMuxFrameDoesNotOverAllocate pins the allocation cap: a header
 // declaring a body over MaxFrame is rejected before any body
-// allocation, and an entry count larger than the payload could hold
-// is rejected before the entries slice is sized from it.
-func TestReadFrameDoesNotOverAllocate(t *testing.T) {
+// allocation, an entry count larger than the payload could hold is
+// rejected before the entries slice is sized from it, and the writer
+// refuses to emit a frame the reader would reject.
+func TestReadMuxFrameDoesNotOverAllocate(t *testing.T) {
 	huge := make([]byte, 4)
-	binary.BigEndian.PutUint32(huge, MaxFrame+1)
+	binary.BigEndian.PutUint32(huge, MaxFrame+muxHdrLen+1)
 	// An infinite reader after the header: if the length were trusted,
-	// ReadFrame would block allocating and reading MaxFrame+1 bytes.
+	// ReadMuxFrame would block allocating and reading MaxFrame+1 bytes.
 	r := io.MultiReader(bytes.NewReader(huge), neverEnding{})
-	if _, err := ReadFrame(r); !errors.Is(err, ErrFrame) {
+	if _, _, err := ReadMuxFrame(r); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversized declared length: got %v, want ErrFrame", err)
 	}
 
@@ -89,6 +99,16 @@ func TestReadFrameDoesNotOverAllocate(t *testing.T) {
 	body := []byte{MsgLog, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
 	if _, err := DecodeMessage(body); !errors.Is(err, ErrFrame) {
 		t.Fatalf("hostile entry count: got %v, want ErrFrame", err)
+	}
+
+	// The bound holds on the way out too — and therefore in-process,
+	// where Local re-encodes every message through these functions.
+	big := Message{Type: MsgErr, Err: strings.Repeat("x", MaxFrame)}
+	if err := WriteMuxFrame(io.Discard, 0, big); !errors.Is(err, ErrFrame) {
+		t.Fatalf("oversized body written: got %v, want ErrFrame", err)
+	}
+	if _, err := reencode(big); !errors.Is(err, ErrFrame) {
+		t.Fatalf("Local re-encode of an oversized body: got %v, want ErrFrame", err)
 	}
 }
 
