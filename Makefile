@@ -1,7 +1,7 @@
 # relaxlattice — reproduction of Herlihy & Wing, PODC 1987.
 GO ?= go
 
-.PHONY: all build test race fuzz bench bench-e2e bench-json bench-conc bench-trace bench-relaxd longhaul vet fmt lint lint-v2 experiments verify examples clean
+.PHONY: all build test race fuzz bench bench-e2e longhaul vet fmt lint lint-v2 experiments verify examples clean
 
 all: build vet lint test
 
@@ -37,79 +37,6 @@ bench:
 # per-layer budget next to the headline numbers (bench/README.md).
 bench-e2e:
 	$(GO) run ./bench/relaxbench
-
-# Machine-readable benchmark snapshot (ns/op + allocs) for PR
-# before/after comparisons, with the deterministic obs metrics snapshot
-# of a full experiment sweep embedded alongside the timings. The output
-# file is BENCH_OUT= (default BENCH_PR3.json); committed BENCH_PR*.json
-# snapshots are historical evidence, so overwriting an existing one
-# requires FORCE=1.
-BENCH_OUT ?= BENCH_PR3.json
-bench-json:
-	@if [ -e "$(BENCH_OUT)" ] && [ "$(FORCE)" != "1" ]; then \
-		case "$(BENCH_OUT)" in BENCH_PR*.json) \
-			echo "bench-json: refusing to overwrite committed snapshot $(BENCH_OUT); rerun with FORCE=1"; \
-			exit 1;; \
-		esac; \
-	fi
-	$(GO) run ./cmd/relaxctl run -parallel -metrics .bench-metrics.json all >/dev/null
-	$(GO) test -bench=. -benchmem -run='^$$' . | $(GO) run ./cmd/benchjson -metrics .bench-metrics.json -o "$(BENCH_OUT)"
-	rm -f .bench-metrics.json
-
-# The lock-free-structure throughput sweep (internal/conc): scalability
-# curves plus the deep-backlog priority regime, converted to JSON with
-# speedups over the strict baselines. The E10 experiment benchmark runs
-# alongside so the allocation delta against BENCH_PR3.json lands in the
-# same snapshot. Honors the same BENCH_OUT/FORCE discipline as
-# bench-json, defaulting to BENCH_PR7.json.
-bench-conc: BENCH_OUT = BENCH_PR7.json
-bench-conc:
-	@if [ -e "$(BENCH_OUT)" ] && [ "$(FORCE)" != "1" ]; then \
-		case "$(BENCH_OUT)" in BENCH_PR*.json) \
-			echo "bench-conc: refusing to overwrite committed snapshot $(BENCH_OUT); rerun with FORCE=1"; \
-			exit 1;; \
-		esac; \
-	fi
-	( $(GO) test -run='^$$' -bench='BenchmarkConc' -benchtime=300ms -timeout=20m ./internal/conc/ \
-	  && $(GO) test -run='^$$' -bench='Benchmark_E10' -benchmem . ) \
-		| $(GO) run ./cmd/benchjson -prev BENCH_PR3.json -o "$(BENCH_OUT)"
-
-# The tracing/audit snapshot: span-emit, critical-path-analyze, and
-# checkpoint/resume benchmarks, plus the per-rung critical-path summary
-# of a pinned traced soak (relaxsoak -spans → benchjson -trace),
-# diffed against BENCH_PR7.json. Honors the same BENCH_OUT/FORCE
-# discipline, defaulting to BENCH_PR8.json.
-bench-trace: BENCH_OUT = BENCH_PR8.json
-bench-trace:
-	@if [ -e "$(BENCH_OUT)" ] && [ "$(FORCE)" != "1" ]; then \
-		case "$(BENCH_OUT)" in BENCH_PR*.json) \
-			echo "bench-trace: refusing to overwrite committed snapshot $(BENCH_OUT); rerun with FORCE=1"; \
-			exit 1;; \
-		esac; \
-	fi
-	$(GO) run ./cmd/relaxsoak -mode cluster -workload uniform -clients 10 -ops 400 -seed 3 -calm -spans .bench-spans.jsonl >/dev/null
-	( $(GO) test -run='^$$' -bench='BenchmarkSpanEmit|BenchmarkAnalyze' -benchmem ./internal/obs/trace/ \
-	  && $(GO) test -run='^$$' -bench='BenchmarkCheckpointRoundtrip|BenchmarkAuditObserve' -benchmem ./internal/relaxcheck/ ) \
-		| $(GO) run ./cmd/benchjson -trace .bench-spans.jsonl -prev BENCH_PR7.json -o "$(BENCH_OUT)"
-	rm -f .bench-spans.jsonl
-
-# The relaxd scaling snapshot: single-record commit vs the pipelined
-# group-commit path (appends/sec), plus cold recovery over a segmented
-# store (recovery-ms), diffed against BENCH_PR8.json. Honors the same
-# BENCH_OUT/FORCE discipline, defaulting to BENCH_PR10.json. The
-# pipelined appends/sec number is expected to carry ≥2× the
-# single-commit one — that delta is the PR's headline evidence.
-bench-relaxd: BENCH_OUT = BENCH_PR10.json
-bench-relaxd:
-	@if [ -e "$(BENCH_OUT)" ] && [ "$(FORCE)" != "1" ]; then \
-		case "$(BENCH_OUT)" in BENCH_PR*.json) \
-			echo "bench-relaxd: refusing to overwrite committed snapshot $(BENCH_OUT); rerun with FORCE=1"; \
-			exit 1;; \
-		esac; \
-	fi
-	$(GO) test -run='^$$' -bench='BenchmarkAppendSingleCommit|BenchmarkAppendPipelined|BenchmarkRecovery' \
-		-benchmem -benchtime=1s ./internal/relaxd/ \
-		| $(GO) run ./cmd/benchjson -prev BENCH_PR8.json -o "$(BENCH_OUT)"
 
 # The kill-9 soak battery CI's relaxd-longhaul job runs: a real
 # networked service under continuous hard kills and wipe-and-rejoins,

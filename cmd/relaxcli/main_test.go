@@ -17,7 +17,7 @@ import (
 // addresses as a -peers value.
 func startSites(t *testing.T, n int) string {
 	t.Helper()
-	replicas, err := relaxd.OpenSites(t.TempDir(), n, relaxd.StoreOptions{SyncEvery: 8})
+	replicas, err := relaxd.OpenSites(t.TempDir(), n, relaxd.StoreOptions{})
 	if err != nil {
 		t.Fatalf("OpenSites: %v", err)
 	}

@@ -66,8 +66,7 @@ func run(args []string, w io.Writer, ready chan<- []string, stop <-chan struct{}
 	site := fs.Int("site", -1, "serve exactly this site index (process-per-site mode)")
 	listen := fs.String("listen", "127.0.0.1:0", "listen address (base address in -sites mode)")
 	dir := fs.String("dir", "", "store directory; empty serves ephemeral (non-durable) sites. -sites mode uses dir/site<i>")
-	snapshotEvery := fs.Int("snapshot-every", 0, "publish a snapshot and reset the WAL every N appended entries (0 disables)")
-	syncEvery := fs.Int("sync-every", 1, "fsync the WAL every N appends (1 = every append, the durable default)")
+	snapshotEvery := fs.Int("snapshot-every", 0, "publish a snapshot every N appended entries, rotating the WAL and compacting its sealed segments (0 disables)")
 	segmentRecords := fs.Int("segment-records", 0, "rotate to a new WAL segment every N records (0 = single segment); snapshots compact sealed segments")
 	join := fs.Bool("join", false, "before serving, rebuild state from a peer via snapshot shipping (-site mode; requires -peers)")
 	peers := fs.String("peers", "", "comma-separated site addresses in site order, for -join (this site's own slot may be a placeholder)")
@@ -80,7 +79,7 @@ func run(args []string, w io.Writer, ready chan<- []string, stop <-chan struct{}
 	if *join && (*site < 0 || *peers == "") {
 		return fmt.Errorf("-join requires -site and -peers")
 	}
-	opts := relaxd.StoreOptions{SyncEvery: *syncEvery, SegmentRecords: *segmentRecords}
+	opts := relaxd.StoreOptions{SegmentRecords: *segmentRecords}
 
 	var replicas []*relaxd.Replica
 	var indexes []int

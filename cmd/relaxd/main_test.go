@@ -43,7 +43,7 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 func TestServeAllSitesAndRecover(t *testing.T) {
 	dir := t.TempDir()
-	args := []string{"-sites", "3", "-listen", "127.0.0.1:0", "-dir", dir, "-sync-every", "4"}
+	args := []string{"-sites", "3", "-listen", "127.0.0.1:0", "-dir", dir}
 
 	addrs, out, shutdown := startServer(t, args)
 	if len(addrs) != 3 {

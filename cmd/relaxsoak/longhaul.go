@@ -59,7 +59,7 @@ type lhService struct {
 // the fsyncs (WaitDurable per request), snapshots and small segments
 // keep rotation, compaction, and shipping all firing during the soak.
 func (c longhaulConfig) storeOptions() relaxd.StoreOptions {
-	return relaxd.StoreOptions{SyncEvery: 1 << 20, SegmentRecords: 100}
+	return relaxd.StoreOptions{SegmentRecords: 100}
 }
 
 func runLonghaul(w io.Writer, cfg longhaulConfig) error {

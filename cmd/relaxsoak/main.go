@@ -73,7 +73,7 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("relaxsoak", flag.ContinueOnError)
-	mode := fs.String("mode", "both", "what to soak: cluster, txn, both, or conc")
+	mode := fs.String("mode", "both", "what to soak: cluster, txn, both, conc, audit (replay a -history export), or longhaul (kill -9 battery over TCP)")
 	workload := fs.String("workload", "uniform", "workload kind (uniform, bursty, skewed, fault-correlated, or all)")
 	seed := fs.Int64("seed", 1987, "root seed for the deterministic run")
 	clients := fs.Int("clients", 200, "concurrent clients")

@@ -79,7 +79,7 @@ func main() {
 	fmt.Printf("overdraft attempt:     %v  <- real bounce\n", op)
 
 	// The global balance is consistent and never went negative.
-	states := quorum.AccountEval(c.MergedLog().History())
+	states := quorum.AccountFold().EvalLog(c.MergedLog())
 	fmt.Printf("\ntrue balance: %d (never negative: A2 held throughout)\n",
 		states[0].(value.Account).Balance)
 

@@ -23,7 +23,7 @@ func adaptiveHarness(t *testing.T, opts resilience.Options) (*Cluster, *Adaptive
 		Sites:   5,
 		Quorums: quorum.TaxiAssignments(5)["Q1Q2"],
 		Base:    specs.PriorityQueue(),
-		Eval:    quorum.PQEval,
+		Fold:    quorum.PQFold(),
 		Respond: PQResponder,
 		Metrics: reg,
 		Trace:   rec,
@@ -204,7 +204,7 @@ func TestExecuteUnderGatesByLevel(t *testing.T) {
 		Sites:   5,
 		Quorums: quorum.TaxiAssignments(5)["Q1Q2"],
 		Base:    specs.PriorityQueue(),
-		Eval:    quorum.PQEval,
+		Fold:    quorum.PQFold(),
 		Respond: PQResponder,
 		Metrics: reg,
 		Trace:   rec,

@@ -41,12 +41,9 @@ type Config struct {
 	// Base is the simple object automaton A whose pre/postconditions
 	// responses must satisfy.
 	Base *automaton.Spec
-	// Eval is the evaluation function η used to interpret views; nil
-	// defaults to δ* of Base. Prefer Fold where available.
-	Eval quorum.Eval
-	// Fold is η in incremental (fold) form. When set it takes precedence
-	// over Eval and lets the cluster evaluate views directly from their
-	// log entries, without materializing a history per operation.
+	// Fold is the evaluation function η used to interpret views; nil
+	// defaults to δ* of Base. The cluster evaluates views directly from
+	// their log entries, without materializing a history per operation.
 	Fold *quorum.FoldEval
 	// Respond chooses responses from views.
 	Respond Responder

@@ -17,7 +17,7 @@ func taxiCluster(t *testing.T, n int, assignment string) *Cluster {
 		Sites:   n,
 		Quorums: quorum.TaxiAssignments(n)[assignment],
 		Base:    specs.PriorityQueue(),
-		Eval:    quorum.PQEval,
+		Fold:    quorum.PQFold(),
 		Respond: PQResponder,
 	})
 }
@@ -192,7 +192,7 @@ func TestBankCluster(t *testing.T) {
 		Sites:   3,
 		Quorums: votes,
 		Base:    specs.BankAccount(),
-		Eval:    quorum.AccountEval,
+		Fold:    quorum.AccountFold(),
 		Respond: AccountResponder,
 	})
 	atm := c.Client(0)
@@ -209,7 +209,7 @@ func TestBankCluster(t *testing.T) {
 		t.Fatalf("over-debit: %v %v", op, err)
 	}
 	// Global balance: 10 - 4 = 6.
-	states := quorum.AccountEval(c.MergedLog().History())
+	states := quorum.AccountFold().Eval(c.MergedLog().History())
 	if states[0].(value.Account).Balance != 6 {
 		t.Errorf("balance = %v", states[0])
 	}
@@ -224,7 +224,7 @@ func TestBankPrematureDebit(t *testing.T) {
 	})
 	c := New(Config{
 		Sites: 3, Quorums: votes, Base: specs.BankAccount(),
-		Eval: quorum.AccountEval, Respond: AccountResponder,
+		Fold: quorum.AccountFold(), Respond: AccountResponder,
 	})
 	// Credit lands only at site 0 (final quorum 1, partitioned away).
 	c.Partition([]int{0}, []int{1, 2})

@@ -93,15 +93,15 @@ type Exec struct {
 // cluster, or one relaxd client — and is not safe for concurrent use.
 type Engine struct {
 	name     string // metric and span prefix
-	cfg      Config // Base, Eval, Fold, Respond, Metrics, Audit, Spans
+	cfg      Config // Base, Fold, Respond, Metrics, Audit, Spans
 	observed history.History
 
-	// View-evaluation cache (fold mode only): η of recently evaluated
-	// views. A client's next view usually extends a previous one by a
-	// single entry (new entries carry fresh maximal timestamps, so
-	// appends never reorder), and then η of the new view is one fold
-	// step from the cached states instead of a full O(|view|) replay —
-	// the difference between O(n²) and O(n) total work on a 10k-op soak.
+	// View-evaluation cache: η of recently evaluated views. A client's
+	// next view usually extends a previous one by a single entry (new
+	// entries carry fresh maximal timestamps, so appends never reorder),
+	// and then η of the new view is one fold step from the cached states
+	// instead of a full O(|view|) replay — the difference between O(n²)
+	// and O(n) total work on a 10k-op soak.
 	// Multiple slots track the divergent log lineages a partition
 	// creates (one per network component); replacement is round-robin,
 	// so cache behavior is deterministic.
@@ -122,9 +122,9 @@ type viewEntry struct {
 
 // NewEngine builds a protocol engine whose metrics and spans are named
 // under name ("cluster", "relaxd"). Of cfg it uses Base, Respond, η
-// (Fold, else Eval, else δ* of Base), Metrics, Audit, and Spans.
+// (Fold, else δ* of Base), Metrics, Audit, and Spans.
 func NewEngine(name string, cfg Config) *Engine {
-	if cfg.Fold == nil && cfg.Eval == nil {
+	if cfg.Fold == nil {
 		cfg.Fold = quorum.DeltaFold(cfg.Base)
 	}
 	return &Engine{name: name, cfg: cfg}
@@ -286,9 +286,6 @@ func (e *Engine) beginOpSpan(x Exec) *trace.SpanRef {
 // evalView interprets a view through η.
 func (e *Engine) evalView(view quorum.Log) []value.Value {
 	fold := e.cfg.Fold
-	if fold == nil {
-		return e.cfg.Eval(view.History())
-	}
 	// Fold from the cached view with the longest prefix of this one
 	// (lowest slot wins ties, keeping the scan deterministic).
 	best := -1

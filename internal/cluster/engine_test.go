@@ -195,17 +195,19 @@ func TestEngineOutcomeTable(t *testing.T) {
 // that neither reaches step 3.
 func TestEngineViewErrors(t *testing.T) {
 	gate := quorum.Majority(3, history.NameEnq, history.NameDeq)
+	// An η with no initial state assigns no state to any view.
+	noState := quorum.NewFoldEval(nil, func(value.Value, history.Op) []value.Value { return nil })
 	for _, tc := range []struct {
 		name string
-		eval quorum.Eval
+		fold *quorum.FoldEval
 		inv  history.Invocation
 		want error
 	}{
-		{"uninterpretable", func(history.History) []value.Value { return nil }, history.EnqInv(1), ErrUninterpretable},
-		{"no-response", quorum.PQEval, history.DeqInv(), ErrNoResponse},
+		{"uninterpretable", noState, history.EnqInv(1), ErrUninterpretable},
+		{"no-response", quorum.PQFold(), history.DeqInv(), ErrNoResponse},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := NewEngine("fake", Config{Base: specs.PriorityQueue(), Eval: tc.eval, Respond: PQResponder})
+			eng := NewEngine("fake", Config{Base: specs.PriorityQueue(), Fold: tc.fold, Respond: PQResponder})
 			sites := &fakeSites{answers: []int{0, 1, 2}, acks: map[int]bool{0: true, 1: true, 2: true}}
 			clock := quorum.NewClock(4)
 			_, err := eng.Execute(sites, Exec{Inv: tc.inv, Gate: gate, Clock: clock})
@@ -222,7 +224,7 @@ func TestEngineViewErrors(t *testing.T) {
 		Sites:   3,
 		Quorums: gate,
 		Base:    specs.PriorityQueue(),
-		Eval:    func(history.History) []value.Value { return nil },
+		Fold:    noState,
 		Respond: PQResponder,
 	})
 	if _, err := c.Client(0).Execute(history.EnqInv(1)); !errors.Is(err, ErrUninterpretable) {

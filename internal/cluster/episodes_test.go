@@ -24,7 +24,7 @@ func TestDegradationEpisodeJournal(t *testing.T) {
 		Sites:   5,
 		Quorums: quorum.TaxiAssignments(5)["Q1Q2"],
 		Base:    specs.PriorityQueue(),
-		Eval:    quorum.PQEval,
+		Fold:    quorum.PQFold(),
 		Respond: PQResponder,
 		Metrics: reg,
 		Trace:   rec,

@@ -111,7 +111,7 @@ func TestClusterWithGridAssignment(t *testing.T) {
 		Sites:   6,
 		Quorums: grid,
 		Base:    specs.PriorityQueue(),
-		Eval:    quorum.PQEval,
+		Fold:    quorum.PQFold(),
 		Respond: PQResponder,
 	})
 	cl := c.Client(0)

@@ -15,7 +15,7 @@ func fifoCluster(t *testing.T, n int, assignment string) *Cluster {
 		Sites:   n,
 		Quorums: quorum.TaxiAssignments(n)[assignment],
 		Base:    specs.FIFOQueue(),
-		Eval:    quorum.FIFOEval,
+		Fold:    quorum.FIFOFold(),
 		Respond: FIFOResponder,
 	})
 }

@@ -35,7 +35,7 @@ func runScenario(t *testing.T, seed int64, faults FaultConfig) scenarioResult {
 		Sites:   5,
 		Quorums: quorum.TaxiAssignments(5)["Q1Q2"],
 		Base:    specs.PriorityQueue(),
-		Eval:    quorum.PQEval,
+		Fold:    quorum.PQFold(),
 		Respond: PQResponder,
 		Metrics: reg,
 		Trace:   rec,

@@ -79,7 +79,7 @@ func runThroughput(b *testing.B, q RelaxedQueue, w int) {
 	b.ReportMetric(float64(per*w)/b.Elapsed().Seconds(), "ops/sec")
 }
 
-// BenchmarkConc is the scalability sweep benchjson turns into curves:
+// BenchmarkConc is the scalability sweep, one curve per structure:
 // names are BenchmarkConc/q=<structure>/w=<goroutines>, and the
 // ops/sec metric is the aggregate throughput across all w goroutines.
 func BenchmarkConc(b *testing.B) {

@@ -87,12 +87,12 @@ func TestFIFOEvalAgreesWithDeltaStar(t *testing.T) {
 		if len(states) != 1 {
 			t.Fatalf("FIFO not deterministic on %v", h)
 		}
-		eta := quorum.FIFOEval(h)
+		eta := quorum.FIFOFold().Eval(h)
 		if len(eta) != 1 || eta[0].Key() != states[0].Key() {
 			t.Errorf("η_fifo(%v) = %v, δ* = %v", h, eta, states)
 		}
 	}
-	if quorum.FIFOEval(history.History{history.Credit(1)}) != nil {
+	if quorum.FIFOFold().Eval(history.History{history.Credit(1)}) != nil {
 		t.Errorf("η_fifo should reject foreign ops")
 	}
 }

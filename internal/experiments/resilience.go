@@ -90,7 +90,7 @@ func runResilience(w io.Writer, cfg Config) error {
 			Sites:   cfg.Sites,
 			Quorums: quorum.TaxiAssignments(cfg.Sites)["Q1Q2"],
 			Base:    specs.PriorityQueue(),
-			Eval:    quorum.PQEval,
+			Fold:    quorum.PQFold(),
 			Respond: cluster.PQResponder,
 			Metrics: cfg.Metrics,
 			Trace:   cfg.Trace,

@@ -22,7 +22,7 @@ func bankCluster(creditFinal, debitQuorum int) *cluster.Cluster {
 		Sites:   5,
 		Quorums: votes,
 		Base:    specs.BankAccount(),
-		Eval:    quorum.AccountEval,
+		Fold:    quorum.AccountFold(),
 		Respond: cluster.AccountResponder,
 	})
 }
@@ -92,7 +92,7 @@ func TestBankClusterLazyCreditsSpurious(t *testing.T) {
 			sawDegradation = true
 		}
 		// The true balance never goes negative.
-		states := quorum.AccountEval(c.MergedLog().History())
+		states := quorum.AccountFold().Eval(c.MergedLog().History())
 		if states[0].(value.Account).Balance < 0 {
 			t.Fatalf("seed %d: overdraft with A2 held", seed)
 		}

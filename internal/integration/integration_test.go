@@ -32,7 +32,7 @@ func TestClusterNonDegradingAlwaysSerializable(t *testing.T) {
 			Sites:   5,
 			Quorums: quorum.TaxiAssignments(5)["Q1Q2"],
 			Base:    specs.PriorityQueue(),
-			Eval:    quorum.PQEval,
+			Fold:    quorum.PQFold(),
 			Respond: cluster.PQResponder,
 		})
 		for i := 0; i < 80; i++ {
@@ -74,7 +74,7 @@ func TestClusterDegradingStaysInLattice(t *testing.T) {
 			Sites:   5,
 			Quorums: quorum.TaxiAssignments(5)["Q1Q2"],
 			Base:    specs.PriorityQueue(),
-			Eval:    quorum.PQEval,
+			Fold:    quorum.PQFold(),
 			Respond: cluster.PQResponder,
 		})
 		for i := 0; i < 60; i++ {
@@ -309,7 +309,7 @@ func TestObservedHistoryAcceptedByQCA(t *testing.T) {
 		Sites:   5,
 		Quorums: quorum.TaxiAssignments(5)["Q1Q2"],
 		Base:    specs.PriorityQueue(),
-		Eval:    quorum.PQEval,
+		Fold:    quorum.PQFold(),
 		Respond: cluster.PQResponder,
 	})
 	dispatcher := c.Client(0)
@@ -405,7 +405,7 @@ func TestClusterAvailabilityMatchesAnalytic(t *testing.T) {
 			Sites:   5,
 			Quorums: voting,
 			Base:    specs.PriorityQueue(),
-			Eval:    quorum.PQEval,
+			Fold:    quorum.PQFold(),
 			Respond: cluster.PQResponder,
 		})
 		seedQueue(t, c)

@@ -60,7 +60,7 @@ func TestSoakClusterMonitor(t *testing.T) {
 			Sites:   5,
 			Quorums: quorum.TaxiAssignments(5)["Q1Q2"],
 			Base:    specs.PriorityQueue(),
-			Eval:    quorum.PQEval,
+			Fold:    quorum.PQFold(),
 			Respond: cluster.PQResponder,
 		})
 		var engine sim.Engine

@@ -11,8 +11,7 @@ import (
 
 // Analysis is the critical-path attribution of one span stream: where
 // logical time went, per span name (protocol step) and per degradation
-// rung. Built by Analyze, rendered by cmd/relaxtrace, embedded (in
-// summary form) in benchjson snapshots.
+// rung. Built by Analyze, rendered by cmd/relaxtrace.
 //
 // The critical path of a root operation is computed by the classic
 // backward sweep: starting from the root's end, repeatedly step to the

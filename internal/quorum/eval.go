@@ -8,20 +8,19 @@ import (
 	"relaxlattice/internal/value"
 )
 
-// Eval is an evaluation function η: STATE × OP* → 2^STATE (Section 3.2),
-// here curried at the initial state as in the paper's shorthand
+// FoldEval is an evaluation function η: STATE × OP* → 2^STATE (Section
+// 3.2), curried at the initial state as in the paper's shorthand
 // η(H) = η(s₀, H). An evaluation function must agree with δ* on
 // histories in L(A) but may assign application-specific meaning to
 // histories outside L(A), which is what lets a relaxed quorum automaton
 // interpret the "weakly consistent" views it constructs.
-type Eval func(h history.History) []value.Value
-
-// FoldEval is an evaluation function in incremental (fold) form: init
-// is η(Λ) and step maps one state of η(G) to its successors under an
-// operation, so that η(G·op) = ⋃_{s ∈ η(G)} step(s, op). Every
-// evaluation function in the paper is such a fold — it replays a
-// history operation by operation — and the fold form is what lets the
-// compiled view automaton (viewauto.go) extend view evaluations
+//
+// It is held in incremental (fold) form: init is η(Λ) and step maps
+// one state of η(G) to its successors under an operation, so that
+// η(G·op) = ⋃_{s ∈ η(G)} step(s, op). Every evaluation function in the
+// paper is such a fold — it replays a history operation by operation —
+// and the fold form is what lets the compiled view automaton
+// (viewauto.go) and the engine's view cache extend view evaluations
 // incrementally instead of re-replaying each view from scratch.
 //
 // The compiled automaton additionally requires the fold to be
@@ -115,16 +114,9 @@ func sortStates(m map[string]value.Value) []value.Value {
 	return out
 }
 
-// DeltaEval returns δ* itself as the evaluation function: QCA(A, Q)
-// of Section 3.2 is QCA(A, Q, DeltaEval(A)).
-func DeltaEval(a automaton.Automaton) Eval {
-	return func(h history.History) []value.Value {
-		return automaton.StatesAfter(a, h)
-	}
-}
-
-// DeltaFold is δ* of a in fold form (its step is a's own transition
-// function).
+// DeltaFold is δ* itself as the evaluation function (its step is a's
+// own transition function): QCA(A, Q) of Section 3.2 is
+// QCA(A, Q, DeltaFold(A)).
 func DeltaFold(a automaton.Automaton) *FoldEval {
 	return NewFoldEval([]value.Value{a.Init()}, a.Step)
 }
@@ -153,10 +145,7 @@ func pqStep(s value.Value, op history.Op) []value.Value {
 
 var pqFold = NewFoldEval([]value.Value{value.EmptyBag()}, pqStep)
 
-// PQFold is PQEval in fold form.
-func PQFold() *FoldEval { return pqFold }
-
-// PQEval is the evaluation function η of Section 3.3 for the replicated
+// PQFold is the evaluation function η of Section 3.3 for the replicated
 // priority queue, defined for arbitrary sequences of Enq and Deq
 // operations:
 //
@@ -166,7 +155,7 @@ func PQFold() *FoldEval { return pqFold }
 //
 // Each driver dequeues the highest-priority request that appears not to
 // have been served.
-func PQEval(h history.History) []value.Value { return pqFold.Eval(h) }
+func PQFold() *FoldEval { return pqFold }
 
 // pqPrimeStep is one step of the alternative evaluation function η′.
 func pqPrimeStep(s value.Value, op history.Op) []value.Value {
@@ -200,16 +189,13 @@ func pqPrimeStep(s value.Value, op history.Op) []value.Value {
 
 var pqPrimeFold = NewFoldEval([]value.Value{value.EmptyBag()}, pqPrimeStep)
 
-// PQPrimeFold is PQEvalPrime in fold form.
-func PQPrimeFold() *FoldEval { return pqPrimeFold }
-
-// PQEvalPrime is the alternative evaluation function η′ sketched at the
+// PQPrimeFold is the alternative evaluation function η′ sketched at the
 // end of Section 3.3: it deletes higher-priority requests that were
 // skipped over in favor of lower-priority requests, so the resulting
 // lattice never services requests out of order but may ignore certain
 // requests. Deq()/Ok(e) removes e and every request with priority
 // greater than e.
-func PQEvalPrime(h history.History) []value.Value { return pqPrimeFold.Eval(h) }
+func PQPrimeFold() *FoldEval { return pqPrimeFold }
 
 // fifoStep is one step of η_fifo for the replicated FIFO queue.
 func fifoStep(s value.Value, op history.Op) []value.Value {
@@ -242,15 +228,12 @@ func fifoStep(s value.Value, op history.Op) []value.Value {
 
 var fifoFold = NewFoldEval([]value.Value{value.EmptySeq()}, fifoStep)
 
-// FIFOFold is FIFOEval in fold form.
-func FIFOFold() *FoldEval { return fifoFold }
-
-// FIFOEval is the evaluation function η_fifo for a replicated FIFO
+// FIFOFold is the evaluation function η_fifo for a replicated FIFO
 // queue (the Section 3.1 motivating example), defined over arbitrary
 // Enq/Deq sequences: Enq appends, and Deq()/Ok(e) removes the oldest
 // occurrence of e (leaving the queue unchanged when e is absent). It
 // agrees with the FIFO queue's δ* on legal FIFO histories.
-func FIFOEval(h history.History) []value.Value { return fifoFold.Eval(h) }
+func FIFOFold() *FoldEval { return fifoFold }
 
 // accountStep is one step of the bank-account evaluation function.
 func accountStep(s value.Value, op history.Op) []value.Value {
@@ -272,14 +255,11 @@ func accountStep(s value.Value, op history.Op) []value.Value {
 
 var accountFold = NewFoldEval([]value.Value{value.NewAccount(0)}, accountStep)
 
-// AccountFold is AccountEval in fold form.
-func AccountFold() *FoldEval { return accountFold }
-
-// AccountEval is the evaluation function for the replicated bank
+// AccountFold is the evaluation function for the replicated bank
 // account of Section 3.4, defined over arbitrary Credit/Debit
 // sequences: credits add, successful debits subtract, and bounced
 // debits leave the balance unchanged.
-func AccountEval(h history.History) []value.Value { return accountFold.Eval(h) }
+func AccountFold() *FoldEval { return accountFold }
 
 // EvalLogFrom resumes a log replay: given states = η of the first
 // `from` entries of l, it folds the remaining entries and returns η of

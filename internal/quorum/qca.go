@@ -30,7 +30,6 @@ type QCA struct {
 	base *automaton.Spec
 	rel  Relation
 	fold *FoldEval
-	eta  Eval
 }
 
 var _ automaton.Automaton = (*QCA)(nil)
@@ -42,7 +41,7 @@ func NewQCA(name string, base *automaton.Spec, rel Relation, eta *FoldEval) *QCA
 	if eta == nil {
 		eta = DeltaFold(base)
 	}
-	return &QCA{name: name, base: base, rel: rel, fold: eta, eta: eta.Eval}
+	return &QCA{name: name, base: base, rel: rel, fold: eta}
 }
 
 // Name returns the automaton's name.
@@ -79,11 +78,11 @@ func (q *QCA) Step(s value.Value, op history.Op) []value.Value {
 func (q *QCA) Justified(h history.History, op history.Op) bool {
 	found := false
 	q.rel.Views(h, op.Inv(), func(g history.History) bool {
-		before := q.eta(g)
+		before := q.fold.Eval(g)
 		if len(before) == 0 {
 			return true // keep searching other views
 		}
-		after := q.eta(g.Append(op))
+		after := q.fold.Eval(g.Append(op))
 		if len(after) == 0 {
 			return true
 		}
@@ -109,8 +108,8 @@ func (q *QCA) Witness(h history.History, op history.Op) (history.History, bool) 
 	var witness history.History
 	found := false
 	q.rel.Views(h, op.Inv(), func(g history.History) bool {
-		before := q.eta(g)
-		after := q.eta(g.Append(op))
+		before := q.fold.Eval(g)
+		after := q.fold.Eval(g.Append(op))
 		for _, s := range before {
 			if !q.base.PreHolds(s, op) {
 				continue

@@ -13,25 +13,25 @@ func q1q2() Relation { return Q1().Union(Q2()) }
 
 func TestPQEval(t *testing.T) {
 	h := history.History{history.Enq(1), history.Enq(3), history.DeqOk(3)}
-	got := PQEval(h)
+	got := PQFold().Eval(h)
 	if len(got) != 1 || !got[0].(value.Bag).Equal(value.BagOf(1)) {
-		t.Errorf("PQEval = %v", got)
+		t.Errorf("PQFold().Eval = %v", got)
 	}
 	// η is defined for arbitrary sequences, including illegal PQ
 	// histories such as dequeuing a lower-priority item first.
 	h = history.History{history.Enq(1), history.Enq(3), history.DeqOk(1)}
-	got = PQEval(h)
+	got = PQFold().Eval(h)
 	if len(got) != 1 || !got[0].(value.Bag).Equal(value.BagOf(3)) {
-		t.Errorf("PQEval on illegal history = %v", got)
+		t.Errorf("PQFold().Eval on illegal history = %v", got)
 	}
 	// Deleting an absent element leaves the bag unchanged.
 	h = history.History{history.DeqOk(5)}
-	got = PQEval(h)
+	got = PQFold().Eval(h)
 	if len(got) != 1 || !got[0].(value.Bag).IsEmp() {
-		t.Errorf("PQEval del-absent = %v", got)
+		t.Errorf("PQFold().Eval del-absent = %v", got)
 	}
-	if PQEval(history.History{history.Credit(1)}) != nil {
-		t.Errorf("PQEval should reject foreign ops")
+	if PQFold().Eval(history.History{history.Credit(1)}) != nil {
+		t.Errorf("PQFold().Eval should reject foreign ops")
 	}
 }
 
@@ -44,7 +44,7 @@ func TestPQEvalAgreesWithDeltaStar(t *testing.T) {
 		if len(states) != 1 {
 			t.Fatalf("PQ should be deterministic: %v -> %v", h, states)
 		}
-		eta := PQEval(h)
+		eta := PQFold().Eval(h)
 		if len(eta) != 1 || eta[0].Key() != states[0].Key() {
 			t.Errorf("η(%v) = %v, δ* = %v", h, eta, states)
 		}
@@ -54,7 +54,7 @@ func TestPQEvalAgreesWithDeltaStar(t *testing.T) {
 func TestPQEvalPrime(t *testing.T) {
 	// Deq(1) with 3 pending drops the skipped-over 3.
 	h := history.History{history.Enq(1), history.Enq(3), history.DeqOk(1)}
-	got := PQEvalPrime(h)
+	got := PQPrimeFold().Eval(h)
 	if len(got) != 1 || !got[0].(value.Bag).IsEmp() {
 		t.Errorf("η′ = %v, want empty", got)
 	}
@@ -62,30 +62,30 @@ func TestPQEvalPrime(t *testing.T) {
 	pq := specs.PriorityQueue()
 	for _, h := range automaton.Language(pq, history.QueueAlphabet(3), 5) {
 		states := automaton.StatesAfter(pq, h)
-		eta := PQEvalPrime(h)
+		eta := PQPrimeFold().Eval(h)
 		if len(eta) != 1 || eta[0].Key() != states[0].Key() {
 			t.Errorf("η′(%v) = %v, δ* = %v", h, eta, states)
 		}
 	}
-	if PQEvalPrime(history.History{history.Credit(1)}) != nil {
+	if PQPrimeFold().Eval(history.History{history.Credit(1)}) != nil {
 		t.Errorf("η′ should reject foreign ops")
 	}
 }
 
 func TestAccountEval(t *testing.T) {
 	h := history.History{history.Credit(5), history.DebitOk(3), history.DebitOver(9)}
-	got := AccountEval(h)
+	got := AccountFold().Eval(h)
 	if len(got) != 1 || got[0].(value.Account).Balance != 2 {
-		t.Errorf("AccountEval = %v", got)
+		t.Errorf("AccountFold().Eval = %v", got)
 	}
 	// Arbitrary sequences are evaluated, even "overdrawing" ones.
 	h = history.History{history.DebitOk(3)}
-	got = AccountEval(h)
+	got = AccountFold().Eval(h)
 	if len(got) != 1 || got[0].(value.Account).Balance != -3 {
-		t.Errorf("AccountEval = %v", got)
+		t.Errorf("AccountFold().Eval = %v", got)
 	}
-	if AccountEval(history.History{history.Enq(1)}) != nil {
-		t.Errorf("AccountEval should reject foreign ops")
+	if AccountFold().Eval(history.History{history.Enq(1)}) != nil {
+		t.Errorf("AccountFold().Eval should reject foreign ops")
 	}
 }
 
@@ -221,22 +221,22 @@ func TestMinimality(t *testing.T) {
 
 func TestFIFOEvalInPackage(t *testing.T) {
 	h := history.History{history.Enq(1), history.Enq(1), history.DeqOk(1)}
-	got := FIFOEval(h)
+	got := FIFOFold().Eval(h)
 	if len(got) != 1 || !got[0].(value.Seq).Equal(value.SeqOf(1)) {
-		t.Errorf("FIFOEval = %v", got)
+		t.Errorf("FIFOFold().Eval = %v", got)
 	}
 	// Removing an absent element leaves the queue unchanged.
-	got = FIFOEval(history.History{history.DeqOk(5)})
+	got = FIFOFold().Eval(history.History{history.DeqOk(5)})
 	if len(got) != 1 || !got[0].(value.Seq).IsEmp() {
-		t.Errorf("FIFOEval del-absent = %v", got)
+		t.Errorf("FIFOFold().Eval del-absent = %v", got)
 	}
 	for _, bad := range []history.History{
 		{history.Credit(1)},
 		{history.MakeOp("Enq", []int{1, 2}, history.Ok, nil)},
 		{history.MakeOp("Deq", nil, "Weird", []int{1})},
 	} {
-		if FIFOEval(bad) != nil {
-			t.Errorf("FIFOEval accepted %v", bad)
+		if FIFOFold().Eval(bad) != nil {
+			t.Errorf("FIFOFold().Eval accepted %v", bad)
 		}
 	}
 }

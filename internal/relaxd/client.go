@@ -18,7 +18,7 @@ import (
 var ErrNoQuorumAck = cluster.ErrNoQuorumAck
 
 // ClientConfig configures a protocol client. Base, Respond, Quorums,
-// and Transport are required; Fold (preferred) or Eval supplies η.
+// and Transport are required; Fold supplies η.
 type ClientConfig struct {
 	// Transport reaches the replicas.
 	Transport Transport
@@ -26,11 +26,8 @@ type ClientConfig struct {
 	Quorums quorum.Assignment
 	// Base is the simple object automaton A.
 	Base *automaton.Spec
-	// Fold is η in incremental form; it takes precedence over Eval.
+	// Fold is the evaluation function η; nil defaults to δ* of Base.
 	Fold *quorum.FoldEval
-	// Eval is η over materialized histories (used when Fold is nil;
-	// both nil defaults to δ* of Base).
-	Eval quorum.Eval
 	// Respond chooses responses from views (step 2).
 	Respond cluster.Responder
 	// Audit, when set, receives every completed operation — the
@@ -83,7 +80,6 @@ func NewClient(cfg ClientConfig, clockSite int) *Client {
 	eng := cluster.NewEngine("relaxd", cluster.Config{
 		Base:    cfg.Base,
 		Fold:    cfg.Fold,
-		Eval:    cfg.Eval,
 		Respond: cfg.Respond,
 		Audit:   cfg.Audit,
 		Spans:   cfg.Spans,

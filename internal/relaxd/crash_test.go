@@ -101,7 +101,7 @@ func TestCrashRestartAtEveryProtocolStep(t *testing.T) {
 	}
 	for _, step := range steps {
 		t.Run(step.name, func(t *testing.T) {
-			replicas, err := OpenSites(t.TempDir(), sites, StoreOptions{SyncEvery: 1 << 20})
+			replicas, err := OpenSites(t.TempDir(), sites, StoreOptions{})
 			if err != nil {
 				t.Fatalf("OpenSites: %v", err)
 			}

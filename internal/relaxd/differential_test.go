@@ -49,7 +49,7 @@ func TestDifferentialNetVsOracle(t *testing.T) {
 
 	// Durable replicas so a crash-restart recovers the full log — the
 	// semantics cluster.Crash/Restore give the oracle for free.
-	replicas, err := OpenSites(t.TempDir(), sites, StoreOptions{SyncEvery: 1 << 20})
+	replicas, err := OpenSites(t.TempDir(), sites, StoreOptions{})
 	if err != nil {
 		t.Fatalf("OpenSites: %v", err)
 	}

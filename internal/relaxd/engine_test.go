@@ -75,8 +75,7 @@ func TestClientUninterpretableView(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := PQClientConfig(NewLocal(replicas))
-	cfg.Fold = nil
-	cfg.Eval = func(history.History) []value.Value { return nil }
+	cfg.Fold = quorum.NewFoldEval(nil, func(value.Value, history.Op) []value.Value { return nil })
 	_, err = NewClient(cfg, 4).Execute(history.EnqInv(1))
 	if !errors.Is(err, cluster.ErrUninterpretable) {
 		t.Fatalf("got %v, want cluster.ErrUninterpretable", err)
@@ -97,7 +96,7 @@ func TestViewCacheSoundOverRepairedLogs(t *testing.T) {
 		t.Run(fmt.Sprint("seed-", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
-			replicas, err := OpenSites(dir, sites, StoreOptions{SyncEvery: 1})
+			replicas, err := OpenSites(dir, sites, StoreOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

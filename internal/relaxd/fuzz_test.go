@@ -129,7 +129,7 @@ func FuzzSegmentedWALOpen(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, e := range serialPQEntries(3) {
-		if err := s.Append(e); err != nil {
+		if err := appendDurable(s, e); err != nil {
 			f.Fatal(err)
 		}
 	}

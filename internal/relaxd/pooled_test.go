@@ -38,7 +38,7 @@ func openTCPStack(t *testing.T, sites, nclients int) *tcpStack {
 		audit: relaxcheck.New(lat, relaxcheck.Options{Claims: relaxcheck.TaxiClaims(lat.Universe)}),
 	}
 	var err error
-	st.replicas, err = OpenSites(t.TempDir(), sites, StoreOptions{SyncEvery: 1 << 20})
+	st.replicas, err = OpenSites(t.TempDir(), sites, StoreOptions{})
 	if err != nil {
 		t.Fatalf("OpenSites: %v", err)
 	}
@@ -187,9 +187,11 @@ func TestDifferentialPooledVsOracle(t *testing.T) {
 // the protocol fanout interleave on the shared per-site connections.
 func TestPooledConcurrentClients(t *testing.T) {
 	const (
-		sites     = 5
-		nclients  = 6
-		perClient = 20
+		sites    = 5
+		nclients = 6
+		// A multiple of invAt's period, so every client runs Enq, Enq,
+		// Deq, … and no interleaving dequeues from an empty queue.
+		perClient = 21
 	)
 	st := openTCPStack(t, sites, nclients)
 

@@ -34,7 +34,7 @@ func TestSegmentRotationReopen(t *testing.T) {
 	}
 	entries := serialPQEntries(11)
 	for _, e := range entries {
-		if err := s.Append(e); err != nil {
+		if err := appendDurable(s, e); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -62,7 +62,7 @@ func TestSegmentRotationReopen(t *testing.T) {
 	}
 	// Appending after reopen continues the active segment.
 	next := quorum.Entry{TS: ts(100, 6), Op: entries[0].Op}
-	if err := s2.Append(next); err != nil {
+	if err := appendDurable(s2, next); err != nil {
 		t.Fatalf("Append after reopen: %v", err)
 	}
 	if got := segmentsOnDisk(t, dir); len(got) != 4 {
@@ -78,7 +78,7 @@ func TestSnapshotCompactsSealedSegments(t *testing.T) {
 	}
 	entries := serialPQEntries(10)
 	for _, e := range entries {
-		if err := s.Append(e); err != nil {
+		if err := appendDurable(s, e); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -127,10 +127,10 @@ func TestCompactionSoundnessAtEveryPoint(t *testing.T) {
 			t.Fatalf("k=%d: OpenStore comp: %v", k, err)
 		}
 		for i, e := range entries {
-			if err := plain.Append(e); err != nil {
+			if err := appendDurable(plain, e); err != nil {
 				t.Fatalf("k=%d: plain append %d: %v", k, i, err)
 			}
-			if err := comp.Append(e); err != nil {
+			if err := appendDurable(comp, e); err != nil {
 				t.Fatalf("k=%d: comp append %d: %v", k, i, err)
 			}
 			if i+1 == k {
@@ -176,7 +176,7 @@ func TestWALTortureTruncateAcrossSegmentBoundary(t *testing.T) {
 		t.Fatalf("OpenStore: %v", err)
 	}
 	for _, e := range entries {
-		if err := s.Append(e); err != nil {
+		if err := appendDurable(s, e); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -237,7 +237,7 @@ func TestWALTortureSealedSegmentRefuses(t *testing.T) {
 		t.Fatalf("OpenStore: %v", err)
 	}
 	for _, e := range entries {
-		if err := s.Append(e); err != nil {
+		if err := appendDurable(s, e); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}

@@ -12,13 +12,12 @@ import (
 // store from a peer instead of waiting for client traffic to replay
 // history at it. The joiner fetches a peer's state (published snapshot
 // plus WAL suffix, MsgFetchState/MsgState), certifies the combined
-// history *before* installing anything, installs the snapshot part as
-// its own published snapshot, appends the WAL suffix record by record,
-// and only then serves. A kill at any transfer step leaves a store
-// that recovers to a prefix of the certified state — every prefix of a
-// history that certifies also certifies, because violations are
-// prefix-monotone — so recovery after a mid-ship kill lands certified
-// or refuses with ErrCorrupt, never in between.
+// history *before* installing anything, publishes local ⊔ shipped as
+// its own snapshot in one atomic Store.Snapshot, and only then serves.
+// A site's state is a point in the join-semilattice of logs, so the
+// join lands on exactly that least upper bound or not at all: a kill
+// before the snapshot's rename recovers the pre-join store, a kill
+// after it recovers the whole certified state, never a prefix of it.
 
 // ErrNoPeer is returned when no peer answered a state fetch.
 var ErrNoPeer = errors.New("relaxd: no peer shipped state")
@@ -30,12 +29,9 @@ type JoinHooks struct {
 	// AfterFetch runs once a peer's state is fetched and certified,
 	// before anything is installed.
 	AfterFetch func(peer int) error
-	// AfterInstall runs after the snapshot part is published locally,
-	// before the WAL suffix is appended.
+	// AfterInstall runs after the joined state is published locally.
 	AfterInstall func() error
-	// BeforeSuffix runs before suffix entry i is appended.
-	BeforeSuffix func(i int) error
-	// BeforeReady runs after the final sync, before JoinFrom returns.
+	// BeforeReady runs right after AfterInstall, before JoinFrom returns.
 	BeforeReady func() error
 }
 
@@ -96,48 +92,22 @@ func (r *Replica) JoinFrom(cfg JoinConfig) (JoinInfo, error) {
 			return info, err
 		}
 	}
-	if r.store != nil && snapLog.Len() > 0 {
-		// Install the snapshot part as our own published snapshot (this
-		// also compacts whatever segments predate the ship).
-		if err := r.store.Snapshot(snapLog); err != nil {
+	// One atomic publish of local ⊔ shipped: whatever this store had
+	// acknowledged stays, and the snapshot on disk is the log in memory.
+	installed := quorum.Merge(r.log, combined)
+	if r.store != nil {
+		if err := r.store.Snapshot(installed); err != nil {
 			return info, err
 		}
+		r.snapLen = installed.Len()
 	}
-	r.log = quorum.Merge(r.log, snapLog)
-	r.snapLen = snapLog.Len()
-	if cfg.Hooks.AfterInstall != nil {
-		if err := cfg.Hooks.AfterInstall(); err != nil {
-			r.crashLocked()
-			return info, err
-		}
-	}
-	// Append the WAL suffix record by record, so a kill at any step
-	// leaves a durable prefix of the certified state.
-	for i, e := range resp.Wal {
-		if cfg.Hooks.BeforeSuffix != nil {
-			if err := cfg.Hooks.BeforeSuffix(i); err != nil {
-				r.crashLocked()
-				return info, err
-			}
-		}
-		if r.log.Contains(e.TS) {
+	r.log = installed
+	r.appended = 0
+	for _, hook := range []func() error{cfg.Hooks.AfterInstall, cfg.Hooks.BeforeReady} {
+		if hook == nil {
 			continue
 		}
-		if r.store != nil {
-			if err := r.store.Append(e); err != nil {
-				return info, err
-			}
-		}
-		r.log = quorum.Merge(r.log, quorum.LogOf(e))
-	}
-	if r.store != nil {
-		if err := r.store.Sync(); err != nil {
-			return info, err
-		}
-	}
-	r.appended = 0
-	if cfg.Hooks.BeforeReady != nil {
-		if err := cfg.Hooks.BeforeReady(); err != nil {
+		if err := hook(); err != nil {
 			r.crashLocked()
 			return info, err
 		}

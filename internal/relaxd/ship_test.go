@@ -16,8 +16,9 @@ import (
 // Snapshot-shipping battery: a wiped site rebuilds via MsgFetchState
 // (published snapshot + WAL suffix from a peer), must certify the
 // shipped state before serving, and a kill-restart at every transfer
-// step lands on a certified prefix — with the deterministic cluster
-// as the model oracle, seeded from the durable logs via LoadSiteLog.
+// step lands on the pre-join store or the whole certified state — with
+// the deterministic cluster as the model oracle, seeded from the
+// durable logs via LoadSiteLog.
 
 // shipCluster opens a durable 5-site service, runs ops through it, and
 // returns the pieces the shipping tests share.
@@ -25,7 +26,7 @@ func shipCluster(t *testing.T, snapshotEvery, ops int) (string, []*Replica, *Loc
 	t.Helper()
 	const sites = 5
 	base := t.TempDir()
-	replicas, err := OpenSites(base, sites, StoreOptions{SyncEvery: 1 << 20})
+	replicas, err := OpenSites(base, sites, StoreOptions{})
 	if err != nil {
 		t.Fatalf("OpenSites: %v", err)
 	}
@@ -102,9 +103,8 @@ func TestSnapshotShippingRebuildsWipedSite(t *testing.T) {
 		t.Fatalf("shipped state not durable: recovered %d entries (info %+v), want %d",
 			got.Len(), rinfo, want.Len())
 	}
-	if rinfo.SnapshotEntries != info.SnapshotEntries {
-		t.Fatalf("recovered snapshot holds %d entries, shipped snapshot held %d",
-			rinfo.SnapshotEntries, info.SnapshotEntries)
+	if rinfo.SnapshotEntries != want.Len() || rinfo.WALEntries != 0 {
+		t.Fatalf("recovery info %+v: the join publishes one snapshot of all %d entries", rinfo, want.Len())
 	}
 
 	// Model-oracle cross-check (cluster.LoadSiteLog): both systems
@@ -138,8 +138,7 @@ func TestShipKillRestartAtEveryTransferStep(t *testing.T) {
 	base, replicas, tr, _ := shipCluster(t, 10, 24)
 	donor := replicas[0].Log()
 
-	// Learn the transfer shape once so the per-suffix-entry kill points
-	// can be enumerated.
+	// Learn the transfer shape once so each kill point's recovery is exact.
 	wipe(t, base, replicas[victim])
 	shape, err := replicas[victim].JoinFrom(JoinConfig{Transport: tr, Certify: PQCertify()})
 	if err != nil {
@@ -172,21 +171,8 @@ func TestShipKillRestartAtEveryTransferStep(t *testing.T) {
 	points = append(points, killPoint{
 		name:      "after-snapshot-install",
 		hooks:     JoinHooks{AfterInstall: func() error { return kill(&fired) }},
-		recovered: shape.SnapshotEntries,
+		recovered: shape.SnapshotEntries + shape.WALEntries,
 	})
-	for i := 0; i < shape.WALEntries; i++ {
-		i := i
-		points = append(points, killPoint{
-			name: fmt.Sprintf("before-suffix-%d", i),
-			hooks: JoinHooks{BeforeSuffix: func(j int) error {
-				if j == i {
-					return kill(&fired)
-				}
-				return nil
-			}},
-			recovered: shape.SnapshotEntries + i,
-		})
-	}
 	points = append(points, killPoint{
 		name:      "before-ready",
 		hooks:     JoinHooks{BeforeReady: func() error { return kill(&fired) }},
@@ -268,5 +254,63 @@ func TestShipRefusesUncertifiedState(t *testing.T) {
 	}
 	if info.SnapshotEntries+info.WALEntries != 2 || victim.Log().Len() != 2 {
 		t.Fatalf("honest join shipped %+v, log %d", info, victim.Log().Len())
+	}
+}
+
+// A join lands on local ⊔ shipped, durably: entries the joiner's own
+// store had acknowledged survive the publish, and the joined store
+// reopens as one snapshot of the whole installed log.
+func TestJoinOverNonEmptyStoreKeepsLocalEntries(t *testing.T) {
+	local := quorum.Entry{TS: ts(1, 6), Op: history.Enq(3)}
+	shipped := quorum.Entry{TS: ts(2, 7), Op: history.Enq(9)}
+	ack := func(r *Replica, e quorum.Entry) {
+		t.Helper()
+		resp, err := r.Handle(Message{Type: MsgAppend, Entries: []quorum.Entry{e}})
+		if err != nil || resp.Type != MsgAck || resp.N != 1 {
+			t.Fatalf("site %d append: %+v, %v", r.Site(), resp, err)
+		}
+	}
+	open := func(site int, dir string) *Replica {
+		t.Helper()
+		r, _, err := OpenReplica(site, dir, StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		return r
+	}
+	donor := open(0, t.TempDir())
+	donor.SnapshotEvery = 1
+	ack(donor, shipped)
+	victim := open(1, t.TempDir())
+	ack(victim, local)
+	ephemeral := open(2, "")
+	ack(ephemeral, local)
+	tr := NewLocal([]*Replica{donor, victim, ephemeral})
+	installed := quorum.LogOf(local, shipped)
+
+	for _, r := range []*Replica{victim, ephemeral} {
+		info, err := r.JoinFrom(JoinConfig{Transport: tr, Certify: PQCertify()})
+		if err != nil {
+			t.Fatalf("site %d JoinFrom: %v", r.Site(), err)
+		}
+		if info.Peer != 0 || info.SnapshotEntries != 1 || info.WALEntries != 0 {
+			t.Fatalf("site %d JoinInfo %+v: want the donor's one-entry snapshot", r.Site(), info)
+		}
+		if got := r.Log(); !got.Equal(installed) {
+			t.Fatalf("site %d joined onto %s, want local ⊔ shipped %s", r.Site(), got, installed)
+		}
+	}
+
+	victim.Crash()
+	rinfo, err := victim.Restart()
+	if err != nil {
+		t.Fatalf("restart after join: %v", err)
+	}
+	if got := victim.Log(); !got.Equal(installed) {
+		t.Fatalf("the join lost acknowledged entries from disk: recovered %s, want %s", got, installed)
+	}
+	if rinfo.SnapshotEntries != installed.Len() || rinfo.WALEntries != 0 {
+		t.Fatalf("recovery info %+v, want a %d-entry snapshot and an empty WAL", rinfo, installed.Len())
 	}
 }

@@ -17,7 +17,7 @@ import (
 func TestTCPKillRestart(t *testing.T) {
 	const sites = 3
 	dir := t.TempDir()
-	replicas, err := OpenSites(dir, sites, StoreOptions{SyncEvery: 8})
+	replicas, err := OpenSites(dir, sites, StoreOptions{})
 	if err != nil {
 		t.Fatalf("OpenSites: %v", err)
 	}

@@ -62,12 +62,8 @@ const (
 // explains, or returns an error wrapping ErrCorrupt.
 var ErrCorrupt = errors.New("relaxd: corrupt store")
 
-// StoreOptions tunes durability and segment geometry.
+// StoreOptions tunes segment geometry.
 type StoreOptions struct {
-	// SyncEvery batches fsyncs: the WAL is fsynced after every
-	// SyncEvery appended records (and on Sync/Snapshot/Close). 0 or 1
-	// syncs every append — the durable default.
-	SyncEvery int
 	// SegmentRecords, when positive, rotates the active WAL segment
 	// after it holds that many records. 0 keeps a single unbounded
 	// segment (compaction still rotates on every snapshot).
@@ -94,8 +90,8 @@ type RecoveryInfo struct {
 }
 
 // Store is one site's durable log: segmented write-ahead log plus a
-// periodically published snapshot. Writes (Append, AppendBatch,
-// Snapshot, Close) are single-writer — the owning Replica serializes
+// periodically published snapshot. Writes (AppendBatch, Snapshot,
+// Close) are single-writer — the owning Replica serializes
 // them behind its own mutex — but WaitDurable and Sync are safe to
 // call concurrently with each other and with the writer: concurrent
 // waiters share fsyncs (group commit), which is what lets pipelined
@@ -112,7 +108,6 @@ type Store struct {
 	segIndex   int // index of the active segment
 	segRecords int // records in the active segment
 	firstSeg   int // oldest segment on disk (compaction floor)
-	pending    int // appends since the last Sync (SyncEvery batching)
 
 	// Commit state, shared between the writer and concurrent
 	// WaitDurable callers. Guarded by cmu.
@@ -449,18 +444,6 @@ func appendRecord(b []byte, e quorum.Entry) ([]byte, error) {
 	return b, nil
 }
 
-// Append makes one entry durable: the record is written to the WAL and
-// fsynced according to StoreOptions.SyncEvery.
-func (s *Store) Append(e quorum.Entry) error {
-	if _, err := s.AppendBatch([]quorum.Entry{e}); err != nil {
-		return err
-	}
-	if s.opts.SyncEvery <= 1 || s.pending >= s.opts.SyncEvery {
-		return s.Sync()
-	}
-	return nil
-}
-
 // AppendBatch writes entries to the active segment in one contiguous
 // write — no fsync — and returns the batch's commit sequence. The
 // records are durable once WaitDurable(seq) returns: the pipelined
@@ -490,7 +473,6 @@ func (s *Store) AppendBatch(entries []quorum.Entry) (int64, error) {
 	}
 	s.walSize += int64(len(b))
 	s.segRecords += len(entries)
-	s.pending += len(entries)
 	//lint:ignore lock-order cmu is released before rotate's Sync reacquires it; the summary-level cycle is not a real hold
 	s.cmu.Lock()
 	s.seq += int64(len(entries))
@@ -543,9 +525,8 @@ func (s *Store) WaitDurable(target int64) error {
 	return nil
 }
 
-// Sync flushes every batched append to stable storage.
+// Sync flushes every written record to stable storage.
 func (s *Store) Sync() error {
-	s.pending = 0
 	s.cmu.Lock()
 	target := s.seq
 	s.cmu.Unlock()
@@ -651,7 +632,6 @@ func (s *Store) resetWAL() error {
 	}
 	s.walSize = headerLen
 	s.segRecords = 0
-	s.pending = 0
 	return nil
 }
 

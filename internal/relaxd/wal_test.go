@@ -40,6 +40,16 @@ func serialPQEntries(n int) []quorum.Entry {
 	return entries
 }
 
+// appendDurable commits one record the way Replica.applyAppend does:
+// stage it, then wait for the fsync that covers it.
+func appendDurable(s *Store, e quorum.Entry) error {
+	seq, err := s.AppendBatch([]quorum.Entry{e})
+	if err != nil {
+		return err
+	}
+	return s.WaitDurable(seq)
+}
+
 func TestStoreAppendReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, log, info, err := OpenStore(dir, StoreOptions{})
@@ -51,7 +61,7 @@ func TestStoreAppendReopen(t *testing.T) {
 	}
 	entries := serialPQEntries(17)
 	for _, e := range entries {
-		if err := s.Append(e); err != nil {
+		if err := appendDurable(s, e); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -72,29 +82,6 @@ func TestStoreAppendReopen(t *testing.T) {
 	}
 }
 
-func TestStoreSyncBatching(t *testing.T) {
-	dir := t.TempDir()
-	s, _, _, err := OpenStore(dir, StoreOptions{SyncEvery: 8})
-	if err != nil {
-		t.Fatalf("OpenStore: %v", err)
-	}
-	defer s.Close()
-	for _, e := range serialPQEntries(20) {
-		if err := s.Append(e); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	if s.pending >= 8 {
-		t.Fatalf("pending %d never flushed with SyncEvery=8", s.pending)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	if s.pending != 0 {
-		t.Fatalf("pending %d after explicit Sync", s.pending)
-	}
-}
-
 func TestStoreSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, _, _, err := OpenStore(dir, StoreOptions{})
@@ -103,7 +90,7 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 	}
 	entries := serialPQEntries(12)
 	for _, e := range entries[:8] {
-		if err := s.Append(e); err != nil {
+		if err := appendDurable(s, e); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -112,7 +99,7 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 	}
 	// Snapshot resets the WAL; post-snapshot appends land there.
 	for _, e := range entries[8:] {
-		if err := s.Append(e); err != nil {
+		if err := appendDurable(s, e); err != nil {
 			t.Fatalf("Append after snapshot: %v", err)
 		}
 	}
@@ -141,7 +128,7 @@ func TestOpenStoreDiscardsLeftoverSnapshotTmp(t *testing.T) {
 	}
 	entries := serialPQEntries(5)
 	for _, e := range entries {
-		if err := s.Append(e); err != nil {
+		if err := appendDurable(s, e); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -174,7 +161,7 @@ func TestOpenStoreRefusesDamagedSnapshot(t *testing.T) {
 	}
 	entries := serialPQEntries(6)
 	for _, e := range entries {
-		if err := s.Append(e); err != nil {
+		if err := appendDurable(s, e); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}

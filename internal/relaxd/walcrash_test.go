@@ -30,7 +30,7 @@ func walImage(t *testing.T, entries []quorum.Entry) (img []byte, bounds []int) {
 		t.Fatalf("OpenStore: %v", err)
 	}
 	for _, e := range entries {
-		if err := s.Append(e); err != nil {
+		if err := appendDurable(s, e); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -181,7 +181,7 @@ func TestWALTortureBitFlipEveryCRCBit(t *testing.T) {
 func requireUsable(t *testing.T, s *Store, recovered quorum.Log, entries []quorum.Entry) {
 	t.Helper()
 	next := quorum.Entry{TS: ts(len(entries)+100, 6), Op: entries[0].Op}
-	if err := s.Append(next); err != nil {
+	if err := appendDurable(s, next); err != nil {
 		t.Fatalf("append after repair: %v", err)
 	}
 	if err := s.Close(); err != nil {
