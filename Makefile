@@ -15,7 +15,7 @@ test: vet
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/automaton/ ./internal/experiments/ ./internal/txn/ ./internal/cluster/ ./internal/commit/ ./internal/sim/ ./internal/resilience/ ./internal/relaxcheck/ ./internal/integration/ ./internal/conc/ ./internal/relaxd/ ./cmd/...
+	$(GO) test -race ./internal/value/ ./internal/quorum/ ./internal/automaton/ ./internal/experiments/ ./internal/txn/ ./internal/cluster/ ./internal/commit/ ./internal/sim/ ./internal/resilience/ ./internal/relaxcheck/ ./internal/integration/ ./internal/conc/ ./internal/relaxd/ ./cmd/...
 
 # Short native-fuzzing smoke: each target gets a bounded budget on top
 # of its checked-in seed corpus (testdata/fuzz). CI runs this; longer
@@ -41,9 +41,10 @@ bench-e2e:
 # The kill-9 soak battery CI's relaxd-longhaul job runs: a real
 # networked service under continuous hard kills and wipe-and-rejoins,
 # raced, inside a wall-clock budget. The budget is generous because
-# step-1 GetLog ships the whole site log, so raced op cost grows with
-# history length. Artifacts (exported history) land in .longhaul/ for
-# upload on failure.
+# every wipe-and-rejoin ships and certifies a whole site log and every
+# restarted site is re-read from its start once, both under the race
+# detector. Artifacts (exported history) land in .longhaul/ for upload
+# on failure.
 longhaul:
 	mkdir -p .longhaul
 	timeout 1200 $(GO) run -race ./cmd/relaxsoak -mode longhaul -sites 5 -clients 16 \

@@ -87,6 +87,28 @@ func (op Op) String() string {
 	return op.Name + "(" + joinInts(op.Args) + ")/" + string(op.Term) + "(" + joinInts(op.Res) + ")"
 }
 
+// AppendText appends exactly String()'s bytes to dst and returns the
+// extended slice — the allocation-free form for codecs that serialize
+// many executions into one buffer.
+func (op Op) AppendText(dst []byte) []byte {
+	dst = append(dst, op.Name...)
+	dst = appendInts(append(dst, '('), op.Args)
+	dst = append(dst, ")/"...)
+	dst = append(dst, op.Term...)
+	dst = appendInts(append(dst, '('), op.Res)
+	return append(dst, ')')
+}
+
+func appendInts(dst []byte, xs []int) []byte {
+	for i, x := range xs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(x), 10)
+	}
+	return dst
+}
+
 // History is a finite sequence of operation executions. The methods
 // treat History values as immutable: Append copies.
 type History []Op

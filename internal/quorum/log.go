@@ -29,10 +29,11 @@ func (e Entry) String() string { return e.TS.String() + " " + e.Op.String() }
 // amortized-constant allocation instead of copying the whole log per
 // entry. The first append past a fork (two logs extending the same
 // prefix) falls back to a copy, preserving value semantics. The mark
-// makes Append on aliases of one log unsafe across goroutines; the
-// runtimes never share a Log between goroutines (each cluster runs on
-// a single discrete-event engine), and everything else on a Log is a
-// pure read.
+// makes Append and Merge on aliases of one log unsafe across
+// goroutines: the simulation never shares a Log between goroutines
+// (each cluster runs on a single discrete-event engine), a relaxd
+// replica hands its log out only as Shared, and everything else on a
+// Log is a pure read.
 type Log struct {
 	entries []Entry
 	// hwm is the number of entries of the backing array already claimed
@@ -90,18 +91,25 @@ func dedup(sorted []Entry) []Entry {
 // mark matches), and otherwise takes one amortized-growth copy.
 func (l Log) Append(e Entry) Log {
 	if n := len(l.entries); n == 0 || l.entries[n-1].TS.Less(e.TS) {
-		if l.hwm != nil && *l.hwm == n && n < cap(l.entries) {
-			ext := l.entries[:n+1]
-			ext[n] = e
-			*l.hwm = n + 1
-			return Log{entries: ext, hwm: l.hwm}
-		}
-		out := make([]Entry, n+1, growCap(n+1))
-		copy(out, l.entries)
-		out[n] = e
-		return fresh(out)
+		return l.extend([]Entry{e})
 	}
 	return merge2(l, Log{entries: []Entry{e}})
+}
+
+// extend returns l followed by tail, whose timestamps all lie past
+// l's: in place when l is its family's latest extension and the backing
+// array has room, else as one amortized-growth copy (the fork rule).
+func (l Log) extend(tail []Entry) Log {
+	n, m := len(l.entries), len(l.entries)+len(tail)
+	if l.hwm != nil && *l.hwm == n && m <= cap(l.entries) {
+		ext := l.entries[:m]
+		copy(ext[n:], tail)
+		*l.hwm = m
+		return Log{entries: ext, hwm: l.hwm}
+	}
+	out := make([]Entry, n, growCap(m))
+	copy(out, l.entries)
+	return fresh(append(out, tail...))
 }
 
 // Merge merges logs in timestamp order, discarding duplicates — the
@@ -163,6 +171,12 @@ func merge2(la, lb Log) Log {
 	if len(b) == 0 {
 		return la
 	}
+	if a[len(a)-1].TS.Less(b[0].TS) {
+		// b lies wholly past a — a site log, or a client's knowledge of
+		// one, receiving entries with fresh timestamps: the multi-entry
+		// form of Append.
+		return la.extend(b)
+	}
 	if containsAll(b, a) {
 		return lb
 	}
@@ -205,7 +219,38 @@ func (l Log) Len() int { return len(l.entries) }
 func (l Log) Entry(i int) Entry { return l.entries[i] }
 
 // Entries returns a copy of the entries in timestamp order.
-func (l Log) Entries() []Entry { return append([]Entry(nil), l.entries...) }
+func (l Log) Entries() []Entry { return l.Slice(0, len(l.entries)) }
+
+// Slice returns a copy of entries [from, to) in timestamp order.
+func (l Log) Slice(from, to int) []Entry {
+	return append([]Entry(nil), l.entries[from:to]...)
+}
+
+// Minus returns, in timestamp order, the entries of l whose timestamps
+// known does not hold. When known is a prefix of l — l is a view that
+// grew from it — that is l's tail, found without walking either log.
+func (l Log) Minus(known Log) []Entry {
+	if l.HasPrefix(known) {
+		return l.Slice(len(known.entries), len(l.entries))
+	}
+	var out []Entry
+	k := known.entries
+	for _, e := range l.entries {
+		for len(k) > 0 && k[0].TS.Less(e.TS) {
+			k = k[1:]
+		}
+		if len(k) == 0 || k[0].TS != e.TS {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// Shared returns l without its claim on the backing array's tail: the
+// same entries, but Append and Merge on the result always copy. It is
+// the form in which an owner that keeps extending its log in place may
+// hand the log to another goroutine.
+func (l Log) Shared() Log { return Log{entries: l.entries} }
 
 // History reconstructs the object history by reading the entries in
 // timestamp order.
@@ -267,6 +312,9 @@ func (l Log) String() string {
 func (l Log) HasPrefix(p Log) bool {
 	if len(p.entries) > len(l.entries) {
 		return false
+	}
+	if len(p.entries) == 0 || &l.entries[0] == &p.entries[0] {
+		return true // same backing array: logs are immutable (see containsAll)
 	}
 	for i := range p.entries {
 		if l.entries[i].TS != p.entries[i].TS {

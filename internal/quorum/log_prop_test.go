@@ -109,3 +109,76 @@ func TestMergeSubsetProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Minus is the set difference by timestamp: together with what was
+// subtracted it reconstructs l, and it holds nothing known holds.
+func TestMinusIsSetDifference(t *testing.T) {
+	f := func(xs, ys []uint8) bool {
+		l, known := logFrom(xs), logFrom(ys)
+		diff := l.Minus(known)
+		for _, e := range diff {
+			if known.Contains(e.TS) || !l.Contains(e.TS) {
+				return false
+			}
+		}
+		common := 0
+		for i := 0; i < l.Len(); i++ {
+			if known.Contains(l.Entry(i).TS) {
+				common++
+			}
+		}
+		if len(diff)+common != l.Len() {
+			return false
+		}
+		// The prefix case: a log minus what it grew from is its tail.
+		grown := Merge(known, l)
+		return LogOf(grown.Minus(known)...).Equal(LogOf(l.Minus(known)...)) &&
+			len(known.Minus(known)) == 0 && len(l.Minus(Log{})) == l.Len()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// Extending a log — by Append or by merging entries that lie wholly
+// past it — may reuse its backing array, but never at the expense of
+// another log: every extension of a shared prefix keeps its own
+// entries, whichever came first, and a Shared log never extends in
+// place at all.
+func TestExtensionsOfOnePrefixDoNotInterfere(t *testing.T) {
+	entry := func(time, v int) Entry {
+		return Entry{TS: Timestamp{Time: time, Site: 1}, Op: history.Enq(v)}
+	}
+	var base Log
+	for i := 1; i <= 20; i++ {
+		base = base.Append(entry(i, i))
+	}
+	snapshot := LogOf(base.Entries()...)
+	tailA := LogOf(entry(21, 100), entry(22, 101))
+	tailB := LogOf(entry(21, 200), entry(23, 201), entry(24, 202))
+
+	a := Merge(base, tailA) // extends in place
+	b := Merge(base, tailB) // forks: must copy
+	c := base.Append(entry(25, 300))
+	d := Merge(base.Shared(), tailB)
+	want := func(name string, got Log, tail ...Entry) {
+		t.Helper()
+		if exp := LogOf(append(snapshot.Entries(), tail...)...); !got.Equal(exp) {
+			t.Errorf("%s:\n%s\nwant\n%s", name, got, exp)
+		}
+	}
+	want("base", base)
+	want("first extension", a, tailA.Entries()...)
+	want("second extension", b, tailB.Entries()...)
+	want("append after both", c, entry(25, 300))
+	want("extension of the shared form", d, tailB.Entries()...)
+	if !a.HasPrefix(base) || !b.HasPrefix(base) || a.HasPrefix(b) || base.HasPrefix(a) {
+		t.Error("HasPrefix disagrees with the entries")
+	}
+	if got := a.Minus(base); len(got) != 2 || got[0].Op.Args[0] != 100 {
+		t.Errorf("a minus its prefix = %v", got)
+	}
+	if got := a.Slice(19, 21); len(got) != 2 || got[0].TS.Time != 20 || got[1].Op.Args[0] != 100 {
+		t.Errorf("Slice(19, 21) = %v", got)
+	}
+}

@@ -2,7 +2,12 @@ package relaxcheck
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
+
+	"relaxlattice/internal/core"
+	"relaxlattice/internal/history"
+	"relaxlattice/internal/value"
 )
 
 // BenchmarkCheckpointRoundtrip measures the audit sidecar's
@@ -40,5 +45,42 @@ func BenchmarkAuditObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		applyEvent(c, events[i%len(events)])
+	}
+}
+
+// pqHistory32k is a seeded legal priority-queue history of 32 000
+// operations, 55 % Enq(1..9) / 45 % Deq (a Deq drawn on an empty queue
+// is redrawn) — the shape of the state a wiped relaxd site is shipped.
+func pqHistory32k() history.History {
+	rng := rand.New(rand.NewSource(7))
+	q := value.EmptyBag()
+	h := make(history.History, 0, 32000)
+	for len(h) < cap(h) {
+		if best, ok := q.Best(); ok && rng.Intn(100) < 45 {
+			q = q.Del(best)
+			h = append(h, history.DeqOk(int(best)))
+			continue
+		}
+		e := rng.Intn(9) + 1
+		q = q.Ins(value.Elem(e))
+		h = append(h, history.Enq(e))
+	}
+	return h
+}
+
+// BenchmarkCertify32k is the certification a snapshot-shipping join
+// pays before install (relaxd.PQCertify): the whole shipped history
+// through every element of the taxi lattice. The degenerate-queue
+// element's bag never shrinks, so this is the benchmark that notices
+// a Bag whose operations cost O(size).
+func BenchmarkCertify32k(b *testing.B) {
+	lat := core.TaxiSimpleLattice()
+	h := pqHistory32k()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v := Certify(lat, nil, "Q1Q2", h); v != nil {
+			b.Fatal(v)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package relaxd
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"relaxlattice/internal/automaton"
@@ -58,6 +59,7 @@ type ClientHooks struct {
 type Client struct {
 	cfg   ClientConfig
 	eng   *cluster.Engine
+	sites *wireSites
 	clock *quorum.Clock
 	// Degrade enables graceful degradation: when the gate quorum is
 	// unavailable the client proceeds with every responding site.
@@ -85,7 +87,8 @@ func NewClient(cfg ClientConfig, clockSite int) *Client {
 		Spans:   cfg.Spans,
 		Metrics: cfg.Metrics,
 	})
-	return &Client{cfg: cfg, eng: eng, clock: quorum.NewClock(clockSite)}
+	sites := &wireSites{t: cfg.Transport, known: make([]siteKnowledge, cfg.Transport.Sites())}
+	return &Client{cfg: cfg, eng: eng, sites: sites, clock: quorum.NewClock(clockSite)}
 }
 
 // Observed returns the client's history of completed operations in
@@ -125,7 +128,7 @@ func (c *Client) Ping(site int) error {
 
 // execute runs the shared protocol engine over the transport.
 func (c *Client) execute(inv history.Invocation, gate quorum.Assignment, label string) (history.Op, error) {
-	return c.eng.Execute(wireSites{c.cfg.Transport}, cluster.Exec{
+	return c.eng.Execute(c.sites, cluster.Exec{
 		Inv:        inv,
 		Gate:       gate,
 		Label:      label,
@@ -141,38 +144,147 @@ func (c *Client) execute(inv history.Invocation, gate quorum.Assignment, label s
 // step-1 responders, and in both a site counts only if its reply
 // arrived and has the expected type — a dead site, a dropped
 // connection, and a lost ack all look the same.
-type wireSites struct{ t Transport }
+//
+// Neither step moves a log the site already has. Per site the client
+// keeps what it knows the site holds; step 1 names that knowledge as a
+// frontier and receives what lies past it, step 3 sends the updated
+// view minus it. A site the client knows nothing of (or whose
+// knowledge a restart voided) is the zero-frontier case of the same
+// exchange and moves the whole log, as every exchange once did.
+type wireSites struct {
+	t     Transport
+	known []siteKnowledge // indexed by site
+}
 
-func (w wireSites) Read() []cluster.SiteLog {
+// siteKnowledge is a lower bound on one site's resident log: entries
+// the site said it holds (a MsgLog) or acknowledged holding (a MsgAck),
+// all under incarnation inc, during which a site's log only grows. It
+// advances only from replies that arrived, never from a request sent.
+type siteKnowledge struct {
+	inc uint64
+	log quorum.Log
+}
+
+func (w *wireSites) Read() []cluster.SiteLog {
+	reqs := make([]Message, len(w.known))
+	done := make([]bool, len(w.known))
+	var asking []int // nil: every site
+	for {
+		for site, k := range w.known {
+			max, _ := k.log.MaxTS()
+			reqs[site] = Message{Type: MsgGetLog, Inc: k.inc, Have: k.log.Len(), Max: max}
+		}
+		var more []int
+		for site, reply := range fanout(w.t, asking, reqs) {
+			if reply.Type != MsgLog {
+				continue
+			}
+			k := &w.known[site]
+			if !reply.Delta || reply.Inc != k.inc {
+				// The site could not vouch for the frontier: this is its
+				// log from the start, under its current incarnation.
+				*k = siteKnowledge{inc: reply.Inc}
+			}
+			if len(reply.Entries) > 0 {
+				k.log = quorum.Merge(k.log, quorum.LogOf(reply.Entries...))
+			}
+			if reply.More {
+				more = append(more, site) // re-ask from the advanced frontier
+			}
+			done[site] = !reply.More
+		}
+		if len(more) == 0 {
+			break
+		}
+		asking = more
+	}
 	var out []cluster.SiteLog
-	for site, reply := range fanout(w.t, nil, Message{Type: MsgGetLog}) {
-		if reply.Type == MsgLog {
-			out = append(out, cluster.SiteLog{Site: site, Log: quorum.LogOf(reply.Entries...)})
+	for site, ok := range done {
+		if ok {
+			out = append(out, cluster.SiteLog{Site: site, Log: w.known[site].log})
+		}
+		if w.known[site].inc == 0 {
+			// A site that names no incarnation (an ephemeral replica) makes
+			// no promise to still hold this log at the next exchange.
+			w.known[site] = siteKnowledge{}
 		}
 	}
 	return out
 }
 
-func (w wireSites) Record(sites []int, updated quorum.Log, _ trace.SpanID) []int {
-	var acked []int
-	for site, reply := range fanout(w.t, sites, Message{Type: MsgAppend, Entries: updated.Entries()}) {
-		if reply.Type == MsgAck {
-			acked = append(acked, site)
+func (w *wireSites) Record(sites []int, updated quorum.Log, _ trace.SpanID) []int {
+	// Each step-1 responder gets the part of the view it is not known to
+	// hold, tagged with the incarnation that knowledge is relative to.
+	appends := make([]Message, len(w.known))
+	for _, site := range sites {
+		k := w.known[site]
+		appends[site] = Message{Type: MsgAppend, Inc: k.inc, Entries: updated.Minus(k.log)}
+	}
+	acked, stale := w.ship(sites, appends)
+	for _, site := range acked {
+		if appends[site].Inc != 0 {
+			w.known[site].log = updated
 		}
 	}
+	if len(stale) == 0 {
+		return acked
+	}
+	// A site that restarted since step 1 refused the delta. It gets the
+	// whole view once, which claims nothing about what it holds; what
+	// incarnation then acknowledges it is unknown, so step 1 starts over.
+	for _, site := range stale {
+		appends[site] = Message{Type: MsgAppend, Entries: updated.Entries()}
+		w.known[site] = siteKnowledge{}
+	}
+	resent, _ := w.ship(stale, appends)
+	acked = append(acked, resent...)
+	sort.Ints(acked)
 	return acked
 }
 
-// fanout round-trips req to each listed site (nil means every site)
-// and returns the replies indexed by site; a site that was not asked
-// or gave no answer leaves the zero Message, whose Type matches no
-// reply. Over a transport that advertises ConcurrentTransport the
+// ship sends each listed site its MsgAppend as requests of at most
+// maxChunk entries, always at least one, all carrying its tag. A site
+// has acked when every one of its requests was acknowledged; one
+// MsgStale makes it stale; anything else and it is in neither list.
+func (w *wireSites) ship(sites []int, appends []Message) (acked, stale []int) {
+	reqs := make([]Message, len(appends))
+	for off := 0; len(sites) > 0; off += maxChunk {
+		for _, site := range sites {
+			reqs[site] = appends[site]
+			if rest := reqs[site].Entries[off:]; len(rest) > maxChunk {
+				reqs[site].Entries = rest[:maxChunk]
+			} else {
+				reqs[site].Entries = rest
+			}
+		}
+		replies := fanout(w.t, sites, reqs)
+		var unsent []int
+		for _, site := range sites {
+			switch {
+			case replies[site].Type == MsgStale:
+				stale = append(stale, site)
+			case replies[site].Type != MsgAck:
+			case off+maxChunk < len(appends[site].Entries):
+				unsent = append(unsent, site)
+			default:
+				acked = append(acked, site)
+			}
+		}
+		sites = unsent
+	}
+	return acked, stale
+}
+
+// fanout round-trips reqs[site] to each listed site (nil means every
+// site) and returns the replies indexed by site; a site that was not
+// asked or gave no answer leaves the zero Message, whose Type matches
+// no reply. Over a transport that advertises ConcurrentTransport the
 // round trips run in parallel — the pooled transport multiplexes them
 // onto one connection per site — while Local keeps the sequential
 // site-order loop, so the in-process path stays deterministic. The
 // reply slice is in site order either way, so the merged view (and
 // everything downstream) is transport-independent.
-func fanout(t Transport, sites []int, req Message) []Message {
+func fanout(t Transport, sites []int, reqs []Message) []Message {
 	n := t.Sites()
 	out := make([]Message, n)
 	if sites == nil {
@@ -183,7 +295,7 @@ func fanout(t Transport, sites []int, req Message) []Message {
 	}
 	ask := func(site int) {
 		// An error means the site gave no answer: it drops out of the step.
-		if m, err := t.RoundTrip(site, req); err == nil {
+		if m, err := t.RoundTrip(site, reqs[site]); err == nil {
 			out[site] = m
 		}
 	}

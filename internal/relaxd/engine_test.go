@@ -167,6 +167,93 @@ func TestViewCacheSoundOverRepairedLogs(t *testing.T) {
 			}
 		})
 	}
+
+	// The same fault, one step at a time: what a client knows of a site
+	// is void once the site has restarted, in step 1 and in step 3.
+	t.Run("restart-voids-the-frontier", func(t *testing.T) {
+		dir := t.TempDir()
+		replicas, err := OpenSites(dir, sites, StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			for _, r := range replicas {
+				r.Close()
+			}
+		}()
+		local := NewLocal(replicas)
+		rt := &recordingTransport{Transport: local}
+		c := pqClient(rt, sites+1)
+		for i := 0; i < 10; i++ {
+			mustExecute(t, c, history.EnqInv(i%9+1))
+		}
+		// restartShorter kills site 2 and restarts it onto a WAL whose
+		// tail was torn off; it returns how many entries survived.
+		restartShorter := func() int {
+			replicas[2].Crash()
+			before := tearWALTail(t, filepath.Join(dir, "site2"), 40)
+			info, err := replicas[2].Restart()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.WALEntries >= before {
+				t.Fatalf("tear lost nothing: %d entries before, %d after", before, info.WALEntries)
+			}
+			return info.WALEntries
+		}
+
+		// Step 1. The old frontier is refused whether or not the shorter
+		// log could satisfy it by count and timestamp.
+		old := c.sites.known[2]
+		short := restartShorter()
+		oldMax, _ := old.log.MaxTS()
+		for _, frontier := range []Message{
+			{Type: MsgGetLog, Inc: old.inc, Have: old.log.Len(), Max: oldMax},
+			{Type: MsgGetLog, Inc: old.inc, Have: short, Max: old.log.Entry(short - 1).TS},
+		} {
+			resp, err := local.RoundTrip(2, frontier)
+			if err != nil || resp.Type != MsgLog || resp.Delta || len(resp.Entries) != short || resp.Inc == old.inc || resp.Inc == 0 {
+				t.Fatalf("restarted site answered the old incarnation's frontier %+v with %+v, %v", frontier, resp, err)
+			}
+		}
+		// Step 3. A delta relative to the old incarnation is refused, not
+		// acknowledged, and not applied.
+		probe := quorum.Entry{TS: quorum.Timestamp{Time: 99, Site: 9}, Op: history.Enq(1)}
+		resp, err := local.RoundTrip(2, Message{Type: MsgAppend, Inc: old.inc, Entries: []quorum.Entry{probe}})
+		if err != nil || resp.Type != MsgStale || replicas[2].Log().Len() != short {
+			t.Fatalf("stale delta: reply %+v, %v; site holds %d entries, want %d", resp, err, replicas[2].Log().Len(), short)
+		}
+
+		// End to end, with the restart between step 1 and step 3 of one
+		// operation: the refusal makes the client send the whole view, so
+		// the acknowledgement still means the site holds all of it — the
+		// lost entries are durable again.
+		mustExecute(t, c, history.EnqInv(3)) // re-learn site 2 (and repair it)
+		fired := false
+		c.Hooks.AfterStep2 = func() {
+			if !fired {
+				fired = true
+				restartShorter()
+			}
+		}
+		rt.log = rt.log[:0]
+		mustExecute(t, c, history.EnqInv(4))
+		sent := rt.of(MsgAppend, 2)
+		if len(sent) != 2 || sent[0].resp.Type != MsgStale || sent[1].req.Inc != 0 || sent[1].resp.Type != MsgAck {
+			t.Fatalf("site 2 restarted mid-operation: step 3 went %+v", sent)
+		}
+		replicas[2].Crash()
+		if _, err := replicas[2].Restart(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := replicas[2].Log(), replicas[0].Log(); got.Len() != 12 || !got.Equal(want) {
+			t.Fatalf("after the resend site 2 recovers\n%s\nwant site 0's\n%s", got, want)
+		}
+		// And the client's next view is the sites' logs, from scratch.
+		if got := c.sites.Read(); len(got) != sites || !got[2].Log.Equal(replicas[2].Log()) {
+			t.Fatalf("view of site 2 after the resend: %+v", got)
+		}
+	})
 }
 
 // tearWALTail cuts up to n bytes off the end of the store's active WAL

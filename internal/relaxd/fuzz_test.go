@@ -18,15 +18,7 @@ import (
 // its valid range).
 func FuzzDecodeFrame(f *testing.F) {
 	// One well-formed frame of each message kind, plus hostile shapes.
-	for _, m := range []Message{
-		{Type: MsgGetLog},
-		{Type: MsgPing},
-		{Type: MsgPong},
-		{Type: MsgAck, N: 3},
-		{Type: MsgErr, Err: "no"},
-		{Type: MsgLog, Entries: sampleEntries()},
-		{Type: MsgAppend, Entries: sampleEntries()[:2]},
-	} {
+	for _, m := range fuzzFrameSeeds() {
 		var b bytes.Buffer
 		if err := WriteMuxFrame(&b, 7, m); err != nil {
 			f.Fatal(err)
@@ -35,6 +27,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
 	f.Add([]byte{0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0, 7, MsgLog, 0xff})
+	// A hostile entry count behind a well-formed incarnation and flags,
+	// and a frontier whose count overflows int.
+	f.Add(append([]byte{0, 0, 0, 24, 0, 0, 0, 0, 0, 0, 0, 7, MsgLog, 1, 2, 3, 4, 5, 6, 7, 8, 3},
+		0xff, 0xff, 0xff, 0xff, 0xff, 0x0f))
+	f.Add(append([]byte{0, 0, 0, 29, 0, 0, 0, 0, 0, 0, 0, 7, MsgGetLog, 1, 2, 3, 4, 5, 6, 7, 8},
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1, 1))
 
 	stable := func(t *testing.T, data []byte, id uint64, m Message) {
 		if len(m.Entries) > len(data)/minEntryLen {
@@ -48,7 +46,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
-		if id2 != id || m2.Type != m.Type || m2.N != m.N || m2.Err != m.Err || len(m2.Entries) != len(m.Entries) {
+		if id2 != id || m2.Type != m.Type || m2.N != m.N || m2.Err != m.Err || len(m2.Entries) != len(m.Entries) ||
+			m2.Inc != m.Inc || m2.Have != m.Have || m2.Max != m.Max || m2.Delta != m.Delta || m2.More != m.More {
 			t.Fatalf("codec not stable: %d %+v vs %d %+v", id, m, id2, m2)
 		}
 		for i := range m.Entries {
@@ -65,6 +64,28 @@ func FuzzDecodeFrame(f *testing.F) {
 			stable(t, data, 0, m)
 		}
 	})
+}
+
+// fuzzFrameSeeds is one well-formed message of each kind and shape:
+// the zero and a frontier-bearing GetLog, a whole, a delta and a cut
+// Log, a tagged and an untagged Append, and the stale refusal.
+func fuzzFrameSeeds() []Message {
+	const inc = 0x0102030405060708
+	entries := sampleEntries()
+	return []Message{
+		{Type: MsgGetLog},
+		{Type: MsgGetLog, Inc: inc, Have: 2, Max: entries[1].TS},
+		{Type: MsgPing},
+		{Type: MsgPong},
+		{Type: MsgAck, N: 3},
+		{Type: MsgErr, Err: "no"},
+		{Type: MsgLog, Inc: inc, Entries: entries},
+		{Type: MsgLog, Inc: inc, Delta: true, Entries: entries[2:]},
+		{Type: MsgLog, Inc: inc, More: true, Entries: entries[:2]},
+		{Type: MsgAppend, Entries: entries[:2]},
+		{Type: MsgAppend, Inc: inc, Entries: entries[2:]},
+		{Type: MsgStale},
+	}
 }
 
 // FuzzWALOpen hardens recovery: an arbitrary byte soup as the WAL must

@@ -43,6 +43,13 @@ type Replica struct {
 	store *Store       // guarded by mu; nil when ephemeral or crashed
 	log   quorum.Log   // guarded by mu
 	down  bool         // guarded by mu
+	// inc is the open store's incarnation; guarded by mu. Until the
+	// store is reopened the resident log only grows, which is what lets
+	// a client name a frontier instead of refetching the log. 0 for an
+	// ephemeral replica: with no store there is no reopening to mark (it
+	// restarts empty), so it promises nothing and clients remember
+	// nothing about it — every exchange with it moves the whole log.
+	inc uint64
 	// appended counts WAL records since the last snapshot; guarded by mu.
 	appended int
 	// snapLen is how many of the resident log's entries the published
@@ -71,6 +78,7 @@ func OpenReplica(site int, dir string, opts StoreOptions) (*Replica, RecoveryInf
 		return nil, info, err
 	}
 	r.store = store
+	r.inc = store.inc
 	r.log = log
 	r.snapLen = info.SnapshotEntries
 	return r, info, nil
@@ -79,11 +87,12 @@ func OpenReplica(site int, dir string, opts StoreOptions) (*Replica, RecoveryInf
 // Site returns the replica's site index.
 func (r *Replica) Site() int { return r.site }
 
-// Log returns a copy of the resident log.
+// Log returns the resident log. It shares the immutable entries but
+// not the replica's right to extend them in place.
 func (r *Replica) Log() quorum.Log {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return quorum.Merge(r.log) // Merge of one shares the immutable log
+	return r.log.Shared()
 }
 
 // Crash simulates a hard kill: the replica stops answering, its
@@ -115,6 +124,7 @@ func (r *Replica) Restart() (RecoveryInfo, error) {
 		return info, err
 	}
 	r.store = store
+	r.inc = store.inc
 	r.log = log
 	r.down = false
 	r.appended = 0
@@ -140,7 +150,7 @@ func (r *Replica) Close() error {
 // answer at all (down, or a test hook simulating a crash mid-request).
 func (r *Replica) Handle(req Message) (Message, error) {
 	if req.Type == MsgAppend {
-		return r.applyAppend(req.Entries)
+		return r.applyAppend(req.Inc, req.Entries)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -151,7 +161,24 @@ func (r *Replica) Handle(req Message) (Message, error) {
 	case MsgPing:
 		return Message{Type: MsgPong}, nil
 	case MsgGetLog:
-		return Message{Type: MsgLog, Entries: r.log.Entries()}, nil
+		// The frontier test. Within this incarnation the log has only
+		// grown since the client learned its Have entries, all at or
+		// below Max; if the Have-th resident entry is Max, the site holds
+		// exactly Have entries at or below Max, so they are the client's
+		// and only what follows need travel. Anything else — another
+		// incarnation, an entry some other client inserted below Max, no
+		// frontier at all — is answered from the start of the log.
+		n, start := r.log.Len(), 0
+		if r.inc != 0 && req.Inc == r.inc && req.Have > 0 && req.Have <= n && r.log.Entry(req.Have-1).TS == req.Max {
+			start = req.Have
+		}
+		// A reader fetches the next chunk by frontier, so a replica with
+		// no incarnation answers in one piece.
+		end := n
+		if r.inc != 0 && end-start > maxChunk {
+			end = start + maxChunk
+		}
+		return Message{Type: MsgLog, Inc: r.inc, Delta: start > 0, More: end < n, Entries: r.log.Slice(start, end)}, nil
 	case MsgFetchState:
 		// Snapshot shipping: the resident log split at the published-
 		// snapshot boundary, so a joiner can account for what came from
@@ -167,19 +194,28 @@ func (r *Replica) Handle(req Message) (Message, error) {
 	return Message{Type: MsgErr, Err: fmt.Sprintf("unexpected message type %d", req.Type)}, nil
 }
 
-// applyAppend merges a received view into the resident log, making
-// every entry the site is missing durable before acknowledging. The
-// WAL write and log merge happen under mu; the durability wait
+// applyAppend merges received entries into the resident log, making
+// every one the site is missing durable before acknowledging. A
+// non-zero tag says the sender left out what it knows this incarnation
+// to hold; under any other incarnation that claim is void and the
+// request is refused with MsgStale, so an ack always means the site
+// holds the sender's whole view.
+//
+// The WAL write and log merge happen under mu; the durability wait
 // happens after mu is released, so concurrent appends pipeline into
 // shared fsync windows. Merging before the fsync is safe: a later
 // request that finds its entries already resident waits on a commit
 // sequence at least as high as the write that added them, so no ack
 // ever precedes its records' durability.
-func (r *Replica) applyAppend(view []quorum.Entry) (Message, error) {
+func (r *Replica) applyAppend(tag uint64, view []quorum.Entry) (Message, error) {
 	r.mu.Lock()
 	if r.down {
 		r.mu.Unlock()
 		return Message{}, fmt.Errorf("%w: site %d", ErrDown, r.site)
+	}
+	if tag != 0 && tag != r.inc {
+		r.mu.Unlock()
+		return Message{Type: MsgStale}, nil
 	}
 	var missing []quorum.Entry
 	for _, e := range view {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"sync"
 
 	"relaxlattice/internal/cluster"
 	"relaxlattice/internal/core"
@@ -45,22 +46,37 @@ func PQCertify() func(history.History) error {
 // OpenSites opens one durable replica per site under dir/site<i>
 // (ephemeral replicas when dir is empty) — the goroutine-per-site
 // building block shared by the local service, cmd/relaxd, and the
-// crash-injection harness.
+// crash-injection harness. The stores are independent directories, so
+// they open concurrently: a cold start pays one site's mkdir, segment
+// create and fsyncs, not their sum. On failure the error of the
+// lowest-numbered failing site is returned and every replica that did
+// open is closed.
 func OpenSites(dir string, sites int, opts StoreOptions) ([]*Replica, error) {
 	replicas := make([]*Replica, sites)
+	errs := make([]error, sites)
+	var wg sync.WaitGroup
 	for i := range replicas {
-		sub := ""
-		if dir != "" {
-			sub = filepath.Join(dir, fmt.Sprintf("site%d", i))
-		}
-		r, _, err := OpenReplica(i, sub, opts)
-		if err != nil {
-			for _, open := range replicas[:i] {
-				open.Close()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sub := ""
+			if dir != "" {
+				sub = filepath.Join(dir, fmt.Sprintf("site%d", i))
 			}
-			return nil, err
+			replicas[i], _, errs[i] = OpenReplica(i, sub, opts)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err == nil {
+			continue
 		}
-		replicas[i] = r
+		for _, r := range replicas {
+			if r != nil {
+				r.Close()
+			}
+		}
+		return nil, err
 	}
 	return replicas, nil
 }

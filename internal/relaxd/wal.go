@@ -2,6 +2,7 @@ package relaxd
 
 import (
 	"bytes"
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -100,6 +101,11 @@ type Store struct {
 	dir  string
 	opts StoreOptions
 	buf  []byte // scratch for record encoding (writer-only)
+	// inc is this opening's incarnation: 64 random bits, never 0. The
+	// owning replica serves entries it has merged but not yet made
+	// durable, so the log it serves after a reopen need not contain the
+	// one it served before; the incarnation is how a client can tell.
+	inc uint64
 
 	// Writer state, guarded by the owner's serialization (the Replica
 	// mutex), not by a Store lock.
@@ -254,6 +260,10 @@ func OpenStore(dir string, opts StoreOptions) (*Store, quorum.Log, RecoveryInfo,
 	info.WALEntries = len(entries)
 	info.RepairedBytes = lastLen - lastGood
 
+	inc, err := newIncarnation()
+	if err != nil {
+		return fail(err)
+	}
 	active := filepath.Join(dir, segName(segs[len(segs)-1]))
 	f, err := os.OpenFile(active, os.O_RDWR, 0o644)
 	if err != nil {
@@ -262,6 +272,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, quorum.Log, RecoveryInfo,
 	s := &Store{
 		dir:        dir,
 		opts:       opts,
+		inc:        inc,
 		wal:        f,
 		segIndex:   segs[len(segs)-1],
 		segRecords: lastRecords,
@@ -294,6 +305,19 @@ func OpenStore(dir string, opts StoreOptions) (*Store, quorum.Log, RecoveryInfo,
 		return fail(err)
 	}
 	return s, quorum.Merge(snapLog, quorum.LogOf(entries...)), info, nil
+}
+
+// newIncarnation draws 64 random bits, never 0 (the wire's "none").
+func newIncarnation() (uint64, error) {
+	var b [8]byte
+	for {
+		if _, err := rand.Read(b[:]); err != nil {
+			return 0, fmt.Errorf("relaxd: drawing a store incarnation: %w", err)
+		}
+		if inc := binary.BigEndian.Uint64(b[:]); inc != 0 {
+			return inc, nil
+		}
+	}
 }
 
 // createSegment creates an empty segment file (magic written, file and

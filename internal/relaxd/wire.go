@@ -45,15 +45,28 @@ const (
 	minEntryLen = 4
 )
 
+// maxChunk is the most entries one MsgLog reply or one MsgAppend
+// request carries; a longer log or view travels as several, so no
+// healthy exchange can outgrow MaxFrame however long the history (at
+// ~15 bytes an entry a chunk is ~1 MiB). A variable only so that the
+// chunking test can lower it.
+var maxChunk = 1 << 16
+
 // Message types, one per frame kind.
 const (
-	// MsgGetLog asks a replica for its resident log (protocol step 1).
+	// MsgGetLog asks a replica for its resident log (protocol step 1),
+	// naming the frontier of what the client already knows the site
+	// holds: (Inc, Have, Max). The zero frontier asks for everything.
 	MsgGetLog byte = iota + 1
-	// MsgLog is the reply to MsgGetLog: the site's log entries.
+	// MsgLog is the reply to MsgGetLog: the entries past the frontier
+	// when the site can vouch for it (Delta), else the log from its
+	// start; at most maxChunk of them, More saying the log goes on.
 	MsgLog
-	// MsgAppend sends the client's updated view to a replica
-	// (protocol step 3); the replica makes the entries it is missing
-	// durable before acknowledging.
+	// MsgAppend sends a replica the entries of the client's updated
+	// view it is not known to hold (protocol step 3), tagged with the
+	// incarnation that knowledge is relative to; the zero tag makes no
+	// such claim and carries the whole view. The replica makes the
+	// entries it is missing durable before acknowledging.
 	MsgAppend
 	// MsgAck is the reply to MsgAppend: how many entries were new.
 	MsgAck
@@ -68,6 +81,10 @@ const (
 	// MsgState is the reply to MsgFetchState: the entries the site's
 	// published snapshot covers plus its WAL suffix.
 	MsgState
+	// MsgStale refuses a MsgAppend whose tag is not the site's current
+	// incarnation: the site restarted since the client learned what it
+	// holds, so the delta proves nothing. Never an acknowledgement.
+	MsgStale
 )
 
 // ErrFrame is returned for any malformed frame or message payload. It
@@ -78,9 +95,25 @@ var ErrFrame = errors.New("relaxd: malformed frame")
 // Message is one protocol message in decoded form.
 type Message struct {
 	Type byte
-	// Entries carries the log for MsgLog, the updated view for
+	// Entries carries the log (part) for MsgLog, the view (part) for
 	// MsgAppend, and the snapshot-covered part for MsgState.
 	Entries []quorum.Entry
+	// Inc is a site incarnation — 64 random bits a replica draws each
+	// time it opens its store, never 0. On MsgLog it is the answering
+	// site's; on MsgGetLog and MsgAppend it is the one the client's
+	// knowledge of the site was learned under (0: no knowledge).
+	Inc uint64
+	// Have and Max complete the MsgGetLog frontier: how many entries
+	// the client knows the site holds and the largest timestamp among
+	// them.
+	Have int
+	Max  quorum.Timestamp
+	// Delta marks a MsgLog whose Entries start right after the frontier
+	// the request named rather than at the start of the site's log.
+	Delta bool
+	// More marks a MsgLog cut at maxChunk: the site holds entries past
+	// the last one sent.
+	More bool
 	// Wal is the MsgState WAL suffix — the entries past the published
 	// snapshot.
 	Wal []quorum.Entry
@@ -94,10 +127,28 @@ type Message struct {
 func AppendMessage(b []byte, m Message) ([]byte, error) {
 	b = append(b, m.Type)
 	switch m.Type {
-	case MsgGetLog, MsgPing, MsgPong, MsgFetchState:
+	case MsgPing, MsgPong, MsgFetchState, MsgStale:
 		return b, nil
-	case MsgLog, MsgAppend:
-		return appendEntryList(b, m.Entries)
+	case MsgGetLog:
+		if m.Have < 0 || m.Max.Time < 0 || m.Max.Site < 0 {
+			return nil, fmt.Errorf("%w: negative frontier %d@%v", ErrFrame, m.Have, m.Max)
+		}
+		b = binary.BigEndian.AppendUint64(b, m.Inc)
+		b = binary.AppendUvarint(b, uint64(m.Have))
+		b = binary.AppendUvarint(b, uint64(m.Max.Time))
+		return binary.AppendUvarint(b, uint64(m.Max.Site)), nil
+	case MsgLog:
+		b = binary.BigEndian.AppendUint64(b, m.Inc)
+		var flags byte
+		if m.Delta {
+			flags |= flagDelta
+		}
+		if m.More {
+			flags |= flagMore
+		}
+		return appendEntryList(append(b, flags), m.Entries)
+	case MsgAppend:
+		return appendEntryList(binary.BigEndian.AppendUint64(b, m.Inc), m.Entries)
 	case MsgState:
 		b, err := appendEntryList(b, m.Entries)
 		if err != nil {
@@ -126,12 +177,44 @@ func DecodeMessage(body []byte) (Message, error) {
 	m := Message{Type: body[0]}
 	p := body[1:]
 	switch m.Type {
-	case MsgGetLog, MsgPing, MsgPong, MsgFetchState:
+	case MsgPing, MsgPong, MsgFetchState, MsgStale:
 		if len(p) != 0 {
 			return Message{}, fmt.Errorf("%w: %d trailing bytes", ErrFrame, len(p))
 		}
 		return m, nil
+	case MsgGetLog:
+		inc, p, err := readIncarnation(p)
+		if err != nil {
+			return Message{}, err
+		}
+		var f [3]int // have, max time, max site
+		for i := range f {
+			var v uint64
+			if v, p, err = readUvarint(p); err != nil {
+				return Message{}, err
+			}
+			if v > uint64(maxInt) {
+				return Message{}, fmt.Errorf("%w: frontier overflow", ErrFrame)
+			}
+			f[i] = int(v)
+		}
+		if len(p) != 0 {
+			return Message{}, fmt.Errorf("%w: %d trailing bytes", ErrFrame, len(p))
+		}
+		m.Inc, m.Have, m.Max = inc, f[0], quorum.Timestamp{Time: f[1], Site: f[2]}
+		return m, nil
 	case MsgLog, MsgAppend:
+		inc, p, err := readIncarnation(p)
+		if err != nil {
+			return Message{}, err
+		}
+		if m.Type == MsgLog {
+			if len(p) == 0 || p[0]&^(flagDelta|flagMore) != 0 {
+				return Message{}, fmt.Errorf("%w: bad log flags", ErrFrame)
+			}
+			m.Delta, m.More = p[0]&flagDelta != 0, p[0]&flagMore != 0
+			p = p[1:]
+		}
 		entries, rest, err := decodeEntryList(p)
 		if err != nil {
 			return Message{}, err
@@ -139,7 +222,12 @@ func DecodeMessage(body []byte) (Message, error) {
 		if len(rest) != 0 {
 			return Message{}, fmt.Errorf("%w: %d trailing bytes", ErrFrame, len(rest))
 		}
-		m.Entries = entries
+		if m.More && len(entries) == 0 {
+			// A reader re-asks from where the chunk ended; an empty chunk
+			// promising more would have it re-ask forever.
+			return Message{}, fmt.Errorf("%w: empty log chunk with more to come", ErrFrame)
+		}
+		m.Inc, m.Entries = inc, entries
 		return m, nil
 	case MsgState:
 		entries, rest, err := decodeEntryList(p)
@@ -219,20 +307,28 @@ func decodeEntryList(p []byte) ([]quorum.Entry, []byte, error) {
 
 // appendEntry encodes one log entry: uvarint timestamp time and site,
 // then the length-prefixed text form of the operation execution
-// (history.Op.String — the same grammar history.ParseOp accepts, so
-// the wire reuses the fuzz-hardened parser on the way in).
+// (history.Op.String's bytes — the same grammar history.ParseOp
+// accepts, so the wire reuses the fuzz-hardened parser on the way in).
 func appendEntry(b []byte, e quorum.Entry) ([]byte, error) {
 	if e.TS.Time < 0 || e.TS.Site < 0 {
 		return nil, fmt.Errorf("%w: negative timestamp %v", ErrFrame, e.TS)
 	}
-	op := e.Op.String()
-	if len(op) > maxOpLen {
-		return nil, fmt.Errorf("%w: %d-byte operation", ErrFrame, len(op))
-	}
 	b = binary.AppendUvarint(b, uint64(e.TS.Time))
 	b = binary.AppendUvarint(b, uint64(e.TS.Site))
-	b = binary.AppendUvarint(b, uint64(len(op)))
-	return append(b, op...), nil
+	// The text is rendered straight into b, then shifted right to make
+	// room for its length prefix.
+	start := len(b)
+	b = e.Op.AppendText(b)
+	n := len(b) - start
+	if n > maxOpLen {
+		return nil, fmt.Errorf("%w: %d-byte operation", ErrFrame, n)
+	}
+	var prefix [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(prefix[:], uint64(n))
+	b = append(b, prefix[:k]...)
+	copy(b[start+k:], b[start:start+n])
+	copy(b[start:], prefix[:k])
+	return b, nil
 }
 
 // decodeEntry is the inverse of appendEntry.
@@ -245,7 +341,6 @@ func decodeEntry(b []byte) (quorum.Entry, []byte, error) {
 	if err != nil {
 		return quorum.Entry{}, nil, err
 	}
-	const maxInt = int(^uint(0) >> 1)
 	if t > uint64(maxInt) || s > uint64(maxInt) {
 		return quorum.Entry{}, nil, fmt.Errorf("%w: timestamp overflow", ErrFrame)
 	}
@@ -261,6 +356,23 @@ func decodeEntry(b []byte) (quorum.Entry, []byte, error) {
 		return quorum.Entry{}, nil, fmt.Errorf("%w: %v", ErrFrame, err)
 	}
 	return quorum.Entry{TS: quorum.Timestamp{Time: int(t), Site: int(s)}, Op: op}, b[n:], nil
+}
+
+const maxInt = int(^uint(0) >> 1)
+
+// MsgLog flag bits.
+const (
+	flagDelta byte = 1 << iota
+	flagMore
+)
+
+// readIncarnation decodes the fixed 8-byte incarnation off the front
+// of b.
+func readIncarnation(b []byte) (uint64, []byte, error) {
+	if len(b) < 8 {
+		return 0, nil, fmt.Errorf("%w: truncated incarnation", ErrFrame)
+	}
+	return binary.BigEndian.Uint64(b), b[8:], nil
 }
 
 // readUvarint decodes one uvarint off the front of b.

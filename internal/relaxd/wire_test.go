@@ -24,16 +24,12 @@ func sampleEntries() []quorum.Entry {
 }
 
 func TestMessageRoundTrip(t *testing.T) {
-	msgs := []Message{
-		{Type: MsgGetLog},
-		{Type: MsgPing},
-		{Type: MsgPong},
-		{Type: MsgLog, Entries: sampleEntries()},
-		{Type: MsgLog},
-		{Type: MsgAppend, Entries: sampleEntries()[:1]},
-		{Type: MsgAck, N: 42},
-		{Type: MsgErr, Err: "site on fire"},
-	}
+	msgs := append(fuzzFrameSeeds(),
+		Message{Type: MsgLog},
+		Message{Type: MsgGetLog, Inc: ^uint64(0), Have: maxInt, Max: ts(maxInt, maxInt)},
+		Message{Type: MsgFetchState},
+		Message{Type: MsgState, Entries: sampleEntries()[:3], Wal: sampleEntries()[3:]},
+	)
 	for i, m := range msgs {
 		var b bytes.Buffer
 		if err := WriteMuxFrame(&b, uint64(i)<<33, m); err != nil {
@@ -46,7 +42,8 @@ func TestMessageRoundTrip(t *testing.T) {
 		if id != uint64(i)<<33 {
 			t.Fatalf("correlation id: sent %d, got %d", uint64(i)<<33, id)
 		}
-		if got.Type != m.Type || got.N != m.N || got.Err != m.Err || len(got.Entries) != len(m.Entries) {
+		if got.Type != m.Type || got.N != m.N || got.Err != m.Err || len(got.Entries) != len(m.Entries) || len(got.Wal) != len(m.Wal) ||
+			got.Inc != m.Inc || got.Have != m.Have || got.Max != m.Max || got.Delta != m.Delta || got.More != m.More {
 			t.Fatalf("round trip: sent %+v, got %+v", m, got)
 		}
 		for i := range m.Entries {
@@ -95,10 +92,15 @@ func TestReadMuxFrameDoesNotOverAllocate(t *testing.T) {
 		t.Fatalf("oversized declared length: got %v, want ErrFrame", err)
 	}
 
-	// A MsgLog body declaring 2^40 entries in a 3-byte payload.
-	body := []byte{MsgLog, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
-	if _, err := DecodeMessage(body); !errors.Is(err, ErrFrame) {
-		t.Fatalf("hostile entry count: got %v, want ErrFrame", err)
+	// A MsgLog and a MsgAppend body declaring 2^40 entries in a 3-byte
+	// payload.
+	for _, body := range [][]byte{
+		append(logHeader(0), 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 1, 2, 3),
+		append(append([]byte{MsgAppend}, incBytes...), 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 1, 2, 3),
+	} {
+		if _, err := DecodeMessage(body); !errors.Is(err, ErrFrame) {
+			t.Fatalf("hostile entry count in a type-%d body: got %v, want ErrFrame", body[0], err)
+		}
 	}
 
 	// The bound holds on the way out too — and therefore in-process,
@@ -123,14 +125,64 @@ func (neverEnding) Read(p []byte) (int, error) {
 
 func TestDecodeMessageRejectsBadEntries(t *testing.T) {
 	// A structurally valid MsgLog whose op text does not parse.
-	b := []byte{MsgLog, 1 /* count */, 1 /* time */, 2 /* site */, 3, 'x', 'y', 'z'}
+	b := append(logHeader(0), 1 /* count */, 1 /* time */, 2 /* site */, 3, 'x', 'y', 'z')
 	if _, err := DecodeMessage(b); !errors.Is(err, ErrFrame) {
 		t.Fatalf("unparsable op: got %v, want ErrFrame", err)
 	}
 	// Op length pointing past the payload.
-	b = []byte{MsgLog, 1, 1, 2, 200, 'E'}
+	b = append(logHeader(0), 1, 1, 2, 200, 'E')
 	if _, err := DecodeMessage(b); !errors.Is(err, ErrFrame) {
 		t.Fatalf("op length past payload: got %v, want ErrFrame", err)
+	}
+}
+
+// incBytes is a well-formed 8-byte incarnation; logHeader is a MsgLog
+// body up to and including its flags byte.
+var incBytes = []byte{1, 2, 3, 4, 5, 6, 7, 8}
+
+func logHeader(flags byte) []byte {
+	return append(append([]byte{MsgLog}, incBytes...), flags)
+}
+
+// TestDecodeMessageRejectsBadFrontiers covers the fields the frontier
+// exchange added: each malformed shape is refused with ErrFrame, and
+// the well-formed neighbour of each decodes.
+func TestDecodeMessageRejectsBadFrontiers(t *testing.T) {
+	oneEntry := []byte{1 /* count */, 1, 2, 11, 'E', 'n', 'q', '(', '3', ')', '/', 'O', 'k', '(', ')'}
+	overflow := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01} // 2^64-1
+	good := map[string][]byte{
+		"zero getlog":     append(append([]byte{MsgGetLog}, make([]byte, 8)...), 0, 0, 0),
+		"frontier getlog": append(append([]byte{MsgGetLog}, incBytes...), 5, 9, 4),
+		"delta+more log":  append(logHeader(flagDelta|flagMore), oneEntry...),
+		"tagged append":   append(append([]byte{MsgAppend}, incBytes...), oneEntry...),
+		"stale":           {MsgStale},
+	}
+	for name, body := range good {
+		if _, err := DecodeMessage(body); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	bad := map[string][]byte{
+		"the old empty getlog":        {MsgGetLog},
+		"getlog short incarnation":    {MsgGetLog, 1, 2, 3},
+		"getlog missing site":         append(append([]byte{MsgGetLog}, incBytes...), 5, 9),
+		"getlog trailing byte":        append(append([]byte{MsgGetLog}, incBytes...), 5, 9, 4, 0),
+		"getlog count overflows int":  append(append(append([]byte{MsgGetLog}, incBytes...), overflow...), 9, 4),
+		"getlog time overflows int":   append(append(append([]byte{MsgGetLog}, incBytes...), 5), append(overflow, 4)...),
+		"the old bare log":            append([]byte{MsgLog}, oneEntry...),
+		"log without flags":           append([]byte{MsgLog}, incBytes...),
+		"log with an unknown flag":    append(logHeader(4), oneEntry...),
+		"empty log promising more":    append(logHeader(flagMore), 0),
+		"the old bare append":         append([]byte{MsgAppend}, oneEntry...),
+		"append with a short tag":     {MsgAppend, 1, 2, 3, 4},
+		"stale with a trailing byte":  {MsgStale, 0},
+		"append with trailing bytes":  append(append(append([]byte{MsgAppend}, incBytes...), oneEntry...), 7),
+		"log with a flag, no entries": logHeader(flagDelta),
+	}
+	for name, body := range bad {
+		if _, err := DecodeMessage(body); !errors.Is(err, ErrFrame) {
+			t.Errorf("%s: got %v, want ErrFrame", name, err)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package value
 
 import (
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -178,5 +181,99 @@ func TestBagSizeCountConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// sliceBag is the oracle for the counted representation: the multiset
+// as one sorted slice, every operation written the obvious O(size) way.
+type sliceBag []Elem
+
+func (s sliceBag) ins(e Elem) sliceBag {
+	return sliceBag(sortedCopy(append(copyElems(s), e)))
+}
+
+func (s sliceBag) del(e Elem) sliceBag {
+	for i, x := range s {
+		if x == e {
+			return append(copyElems(s[:i]), s[i+1:]...)
+		}
+	}
+	return s
+}
+
+func (s sliceBag) count(e Elem) int {
+	n := 0
+	for _, x := range s {
+		if x == e {
+			n++
+		}
+	}
+	return n
+}
+
+// Random Ins/Del/BagOf sequences: every observer of the counted bag
+// agrees with the sorted-slice oracle at every step, including Del of
+// an absent element and elements outside 1..9 (negative, zero, large).
+func TestBagMatchesSortedSliceOracle(t *testing.T) {
+	domain := []Elem{-3, 0, 1, 2, 3, 5, 9, 10, 1 << 40}
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 200; round++ {
+		b, oracle := EmptyBag(), sliceBag(nil)
+		var prev Bag
+		var prevOracle sliceBag
+		for step := 0; step < 60; step++ {
+			prev, prevOracle = b, oracle
+			e := domain[rng.Intn(len(domain))]
+			switch k := rng.Intn(10); {
+			case k < 5:
+				b, oracle = b.Ins(e), oracle.ins(e)
+			case k < 9:
+				b, oracle = b.Del(e), oracle.del(e) // often absent
+			default:
+				b = BagOf(shuffled(rng, oracle)...)
+			}
+			checkBagAgainst(t, b, oracle)
+			checkBagAgainst(t, prev, prevOracle) // the receiver was not mutated
+			if got, want := b.Equal(prev), b.Key() == prev.Key(); got != want {
+				t.Fatalf("Equal(%v, %v) = %v, keys say %v", b, prev, got, want)
+			}
+			if t.Failed() {
+				t.FailNow()
+			}
+		}
+	}
+}
+
+func shuffled(rng *rand.Rand, s sliceBag) []Elem {
+	out := copyElems(s)
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+func checkBagAgainst(t *testing.T, b Bag, oracle sliceBag) {
+	t.Helper()
+	if got, want := b.Key(), "B"+elemsKey(oracle); got != want {
+		t.Errorf("Key = %q, oracle %q", got, want)
+	}
+	if got, want := b.String(), "{"+strings.Trim(elemsKey(oracle), "[]")+"}"; got != want {
+		t.Errorf("String = %q, oracle %q", got, want)
+	}
+	if got := b.Elems(); !reflect.DeepEqual(got, copyElems(oracle)) {
+		t.Errorf("Elems = %v, oracle %v", got, []Elem(oracle))
+	}
+	if b.Size() != len(oracle) || b.IsEmp() != (len(oracle) == 0) {
+		t.Errorf("Size = %d, IsEmp = %v, oracle size %d", b.Size(), b.IsEmp(), len(oracle))
+	}
+	best, ok := b.Best()
+	if ok != (len(oracle) > 0) || (ok && best != oracle[len(oracle)-1]) {
+		t.Errorf("Best = %d, %v on oracle %v", best, ok, []Elem(oracle))
+	}
+	for _, e := range []Elem{-3, -1, 0, 1, 2, 3, 4, 5, 9, 10, 1 << 40} {
+		if got, want := b.Count(e), oracle.count(e); got != want || b.IsIn(e) != (want > 0) {
+			t.Errorf("Count(%d) = %d, IsIn = %v, oracle %d", e, got, b.IsIn(e), want)
+		}
+	}
+	if !b.Equal(BagOf(oracle...)) || b.Equal(BagOf(oracle...).Ins(4)) {
+		t.Errorf("Equal disagrees with the oracle's bag on %v", b)
 	}
 }
