@@ -9,6 +9,7 @@
 package history
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -245,43 +246,145 @@ func Parse(s string) (History, error) {
 	return h, nil
 }
 
-// ParseOp parses one "Name(args)/Term(res)" token.
+// ParseOp parses one "Name(args)/Term(res)" token. It is the decoder
+// under every wire, WAL and snapshot entry, so it reads s in one pass,
+// builds nothing it throws away and keeps no reference to s: Name and
+// Term are the library's own constants when they name one (else a
+// copy), so a caller may parse out of a temporary buffer, and Args and
+// Res share one exactly sized backing array, Args cap-limited so
+// appending to it never overwrites Res. An empty list is nil. Name is
+// everything before the first '(' and may not contain '/'; Term is
+// everything between that call's ")/" and the next '('. An integer is
+// what strconv.Atoi accepts once surrounding whitespace is trimmed
+// (strings.TrimSpace).
 func ParseOp(s string) (Op, error) {
-	slash := strings.IndexByte(s, '/')
-	if slash < 0 {
-		return Op{}, fmt.Errorf("missing '/' in %q", s)
+	var buf [4]int
+	vals := buf[:0]
+	i := 0
+	for i < len(s) && s[i] != '(' && s[i] != '/' {
+		i++
 	}
-	name, args, err := parseCall(s[:slash])
+	if i == len(s) || s[i] != '(' {
+		return Op{}, malformed(s)
+	}
+	name := ownName(s[:i])
+	i, vals, err := parseInts(s, i+1, vals)
 	if err != nil {
 		return Op{}, err
 	}
-	term, res, err := parseCall(s[slash+1:])
-	if err != nil {
+	if i == len(s) || s[i] != '/' {
+		return Op{}, malformed(s)
+	}
+	nargs := len(vals)
+	open := i + 1
+	for open < len(s) && s[open] != '(' {
+		open++
+	}
+	if open == len(s) {
+		return Op{}, malformed(s)
+	}
+	term := Term(ownName(s[i+1 : open]))
+	if i, vals, err = parseInts(s, open+1, vals); err != nil {
 		return Op{}, err
 	}
-	return Op{Name: name, Args: args, Term: Term(term), Res: res}, nil
+	if i != len(s) {
+		return Op{}, malformed(s)
+	}
+	op := Op{Name: name, Term: term}
+	if len(vals) > 0 {
+		all := make([]int, len(vals))
+		copy(all, vals)
+		if nargs > 0 {
+			op.Args = all[:nargs:nargs]
+		}
+		if len(all) > nargs {
+			op.Res = all[nargs:]
+		}
+	}
+	return op, nil
 }
 
-func parseCall(s string) (string, []int, error) {
-	open := strings.IndexByte(s, '(')
-	if open < 0 || !strings.HasSuffix(s, ")") {
-		return "", nil, fmt.Errorf("malformed call %q", s)
+// ownName returns name as a string sharing no memory with the text it
+// was sliced from: the library's constant for the names its objects
+// use, else a copy.
+func ownName(name string) string {
+	switch name {
+	case NameEnq:
+		return NameEnq
+	case NameDeq:
+		return NameDeq
+	case string(Ok):
+		return string(Ok)
+	case NameCredit:
+		return NameCredit
+	case NameDebit:
+		return NameDebit
+	case string(Over):
+		return string(Over)
 	}
-	name := s[:open]
-	inner := s[open+1 : len(s)-1]
-	if inner == "" {
-		return name, nil, nil
+	return strings.Clone(name)
+}
+
+// malformed reports an unparsable operation. Its message is built
+// without fmt so that s does not escape: ParseOp's callers can then
+// hand it a stack-allocated conversion of their bytes.
+func malformed(s string) error {
+	return errors.New("malformed operation " + strconv.Quote(s))
+}
+
+// fastDigits is the most digits parseInt reads without strconv: any
+// such value fits a 32-bit int.
+const fastDigits = 9
+
+// parseInts reads the comma-separated integer list of s starting at i,
+// just past its '(', appends the values to vals, and returns the index
+// just past the list's ')'.
+func parseInts(s string, i int, vals []int) (int, []int, error) {
+	if i < len(s) && s[i] == ')' {
+		return i + 1, vals, nil
 	}
-	parts := strings.Split(inner, ",")
-	vals := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return "", nil, fmt.Errorf("bad integer %q in %q", p, s)
+	for {
+		start := i
+		for i < len(s) && s[i] != ',' && s[i] != ')' {
+			i++
 		}
-		vals[i] = v
+		if i == len(s) {
+			return 0, nil, malformed(s)
+		}
+		v, err := parseInt(s[start:i])
+		if err != nil {
+			return 0, nil, errors.New("bad integer " + strconv.Quote(s[start:i]) + " in " + strconv.Quote(s))
+		}
+		vals = append(vals, v)
+		if s[i] == ')' {
+			return i + 1, vals, nil
+		}
+		i++
 	}
-	return name, vals, nil
+}
+
+// parseInt is strconv.Atoi(strings.TrimSpace(f)), read inline for the
+// canonical form — an optional sign and at most fastDigits digits.
+func parseInt(f string) (int, error) {
+	digits := f
+	if len(digits) > 0 && (digits[0] == '-' || digits[0] == '+') {
+		digits = digits[1:]
+	}
+	if len(digits) == 0 || len(digits) > fastDigits {
+		return strconv.Atoi(strings.TrimSpace(f))
+	}
+	v := 0
+	for i := 0; i < len(digits); i++ {
+		d := digits[i] - '0'
+		if d > 9 {
+			return strconv.Atoi(strings.TrimSpace(f))
+		}
+		v = v*10 + int(d)
+	}
+	if f[0] == '-' {
+		v = -v
+	}
+	return v, nil
 }
 
 func joinInts(xs []int) string {

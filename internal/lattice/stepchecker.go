@@ -47,7 +47,24 @@ type StepChecker struct {
 // it pays off on lattices of finite-state automata with short state
 // keys and should stay off for bag/sequence-valued specs.
 func NewStepChecker(lat *Relaxation, memoCap int) *StepChecker {
-	domain := lat.Domain()
+	return newStepChecker(lat, 0, memoCap)
+}
+
+// NewUpSetChecker starts a checker over only the elements of φ's
+// domain that contain floor — the elements that can cover a claim of
+// floor. Current, Alive and Viable then range over that up-set alone;
+// with floor = ∅ it is NewStepChecker without memoization.
+func NewUpSetChecker(lat *Relaxation, floor Set) *StepChecker {
+	return newStepChecker(lat, floor, 0)
+}
+
+func newStepChecker(lat *Relaxation, floor Set, memoCap int) *StepChecker {
+	var domain []Set
+	for _, s := range lat.Domain() {
+		if floor.SubsetOf(s) {
+			domain = append(domain, s)
+		}
+	}
 	c := &StepChecker{
 		lat:    lat,
 		sets:   domain,

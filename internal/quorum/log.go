@@ -66,10 +66,25 @@ func (s byTS) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 // LogOf builds a log from entries (sorted and deduplicated by
 // timestamp; for duplicate timestamps the first occurrence wins).
+// Entries already in strictly increasing timestamp order — a decoded
+// snapshot or shipped log part — are only copied.
 func LogOf(entries ...Entry) Log {
 	sorted := append([]Entry(nil), entries...)
-	sort.Stable(byTS(sorted))
-	return fresh(dedup(sorted))
+	if !strictlyIncreasing(sorted) {
+		sort.Stable(byTS(sorted))
+		sorted = dedup(sorted)
+	}
+	return fresh(sorted)
+}
+
+// strictlyIncreasing reports whether every timestamp is below the next.
+func strictlyIncreasing(entries []Entry) bool {
+	for i := 1; i < len(entries); i++ {
+		if !entries[i-1].TS.Less(entries[i].TS) {
+			return false
+		}
+	}
+	return true
 }
 
 // dedup removes adjacent duplicate timestamps in place (first wins).

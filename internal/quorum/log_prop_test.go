@@ -1,6 +1,7 @@
 package quorum
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -18,6 +19,47 @@ func logFrom(xs []uint8) Log {
 		})
 	}
 	return LogOf(entries...)
+}
+
+// oracleLogOf is LogOf without its presorted fast path: always a
+// stable sort, then first-wins dedup.
+func oracleLogOf(entries ...Entry) Log {
+	sorted := append([]Entry(nil), entries...)
+	sort.Stable(byTS(sorted))
+	return fresh(dedup(sorted))
+}
+
+// LogOf equals the sort path on every input shape — random,
+// presorted, duplicate-bearing and reversed — and never aliases its
+// argument.
+func TestLogOfMatchesSortPath(t *testing.T) {
+	f := func(xs []uint8, spread uint8) bool {
+		var random, presorted, dups []Entry
+		time := 0
+		for i, x := range xs {
+			random = append(random, Entry{TS: Timestamp{Time: int(x % 16), Site: int(x % 3)}, Op: history.Enq(i)})
+			time += 1 + int(x%(spread%4+1))
+			presorted = append(presorted, Entry{TS: Timestamp{Time: time, Site: int(x % 3)}, Op: history.Enq(i)})
+			dups = append(dups, Entry{TS: Timestamp{Time: time - int(x%2), Site: 0}, Op: history.Enq(i)})
+		}
+		reversed := make([]Entry, len(presorted))
+		for i, e := range presorted {
+			reversed[len(presorted)-1-i] = e
+		}
+		for _, in := range [][]Entry{random, presorted, dups, reversed} {
+			before := append([]Entry(nil), in...)
+			if got := LogOf(in...); !got.Equal(oracleLogOf(in...)) {
+				return false
+			}
+			if len(in) > 0 && !(Log{entries: in}).Equal(Log{entries: before}) {
+				return false // LogOf sorted its caller's slice
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
 }
 
 // Merge is commutative, associative, and idempotent on entry sets

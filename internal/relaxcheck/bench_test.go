@@ -52,9 +52,14 @@ func BenchmarkAuditObserve(b *testing.B) {
 // operations, 55 % Enq(1..9) / 45 % Deq (a Deq drawn on an empty queue
 // is redrawn) — the shape of the state a wiped relaxd site is shipped.
 func pqHistory32k() history.History {
-	rng := rand.New(rand.NewSource(7))
+	return pqHistory(rand.New(rand.NewSource(7)), 32000)
+}
+
+// pqHistory draws a legal priority-queue history of n operations in
+// pqHistory32k's mix.
+func pqHistory(rng *rand.Rand, n int) history.History {
 	q := value.EmptyBag()
-	h := make(history.History, 0, 32000)
+	h := make(history.History, 0, n)
 	for len(h) < cap(h) {
 		if best, ok := q.Best(); ok && rng.Intn(100) < 45 {
 			q = q.Del(best)

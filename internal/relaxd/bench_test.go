@@ -1,11 +1,14 @@
 package relaxd
 
 import (
+	"math/rand"
+	"os"
 	"sync"
 	"testing"
 
 	"relaxlattice/internal/history"
 	"relaxlattice/internal/quorum"
+	"relaxlattice/internal/value"
 )
 
 // The pipelining benchmarks: single-record commit (one fsync per
@@ -73,6 +76,79 @@ func BenchmarkAppendPipelined(b *testing.B) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "appends/sec")
+}
+
+// recoveryEntries is the size of relaxbench's recovery log: a 32 000-
+// entry preload plus a 150-entry suffix.
+const recoveryEntries = 32150
+
+// pqEntries returns n timestamped entries forming a legal priority-
+// queue history, 55 % Enq(1..9) / 45 % Deq of the best element.
+func pqEntries(n int) []quorum.Entry {
+	rng := rand.New(rand.NewSource(7))
+	q := value.EmptyBag()
+	entries := make([]quorum.Entry, 0, n)
+	for len(entries) < n {
+		op := history.Enq(rng.Intn(9) + 1)
+		if best, ok := q.Best(); ok && rng.Intn(100) < 45 {
+			op = history.DeqOk(int(best))
+			q = q.Del(best)
+		} else {
+			q = q.Ins(value.Elem(op.Args[0]))
+		}
+		entries = append(entries, quorum.Entry{TS: ts(len(entries)+1, 6), Op: op})
+	}
+	return entries
+}
+
+// BenchmarkJoinFrom32k is one wipe-and-rejoin at relaxbench's recovery
+// size, end to end over Local's wire round trip: fetch the donor's
+// snapshot and WAL suffix, decode them, build the log, certify it with
+// PQCertify and publish it as the joiner's snapshot. The wipe and
+// restart before each join are not timed.
+func BenchmarkJoinFrom32k(b *testing.B) {
+	donor, _, err := OpenReplica(0, b.TempDir(), StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer donor.Close()
+	donor.SnapshotEvery = 8000
+	entries := pqEntries(recoveryEntries)
+	for len(entries) > 0 {
+		n := min(len(entries), 1000)
+		if resp, err := donor.Handle(Message{Type: MsgAppend, Entries: entries[:n]}); err != nil || resp.Type != MsgAck {
+			b.Fatalf("preload: %+v, %v", resp, err)
+		}
+		entries = entries[n:]
+	}
+	dir := b.TempDir()
+	joiner, _, err := OpenReplica(1, dir, StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer joiner.Close()
+	tr := NewLocal([]*Replica{donor, joiner})
+	cfg := JoinConfig{Transport: tr, Certify: PQCertify()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		joiner.Crash()
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := joiner.Restart(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		info, err := joiner.JoinFrom(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := info.SnapshotEntries + info.WALEntries; got != recoveryEntries || info.WALEntries == 0 {
+			b.Fatalf("join shipped %+v, want %d entries with a WAL suffix", info, recoveryEntries)
+		}
+	}
 }
 
 // BenchmarkRecovery measures a cold OpenStore over a store of 5k

@@ -405,7 +405,7 @@ func readRecord(b []byte) (e quorum.Entry, n int, ok bool, err error) {
 	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(b[4:8]) {
 		return quorum.Entry{}, n, false, nil
 	}
-	e, rest, derr := decodeEntry(payload)
+	rest, derr := decodeEntry(&e, payload)
 	if derr != nil || len(rest) != 0 {
 		return quorum.Entry{}, 0, false,
 			fmt.Errorf("%w: record passes CRC but does not decode", ErrCorrupt)

@@ -293,14 +293,11 @@ func decodeEntryList(p []byte) ([]quorum.Entry, []byte, error) {
 	if n > uint64(len(rest)/minEntryLen) {
 		return nil, nil, fmt.Errorf("%w: %d entries declared in %d bytes", ErrFrame, n, len(rest))
 	}
-	entries := make([]quorum.Entry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var e quorum.Entry
-		e, rest, err = decodeEntry(rest)
-		if err != nil {
+	entries := make([]quorum.Entry, n)
+	for i := range entries {
+		if rest, err = decodeEntry(&entries[i], rest); err != nil {
 			return nil, nil, err
 		}
-		entries = append(entries, e)
 	}
 	return entries, rest, nil
 }
@@ -331,31 +328,34 @@ func appendEntry(b []byte, e quorum.Entry) ([]byte, error) {
 	return b, nil
 }
 
-// decodeEntry is the inverse of appendEntry.
-func decodeEntry(b []byte) (quorum.Entry, []byte, error) {
+// decodeEntry is the inverse of appendEntry, decoding into *e (which
+// is left unspecified on error). ParseOp keeps no reference to its
+// input, so the op text's conversion to a string stays on the stack:
+// an entry costs one allocation, its integers.
+func decodeEntry(e *quorum.Entry, b []byte) ([]byte, error) {
 	t, b, err := readUvarint(b)
 	if err != nil {
-		return quorum.Entry{}, nil, err
+		return nil, err
 	}
 	s, b, err := readUvarint(b)
 	if err != nil {
-		return quorum.Entry{}, nil, err
+		return nil, err
 	}
 	if t > uint64(maxInt) || s > uint64(maxInt) {
-		return quorum.Entry{}, nil, fmt.Errorf("%w: timestamp overflow", ErrFrame)
+		return nil, fmt.Errorf("%w: timestamp overflow", ErrFrame)
 	}
 	n, b, err := readUvarint(b)
 	if err != nil {
-		return quorum.Entry{}, nil, err
+		return nil, err
 	}
 	if n == 0 || n > maxOpLen || n > uint64(len(b)) {
-		return quorum.Entry{}, nil, fmt.Errorf("%w: op length %d with %d bytes left", ErrFrame, n, len(b))
+		return nil, fmt.Errorf("%w: op length %d with %d bytes left", ErrFrame, n, len(b))
 	}
-	op, err := history.ParseOp(string(b[:n]))
-	if err != nil {
-		return quorum.Entry{}, nil, fmt.Errorf("%w: %v", ErrFrame, err)
+	if e.Op, err = history.ParseOp(string(b[:n])); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrFrame, err)
 	}
-	return quorum.Entry{TS: quorum.Timestamp{Time: int(t), Site: int(s)}, Op: op}, b[n:], nil
+	e.TS = quorum.Timestamp{Time: int(t), Site: int(s)}
+	return b[n:], nil
 }
 
 const maxInt = int(^uint(0) >> 1)

@@ -186,6 +186,54 @@ func TestDecodeMessageRejectsBadFrontiers(t *testing.T) {
 	}
 }
 
+// TestDecodeEntryAllocatesOnlyItsIntegers pins what makes decoding
+// cheap: the op text's conversion to a string stays on the stack
+// because history.ParseOp keeps no reference to it, so an entry of
+// the library's operations costs one allocation for its integers and
+// none without them.
+func TestDecodeEntryAllocatesOnlyItsIntegers(t *testing.T) {
+	for op, want := range map[string]float64{"Enq(7)/Ok()": 1, "Deq()/Ok(7)": 1, "Debit(3,4)/Over(5)": 1, "Deq()/Ok()": 0} {
+		parsed, err := history.ParseOp(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := appendEntry(nil, quorum.Entry{TS: ts(40000, 3), Op: parsed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e quorum.Entry
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := decodeEntry(&e, b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != want || e.Op.String() != op {
+			t.Errorf("decoding %s: %v allocations (want %v), decoded %s", op, got, want, e.Op)
+		}
+	}
+}
+
+// BenchmarkDecodeEntryList32k decodes one entry list of relaxbench's
+// recovery size — the per-entry decode every shipped log, recovered
+// WAL record and snapshot record pays.
+func BenchmarkDecodeEntryList32k(b *testing.B) {
+	entries := pqEntries(recoveryEntries)
+	p, err := appendEntryList(nil, entries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, rest, err := decodeEntryList(p)
+		if err != nil || len(rest) != 0 || len(got) != len(entries) {
+			b.Fatalf("decoded %d entries, %d trailing bytes, %v", len(got), len(rest), err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(entries)), "ns/entry")
+}
+
 func TestAppendMessageRejectsUnencodable(t *testing.T) {
 	if _, err := AppendMessage(nil, Message{Type: MsgLog, Entries: []quorum.Entry{
 		{TS: ts(-1, 0), Op: history.Enq(1)},
