@@ -66,7 +66,7 @@ func run(args []string, w io.Writer, ready chan<- []string, stop <-chan struct{}
 	site := fs.Int("site", -1, "serve exactly this site index (process-per-site mode)")
 	listen := fs.String("listen", "127.0.0.1:0", "listen address (base address in -sites mode)")
 	dir := fs.String("dir", "", "store directory; empty serves ephemeral (non-durable) sites. -sites mode uses dir/site<i>")
-	snapshotEvery := fs.Int("snapshot-every", 0, "publish a snapshot every N appended entries, rotating the WAL and compacting its sealed segments (0 disables)")
+	snapshotEvery := fs.Int("snapshot-every", 0, "publish a snapshot every N appended entries, rotating the WAL and compacting its sealed segments; the publish runs off the append path, one at a time, and publishes falling due meanwhile coalesce into one (0 disables)")
 	segmentRecords := fs.Int("segment-records", 0, "rotate to a new WAL segment every N records (0 = single segment); snapshots compact sealed segments")
 	join := fs.Bool("join", false, "before serving, rebuild state from a peer via snapshot shipping (-site mode; requires -peers)")
 	peers := fs.String("peers", "", "comma-separated site addresses in site order, for -join (this site's own slot may be a placeholder)")

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"relaxlattice/internal/history"
@@ -101,6 +102,48 @@ func pqEntries(n int) []quorum.Entry {
 	return entries
 }
 
+// appendPieces hands entries to r in 1 000-entry MsgAppend pieces, the
+// way relaxbench ships its preload.
+func appendPieces(b *testing.B, r *Replica, entries []quorum.Entry) {
+	for len(entries) > 0 {
+		n := min(len(entries), 1000)
+		if resp, err := r.Handle(Message{Type: MsgAppend, Entries: entries[:n]}); err != nil || resp.Type != MsgAck {
+			b.Fatalf("append: %+v, %v", resp, err)
+		}
+		entries = entries[n:]
+	}
+}
+
+// BenchmarkBulkAppend32k is relaxbench's recovery set-up on one site:
+// a durable replica with bench/'s geometry (100-record segments, a
+// snapshot due every 200 entries) receives the 32 150-entry preload in
+// 1 000-entry pieces. It is timed through Close, so the last publish is
+// counted, and reports how many publishes landed per run.
+func BenchmarkBulkAppend32k(b *testing.B) {
+	entries := pqEntries(recoveryEntries)
+	var publishes atomic.Int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r, _, err := OpenReplica(0, b.TempDir(), StoreOptions{SegmentRecords: 100})
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.SnapshotEvery = 200
+		r.store.hooks.afterRename = func() error {
+			publishes.Add(1)
+			return nil
+		}
+		b.StartTimer()
+		appendPieces(b, r, entries)
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(publishes.Load())/float64(b.N), "publishes/op")
+}
+
 // BenchmarkJoinFrom32k is one wipe-and-rejoin at relaxbench's recovery
 // size, end to end over Local's wire round trip: fetch the donor's
 // snapshot and WAL suffix, decode them, build the log, certify it with
@@ -114,13 +157,11 @@ func BenchmarkJoinFrom32k(b *testing.B) {
 	defer donor.Close()
 	donor.SnapshotEvery = 8000
 	entries := pqEntries(recoveryEntries)
-	for len(entries) > 0 {
-		n := min(len(entries), 1000)
-		if resp, err := donor.Handle(Message{Type: MsgAppend, Entries: entries[:n]}); err != nil || resp.Type != MsgAck {
-			b.Fatalf("preload: %+v, %v", resp, err)
-		}
-		entries = entries[n:]
-	}
+	// Publishes coalesce, so the last one could otherwise take in the
+	// whole log; the flush leaves the final 150 entries a WAL suffix.
+	appendPieces(b, donor, entries[:32000])
+	donor.flush()
+	appendPieces(b, donor, entries[32000:])
 	dir := b.TempDir()
 	joiner, _, err := OpenReplica(1, dir, StoreOptions{})
 	if err != nil {

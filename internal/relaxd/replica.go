@@ -34,7 +34,8 @@ type ReplicaHooks struct {
 // pipelined: the WAL write happens under mu, the fsync wait happens
 // after mu is released, so concurrent appends from different
 // connections share one group-commit fsync window while every ack
-// still waits for its own records to be durable.
+// still waits for its own records to be durable. Snapshots are
+// published off mu too, by one publisher goroutine at a time.
 type Replica struct {
 	mu    sync.Mutex
 	site  int
@@ -50,16 +51,32 @@ type Replica struct {
 	// restarts empty), so it promises nothing and clients remember
 	// nothing about it — every exchange with it moves the whole log.
 	inc uint64
-	// appended counts WAL records since the last snapshot; guarded by mu.
+	// appended counts WAL records since the last seal; guarded by mu.
 	appended int
 	// snapLen is how many of the resident log's entries the published
 	// snapshot covers (the split point MsgFetchState reports); guarded
-	// by mu. Merges can reorder entries, so it is a hint, not an exact
-	// prefix — joiners merge both parts anyway.
+	// by mu. It moves when a publish lands. Merges can reorder entries,
+	// so it is a hint, not an exact prefix — joiners merge both parts
+	// anyway.
 	snapLen int
+	// publishing is set while the publisher goroutine runs; guarded by
+	// mu.
+	publishing bool
+	// rounds counts the publishes the publisher has finished, landed or
+	// not; guarded by mu.
+	rounds int
+	// published is broadcast (with mu held) after each round and when
+	// the publisher exits.
+	published *sync.Cond
+	// pubErr is the last publish or seal failure, kept until a publish
+	// lands; guarded by mu. The next due append and Close report it.
+	pubErr error
 	// SnapshotEvery, when positive, publishes a snapshot (compacting
-	// the sealed WAL segments) every SnapshotEvery appended entries.
-	// Set before serving.
+	// the sealed WAL segments) once SnapshotEvery entries have been
+	// appended since the last one began. The publish runs off the append
+	// path, one at a time: one that falls due while another runs is not
+	// queued but coalesced into a single publish of the newest log when
+	// the running one finishes. Set before serving.
 	SnapshotEvery int
 	// Hooks are test-only crash points. Set before serving.
 	Hooks ReplicaHooks
@@ -70,6 +87,7 @@ type Replica struct {
 // the deterministic-test configuration.
 func OpenReplica(site int, dir string, opts StoreOptions) (*Replica, RecoveryInfo, error) {
 	r := &Replica{site: site, dir: dir, opts: opts}
+	r.published = sync.NewCond(&r.mu)
 	if dir == "" {
 		return r, RecoveryInfo{}, nil
 	}
@@ -98,7 +116,9 @@ func (r *Replica) Log() quorum.Log {
 // Crash simulates a hard kill: the replica stops answering, its
 // in-memory state is dropped, and its store is closed without any
 // final flush beyond what already reached the kernel. Requests
-// parked in WaitDurable fail over to an error and are never acked.
+// parked in WaitDurable fail over to an error and are never acked. A
+// publish in flight finishes first, so only one snapshot is ever being
+// written.
 func (r *Replica) Crash() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -111,6 +131,9 @@ func (r *Replica) Crash() {
 func (r *Replica) Restart() (RecoveryInfo, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for r.publishing {
+		r.published.Wait()
+	}
 	if !r.down {
 		return RecoveryInfo{}, fmt.Errorf("relaxd: site %d is not down", r.site)
 	}
@@ -129,18 +152,24 @@ func (r *Replica) Restart() (RecoveryInfo, error) {
 	r.down = false
 	r.appended = 0
 	r.snapLen = info.SnapshotEntries
+	r.pubErr = nil
 	return info, nil
 }
 
-// Close shuts the replica down cleanly (final sync included).
+// Close shuts the replica down cleanly (final sync included), after
+// the publish in flight, if any. It reports a publish failure that no
+// later publish has made good.
 func (r *Replica) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.down = true
+	for r.publishing {
+		r.published.Wait()
+	}
 	if r.store == nil {
 		return nil
 	}
-	err := r.store.Close()
+	err := errors.Join(r.pubErr, r.store.Close())
 	r.store = nil
 	return err
 }
@@ -154,6 +183,14 @@ func (r *Replica) Handle(req Message) (Message, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if req.Type == MsgFetchState {
+		// A publish in flight lands first, so the split below is the
+		// newest snapshot on disk. Only that round is waited for: a
+		// publisher kept busy by appends cannot stall a joiner.
+		for round := r.rounds; r.publishing && r.rounds == round; {
+			r.published.Wait()
+		}
+	}
 	if r.down {
 		return Message{}, fmt.Errorf("%w: site %d", ErrDown, r.site)
 	}
@@ -206,7 +243,11 @@ func (r *Replica) Handle(req Message) (Message, error) {
 // shared fsync windows. Merging before the fsync is safe: a later
 // request that finds its entries already resident waits on a commit
 // sequence at least as high as the write that added them, so no ack
-// ever precedes its records' durability.
+// ever precedes its records' durability. When a snapshot falls due and
+// no publish runs, the append seals the store and captures the log here
+// and hands the capture to the publisher; it waits for the seal, not
+// the publish. If the last publish failed, that append answers with the
+// failure instead of an ack.
 func (r *Replica) applyAppend(tag uint64, view []quorum.Entry) (Message, error) {
 	r.mu.Lock()
 	if r.down {
@@ -234,7 +275,6 @@ func (r *Replica) applyAppend(tag uint64, view []quorum.Entry) (Message, error) 
 	}
 	st := r.store
 	var target int64
-	synced := false
 	if st != nil {
 		var err error
 		target, err = st.AppendBatch(missing)
@@ -245,18 +285,25 @@ func (r *Replica) applyAppend(tag uint64, view []quorum.Entry) (Message, error) 
 	}
 	r.log = quorum.Merge(r.log, quorum.LogOf(missing...))
 	r.appended += len(missing)
-	if st != nil && r.SnapshotEvery > 0 && r.appended >= r.SnapshotEvery {
-		if err := st.Snapshot(r.log); err != nil {
+	if st != nil && r.SnapshotEvery > 0 && r.appended >= r.SnapshotEvery && !r.publishing {
+		// The seal syncs through target, so the wait below returns at
+		// once: this append acks through the seal's fsync.
+		seal, err := st.seal()
+		if err != nil {
 			r.mu.Unlock()
 			return Message{Type: MsgErr, Err: err.Error()}, nil
 		}
-		r.snapLen = r.log.Len()
 		r.appended = 0
-		synced = true // Snapshot syncs everything through target
+		r.publishing = true
+		go r.publish(st, r.log.Shared(), seal)
+		if err := r.pubErr; err != nil {
+			r.mu.Unlock()
+			return Message{Type: MsgErr, Err: err.Error()}, nil
+		}
 	}
 	r.mu.Unlock()
 
-	if st != nil && !synced {
+	if st != nil {
 		if err := st.WaitDurable(target); err != nil {
 			r.mu.Lock()
 			down := r.down
@@ -277,11 +324,58 @@ func (r *Replica) applyAppend(tag uint64, view []quorum.Entry) (Message, error) 
 	return Message{Type: MsgAck, N: len(missing)}, nil
 }
 
+// publish is the replica's one publisher. It publishes l, captured
+// under mu right after the seal — the seal syncs first, so l holds every
+// record in the segments below it — outside mu while appends go on.
+// While SnapshotEvery more entries arrived during a round, it seals and
+// captures again and publishes once more, so a burst coalesces into a
+// few publishes of the newest log and a quiet replica still ends
+// compacted. A failed round compacts nothing the WAL still needs, is
+// kept in pubErr until a publish lands, and the next due point retries
+// it: every acknowledged entry is already durable in the WAL. The
+// publisher exits when nothing is due or st is no longer the replica's
+// store.
+func (r *Replica) publish(st *Store, l quorum.Log, seal int) {
+	for {
+		err := st.publish(l, seal)
+		r.mu.Lock()
+		if r.store == st {
+			r.pubErr = err
+			if err == nil {
+				r.snapLen = l.Len()
+			}
+		}
+		r.rounds++
+		more := r.store == st && !r.down && r.appended >= r.SnapshotEvery
+		if more {
+			if seal, err = st.seal(); err != nil {
+				r.pubErr = err
+				more = false
+			} else {
+				l = r.log.Shared()
+				r.appended = 0
+			}
+		}
+		r.publishing = more
+		r.published.Broadcast()
+		r.mu.Unlock()
+		if !more {
+			return
+		}
+	}
+}
+
 // crashLocked is Crash with mu already held (hook-triggered crashes).
+// Like Crash it lets a publish in flight finish first, releasing mu
+// while it waits, so the directory is final when it returns. The
+// publisher itself must not call it.
 //
 //lint:ignore lock-guard caller holds mu (hook paths inside Handle)
 func (r *Replica) crashLocked() {
 	r.down = true
+	for r.publishing {
+		r.published.Wait()
+	}
 	r.log = quorum.Log{}
 	r.appended = 0
 	r.snapLen = 0

@@ -83,6 +83,11 @@ func (r *Replica) JoinFrom(cfg JoinConfig) (JoinInfo, error) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	// The join's publish is in line, through the same writer, so the
+	// publisher finishes first: one snapshot is written at a time.
+	for r.publishing {
+		r.published.Wait()
+	}
 	if r.down {
 		return info, fmt.Errorf("%w: site %d", ErrDown, r.site)
 	}
@@ -100,6 +105,7 @@ func (r *Replica) JoinFrom(cfg JoinConfig) (JoinInfo, error) {
 			return info, err
 		}
 		r.snapLen = installed.Len()
+		r.pubErr = nil
 	}
 	r.log = installed
 	r.appended = 0

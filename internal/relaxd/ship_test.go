@@ -44,6 +44,11 @@ func shipCluster(t *testing.T, snapshotEvery, ops int) (string, []*Replica, *Loc
 		if _, err := cl.Execute(invAt(i)); err != nil {
 			t.Fatalf("op %d (%s): %v", i, invAt(i), err)
 		}
+		// Each publish captures exactly the log at its due point, so the
+		// snapshot/WAL split a join ships is the same every run.
+		for _, r := range replicas {
+			r.flush()
+		}
 	}
 	return base, replicas, tr, cl
 }
@@ -282,6 +287,9 @@ func TestJoinOverNonEmptyStoreKeepsLocalEntries(t *testing.T) {
 	donor := open(0, t.TempDir())
 	donor.SnapshotEvery = 1
 	ack(donor, shipped)
+	// The ack does not wait for the publish it started; the join below
+	// expects the donor's entry in its published snapshot.
+	donor.flush()
 	victim := open(1, t.TempDir())
 	ack(victim, local)
 	ephemeral := open(2, "")

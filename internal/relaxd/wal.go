@@ -30,10 +30,11 @@ import (
 // is active; rotation fsyncs the active segment, creates the next
 // (magic written and fsynced, directory fsynced), and seals the old
 // one, so every non-final segment is fully durable by construction.
-// Compaction (Snapshot) publishes the snapshot, rotates, and deletes
-// the sealed segments oldest-first, so a crash at any point leaves a
-// contiguous segment suffix whose merge with the published snapshot is
-// the same log.
+// Compaction (Snapshot) seals — rotates, so every record below the new
+// segment is durable and in the log being published — then publishes
+// the snapshot and deletes the segments below the seal oldest-first, so
+// a crash at any point leaves a contiguous segment suffix whose merge
+// with the published snapshot is the same log.
 //
 // The snapshot is written to snap.tmp, fsynced, and atomically renamed
 // over snap (then the directory is fsynced), so a reader never observes
@@ -91,12 +92,14 @@ type RecoveryInfo struct {
 }
 
 // Store is one site's durable log: segmented write-ahead log plus a
-// periodically published snapshot. Writes (AppendBatch, Snapshot,
+// periodically published snapshot. Writes (AppendBatch, seal, Snapshot,
 // Close) are single-writer — the owning Replica serializes
 // them behind its own mutex — but WaitDurable and Sync are safe to
 // call concurrently with each other and with the writer: concurrent
 // waiters share fsyncs (group commit), which is what lets pipelined
-// appends from many connections ride one fsync window.
+// appends from many connections ride one fsync window. A publish
+// touches no writer state, so it may run concurrently with the writer,
+// one publish at a time.
 type Store struct {
 	dir  string
 	opts StoreOptions
@@ -113,7 +116,12 @@ type Store struct {
 	walSize    int64
 	segIndex   int // index of the active segment
 	segRecords int // records in the active segment
-	firstSeg   int // oldest segment on disk (compaction floor)
+
+	// Publisher state, touched only by the one publish in flight (the
+	// owning Replica runs at most one, and a synchronous Snapshot only
+	// while none runs), never by the writer.
+	firstSeg int          // oldest segment on disk (compaction floor)
+	hooks    publishHooks // test-only kill points; nil in production
 
 	// Commit state, shared between the writer and concurrent
 	// WaitDurable callers. Guarded by cmu.
@@ -582,18 +590,57 @@ func (s *Store) rotate() error {
 	return old.Close()
 }
 
-// Snapshot publishes the given log as the site's snapshot — written to
-// snap.tmp, fsynced, renamed over snap, directory fsynced — then
-// rotates to a fresh segment and deletes the sealed segments the
-// snapshot now covers, oldest-first so a crash mid-compaction leaves a
-// contiguous segment suffix. The publish is atomic, and compaction at
+// Snapshot publishes the given log as the site's snapshot and compacts
+// the segments it covers: seal, then publish, in line. l must hold
+// every record the WAL holds. The publish is atomic, and compaction at
 // a published snapshot never changes the recovered state: Merge
 // deduplicates by timestamp, so the snapshot plus any suffix of the
 // old segments recovers the same log as the snapshot alone.
 func (s *Store) Snapshot(l quorum.Log) error {
-	if err := s.Sync(); err != nil {
+	seal, err := s.seal()
+	if err != nil {
 		return err
 	}
+	return s.publish(l, seal)
+}
+
+// seal is the half of a snapshot that needs the writer: it syncs the
+// active segment and rotates to a fresh one, and returns the fresh
+// segment's index. Every record in a segment below it is then durable,
+// so a log captured under the same lock as the seal holds all of them.
+func (s *Store) seal() (int, error) {
+	if err := s.rotate(); err != nil {
+		return 0, err
+	}
+	return s.segIndex, nil
+}
+
+// publishHooks are test-only kill points between the steps of a
+// publish, in the shape of JoinHooks. Returning an error abandons the
+// publish at that step, as a kill there would.
+type publishHooks struct {
+	afterTmpWrite func() error
+	afterTmpSync  func() error
+	afterRename   func() error
+	afterRemove   func(seg int) error
+}
+
+// runHook runs an optional hook.
+func runHook(h func() error) error {
+	if h == nil {
+		return nil
+	}
+	return h()
+}
+
+// publish is the half of a snapshot that needs no writer state, so it
+// can run while appends continue: l is written to snap.tmp, fsynced,
+// renamed over snap and the directory fsynced; only then are the
+// segments below seal deleted, oldest first, and the directory fsynced
+// again. seal must come from a seal made no later than l was captured,
+// so that l holds every record those segments hold. A failed publish
+// compacts nothing it has not already made redundant.
+func (s *Store) publish(l quorum.Log, seal int) error {
 	b := make([]byte, 0, headerLen+4+l.Len()*32)
 	b = append(b, snapMagic...)
 	b = binary.BigEndian.AppendUint32(b, uint32(l.Len()))
@@ -613,6 +660,10 @@ func (s *Store) Snapshot(l quorum.Log) error {
 		f.Close()
 		return err
 	}
+	if err := runHook(s.hooks.afterTmpWrite); err != nil {
+		f.Close()
+		return err
+	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		return err
@@ -620,21 +671,29 @@ func (s *Store) Snapshot(l quorum.Log) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
+	if err := runHook(s.hooks.afterTmpSync); err != nil {
+		return err
+	}
 	if err := os.Rename(tmp, filepath.Join(s.dir, "snap")); err != nil {
+		return err
+	}
+	if err := runHook(s.hooks.afterRename); err != nil {
 		return err
 	}
 	if err := syncDir(s.dir); err != nil {
 		return err
 	}
-	if err := s.rotate(); err != nil {
-		return err
-	}
-	for i := s.firstSeg; i < s.segIndex; i++ {
-		if err := os.Remove(filepath.Join(s.dir, segName(i))); err != nil {
+	for s.firstSeg < seal {
+		if err := os.Remove(filepath.Join(s.dir, segName(s.firstSeg))); err != nil {
 			return err
 		}
+		s.firstSeg++
+		if h := s.hooks.afterRemove; h != nil {
+			if err := h(s.firstSeg - 1); err != nil {
+				return err
+			}
+		}
 	}
-	s.firstSeg = s.segIndex
 	return syncDir(s.dir)
 }
 
