@@ -1,11 +1,8 @@
 // Command relaxlint is the repository's custom static analyzer. It
-// enforces model-layer determinism (syntactically and by
-// interprocedural taint), lock discipline and lock-acquisition
-// ordering, error discipline, spec purity, and the paper's
-// quorum-intersection side conditions — the properties the compiler
-// cannot check but the paper's reproducibility rests on. See
-// internal/lint for the rule families and the //lint:ignore
-// suppression convention.
+// enforces model-layer determinism, lock discipline, error discipline
+// and spec purity — the properties the compiler cannot check but the
+// paper's reproducibility rests on. See internal/lint for the rule
+// families and the //lint:ignore suppression convention.
 //
 // Usage:
 //
@@ -13,17 +10,10 @@
 //
 //	-json            emit findings as a JSON array (stable order)
 //	-dir root        module root to analyze (default ".")
-//	-model suffixes  override the model-layer package list
-//	-sites n         replica count for the speccheck certifier (default 5)
-//	-proof file      write the speccheck proof artifact (JSON) to file
-//	-baseline file   suppress findings recorded in a baseline snapshot
-//	-write-baseline file
-//	                 write the current findings as the new baseline and
-//	                 exit 0 (CI ratchet: accepted debt, not a mute)
 //
 // Patterns default to ./... and are interpreted relative to -dir.
-// Exit status is 0 when clean (or when every finding is baselined),
-// 1 when findings are reported, and 2 on analysis failure.
+// Exit status is 0 when clean, 1 when findings are reported, and 2 on
+// analysis failure.
 package main
 
 import (
@@ -31,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"relaxlattice/internal/lint"
 )
@@ -39,57 +28,15 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (for CI consumption)")
 	dir := flag.String("dir", ".", "module root to analyze")
-	model := flag.String("model", "", "comma-separated import-path suffixes of model-layer packages (default: built-in list)")
-	sites := flag.Int("sites", 5, "replica count for the speccheck quorum certifier")
-	proofPath := flag.String("proof", "", "write the speccheck proof artifact (JSON) to this file")
-	baselinePath := flag.String("baseline", "", "suppress findings recorded in this baseline file")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit")
 	flag.Parse()
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	cfg := lint.DefaultConfig()
-	if *model != "" {
-		cfg.ModelPaths = strings.Split(*model, ",")
-	}
-	cfg.Sites = *sites
-
-	pkgs, err := lint.Load(*dir)
+	diags, err := lint.Run(*dir, lint.DefaultConfig(), patterns)
 	if err != nil {
 		fail(err)
-	}
-	diags, err := lint.RunPackages(pkgs, cfg, patterns)
-	if err != nil {
-		fail(err)
-	}
-	if *proofPath != "" {
-		proof, ok := lint.SpecProofs(pkgs, cfg.Sites)
-		if !ok {
-			fail(fmt.Errorf("no quorum/claim literals found; nothing to prove"))
-		}
-		data, err := json.MarshalIndent(proof, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(*proofPath, append(data, '\n'), 0o644); err != nil {
-			fail(err)
-		}
-	}
-	if *writeBaseline != "" {
-		if err := lint.WriteBaseline(*writeBaseline, diags); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "relaxlint: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return
-	}
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fail(err)
-		}
-		diags = lint.FilterBaseline(diags, base)
 	}
 	if *jsonOut {
 		if diags == nil {

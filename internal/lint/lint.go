@@ -7,31 +7,18 @@
 // protocols) must follow a strict locking discipline so the
 // concurrency results are trustworthy.
 //
-// Seven rule families are implemented:
+// Four rule families are implemented:
 //
 //   - determinism (det-time, det-rand, det-maporder): model-layer
 //     packages must not read the wall clock, use the global RNG, or
 //     let map iteration order escape into slices/returns unsorted.
-//   - determinism taint (det-taint): the interprocedural closure of
-//     the same discipline — values derived from the wall clock, the
-//     global RNG, or map iteration order anywhere in the module are
-//     tracked through assignments, returns, and struct fields, and
-//     reported when they reach model-package state through helpers the
-//     syntactic passes cannot see.
 //   - lock discipline (lock-balance, lock-guard): a mutex Lock must be
 //     released on every path, and fields annotated "guarded by <mu>"
 //     must only be touched by methods that acquire <mu>.
-//   - lock ordering (lock-order): the module-wide lock-acquisition
-//     graph (built from guarded-by annotations plus observed
-//     Lock/Unlock nesting, closed over direct calls) must be acyclic;
-//     cycles are potential deadlocks.
 //   - error discipline (err-drop): error results must not be discarded
 //     with a blank identifier outside _test.go files.
 //   - spec purity (spec-purity): functions in the specification
 //     catalog must not write package-level state.
-//   - quorum certification (speccheck): the quorum-assignment and
-//     claim-table literals must satisfy the paper's quorum
-//     intersection side conditions — see speccheck.go.
 //
 // Any finding can be suppressed with a comment on the same line or
 // the line above:
@@ -73,13 +60,10 @@ var knownRules = map[string]bool{
 	"det-time":     true,
 	"det-rand":     true,
 	"det-maporder": true,
-	"det-taint":    true,
 	"lock-balance": true,
 	"lock-guard":   true,
-	"lock-order":   true,
 	"err-drop":     true,
 	"spec-purity":  true,
-	"speccheck":    true,
 }
 
 // KnownRules returns the suppressible pass names, sorted.
@@ -98,14 +82,10 @@ func KnownRules() []string {
 // that mirror its layout.
 type Config struct {
 	// ModelPaths are the packages held to the determinism rules
-	// (det-time, det-rand, det-maporder, det-taint).
+	// (det-time, det-rand, det-maporder).
 	ModelPaths []string
 	// SpecPaths are the packages held to the spec-purity rule.
 	SpecPaths []string
-	// Sites is the replica count at which the speccheck pass evaluates
-	// the quorum intersection side conditions. Non-positive takes 5,
-	// the soak harness's cluster size.
-	Sites int
 }
 
 // DefaultConfig returns the repository's rule scoping: the eleven
@@ -150,7 +130,6 @@ func DefaultConfig() Config {
 			"internal/cluster",
 		},
 		SpecPaths: []string{"internal/specs"},
-		Sites:     5,
 	}
 }
 
@@ -170,19 +149,13 @@ func Run(root string, cfg Config, patterns []string) ([]Diagnostic, error) {
 }
 
 // RunPackages applies the rules to already-loaded packages (see Load).
-// Splitting loading from analysis lets callers that need several
-// analyses over one module — the CLI emitting both findings and the
-// speccheck proof artifact, or the test suite — typecheck it once.
+// Splitting loading from analysis lets the test suite typecheck a
+// module once and run many analyses over it.
 func RunPackages(pkgs []*Package, cfg Config, patterns []string) ([]Diagnostic, error) {
-	if cfg.Sites <= 0 {
-		cfg.Sites = 5
-	}
 	var matched []*Package
-	inScope := map[string]bool{}
 	for _, p := range pkgs {
 		if matchPattern(p.RelDir, patterns) {
 			matched = append(matched, p)
-			inScope[p.Path] = true
 		}
 	}
 	// A pattern that selects nothing is almost always a typo; failing
@@ -202,19 +175,12 @@ func RunPackages(pkgs []*Package, cfg Config, patterns []string) ([]Diagnostic, 
 			Message: msg,
 		})
 	}
-	// Per-package passes see one package at a time.
 	for _, p := range matched {
 		checkDeterminism(p, cfg, report)
 		checkLocks(p, report)
 		checkErrDiscipline(p, report)
 		checkSpecPurity(p, cfg, report)
 	}
-	// Module-wide passes build summaries over every package of the
-	// module (taint and lock acquisition flow through unmatched helper
-	// packages too) but report findings only inside matched packages.
-	checkTaint(pkgs, inScope, cfg, report)
-	checkLockOrder(pkgs, inScope, report)
-	checkSpecIntersections(pkgs, inScope, cfg, report)
 
 	idx := collectIgnores(matched, report)
 	diags = filterIgnored(diags, idx)

@@ -2,7 +2,7 @@
 // (internal/conc): lock-free relaxed structures that are *clients* of
 // the model layer, certified against it after the fact, rather than
 // part of it. The determinism rule families (det-time, det-rand,
-// det-taint, det-maporder) are scoped to Config.ModelPaths and
+// det-maporder) are scoped to Config.ModelPaths and
 // deliberately exclude this path — a relaxed queue's schedule is
 // inherently nondeterministic, its sampling state is seeded per shard
 // only to make single-threaded witness schedules reproducible, and its
@@ -23,7 +23,7 @@ import (
 // Shard is one slice of a relaxed structure with private sampling
 // state. The seeded constructor is the sanctioned pattern everywhere;
 // storing a draw from the *global* RNG in a field (sampleSkew) is a
-// det-taint finding in a model-layer package and legal here.
+// det-rand finding in a model-layer package and legal here.
 type Shard struct {
 	rng        *rand.Rand
 	sampleSkew int

@@ -115,12 +115,11 @@ func TaxiClaims(u *lattice.Universe) map[string]lattice.Set {
 func TaxiRungLevels(u *lattice.Universe) map[string]lattice.Set {
 	return map[string]lattice.Set{
 		"Q1Q2": u.All(),
-		// The static certifier refutes this entry (a rung-Q1 Deq initial
-		// quorum can miss a rung-Q1Q2 Enq final quorum entirely), agreeing
-		// with the online checker's runtime refutation in X06 — the table
-		// exists precisely as the unsound nominal foil, so the finding is
-		// expected and suppressed rather than repaired.
-		//lint:ignore speccheck nominal per-rung table kept as the documented-unsound foil X06 and TestSoakOnlineCheckerRefutesNaiveRungClaims pin
+		// Unsound under mixing: a rung-Q1 Deq initial quorum can miss a
+		// rung-Q1Q2 Enq final quorum entirely. X06's online checker
+		// refutes it at runtime and TestClaimTablesQuorumIntersection
+		// refutes it from the quorum arithmetic; the table exists
+		// precisely as that foil, so it is kept rather than repaired.
 		"Q1":   u.Named(core.ConstraintQ1),
 		"none": 0,
 	}

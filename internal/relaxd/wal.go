@@ -505,7 +505,6 @@ func (s *Store) AppendBatch(entries []quorum.Entry) (int64, error) {
 	}
 	s.walSize += int64(len(b))
 	s.segRecords += len(entries)
-	//lint:ignore lock-order cmu is released before rotate's Sync reacquires it; the summary-level cycle is not a real hold
 	s.cmu.Lock()
 	s.seq += int64(len(entries))
 	target := s.seq
