@@ -8,14 +8,13 @@ all: build vet lint test
 build:
 	$(GO) build ./...
 
-# Tier-1 includes go vet: it is cheap, and the custom passes assume a
-# vet-clean tree (shadowed variables and misuses vet already catches
-# are out of relaxlint's scope by design).
+# Tier-1 includes go vet: it is cheap, and relaxlint assumes a
+# vet-clean tree (misuses vet already catches are out of its scope).
 test: vet
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/value/ ./internal/quorum/ ./internal/automaton/ ./internal/experiments/ ./internal/txn/ ./internal/cluster/ ./internal/commit/ ./internal/sim/ ./internal/resilience/ ./internal/relaxcheck/ ./internal/integration/ ./internal/conc/ ./internal/relaxd/ ./cmd/...
+	$(GO) test -race ./internal/value/ ./internal/quorum/ ./internal/automaton/ ./internal/experiments/ ./internal/txn/ ./internal/cluster/ ./internal/commit/ ./internal/sim/ ./internal/resilience/ ./internal/relaxcheck/ ./internal/integration/ ./internal/conc/ ./internal/relaxd/ ./internal/obs/... ./cmd/...
 
 # Short native-fuzzing smoke: each target gets a bounded budget on top
 # of its checked-in seed corpus (testdata/fuzz). CI runs this; longer
@@ -56,8 +55,7 @@ longhaul:
 vet:
 	$(GO) vet ./...
 
-# Custom static analysis: model-layer determinism, lock discipline,
-# error discipline and spec purity (see internal/lint and DESIGN.md §8).
+# Static analysis: the err-drop pass (see internal/lint and DESIGN.md §8).
 lint:
 	$(GO) run ./cmd/relaxlint ./...
 

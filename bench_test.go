@@ -235,17 +235,17 @@ func BenchmarkVotingAvailability(b *testing.B) {
 	}
 }
 
-func BenchmarkMonitorFeed(b *testing.B) {
+func BenchmarkStepCheckerStep(b *testing.B) {
 	lat := core.TaxiSimpleLattice()
 	ops := []history.Op{
 		history.Enq(3), history.DeqOk(3), history.Enq(1), history.DeqOk(1),
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := lattice.NewMonitor(lat)
+		c := lattice.NewStepChecker(lat, 0)
 		for _, op := range ops {
-			if !m.Feed(op) {
-				b.Fatal("monitor died")
+			if !c.Step(op) {
+				b.Fatal("checker died")
 			}
 		}
 	}

@@ -88,7 +88,7 @@ func run(w io.Writer, sites, ops int, seed int64, pCrash, pRepair, pPartition fl
 	g := sim.NewRNG(seed)
 	counts := sim.NewCounter()
 	lat := core.TaxiSimpleLattice()
-	monitor := lattice.NewMonitor(lat)
+	checker := lattice.NewStepChecker(lat, 0)
 	describe := func(sets []lattice.Set) string {
 		parts := make([]string, 0, len(sets))
 		for _, s := range sets {
@@ -97,8 +97,7 @@ func run(w io.Writer, sites, ops int, seed int64, pCrash, pRepair, pPartition fl
 		}
 		return strings.Join(parts, ", ")
 	}
-	level := describe(monitor.Current())
-	nextReq := 1
+	level := describe(checker.Current())
 	for i := 0; i < ops; i++ {
 		// Environment events (Section 2.3): crashes, partitions, repair.
 		switch {
@@ -137,20 +136,17 @@ func run(w io.Writer, sites, ops int, seed int64, pCrash, pRepair, pPartition fl
 		if g.Bool(0.55) {
 			prio := 1 + g.Intn(9)
 			op, err = cl.Execute(history.EnqInv(prio))
-			if err == nil {
-				nextReq++
-			}
 		} else {
 			op, err = cl.Execute(history.DeqInv())
 		}
 		report(counts, op, err)
-		// Live degradation alarm: the monitor tracks, operation by
+		// Live degradation alarm: the checker tracks, operation by
 		// operation, the strongest behaviors consistent with what has
 		// been observed.
 		if err == nil {
-			monitor.Feed(op)
-			if now := describe(monitor.Current()); now != level {
-				fmt.Fprintf(w, "  >> degradation alarm after op %d: behavior now %s\n", monitor.Len(), now)
+			checker.Step(op)
+			if now := describe(checker.Current()); now != level {
+				fmt.Fprintf(w, "  >> degradation alarm after op %d: behavior now %s\n", checker.Len(), now)
 				level = now
 			}
 		}

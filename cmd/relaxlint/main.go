@@ -1,8 +1,7 @@
-// Command relaxlint is the repository's custom static analyzer. It
-// enforces model-layer determinism, lock discipline, error discipline
-// and spec purity — the properties the compiler cannot check but the
-// paper's reproducibility rests on. See internal/lint for the rule
-// families and the //lint:ignore suppression convention.
+// Command relaxlint is the repository's static analyzer. It runs one
+// pass, err-drop: an error result must not be discarded with a blank
+// identifier outside tests. See internal/lint for the pass and the
+// //lint:ignore suppression convention.
 //
 // Usage:
 //
@@ -34,7 +33,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	diags, err := lint.Run(*dir, lint.DefaultConfig(), patterns)
+	diags, err := lint.Run(*dir, patterns)
 	if err != nil {
 		fail(err)
 	}

@@ -41,8 +41,8 @@ import (
 // split into contiguous chunks, one per worker; workers emit child
 // updates in (parent, op) order; and the merge concatenates the chunks
 // in worker order, which reproduces the serial discovery order exactly.
-// No map iteration order ever escapes (relaxlint det-maporder stays
-// green), so any GOMAXPROCS yields byte-identical results.
+// No map iteration order ever escapes, so any GOMAXPROCS yields
+// byte-identical results (TestParallelMatchesSerial checks it).
 
 // langClass is one equivalence class of same-length histories: all
 // histories h with identical (δ*_A(h), δ*_B(h)) state-set pairs.

@@ -184,8 +184,6 @@ func (c *Cluster) UpSites() int {
 
 // reachableFrom returns the up sites in the same network component as
 // home (including home itself if up). Caller holds mu.
-//
-//lint:ignore lock-guard caller holds mu (every call site is under Lock)
 func (c *Cluster) reachableFrom(home int) []int {
 	var out []int
 	for i := range c.logs {

@@ -51,9 +51,7 @@ func (c *Cluster) now() int64 {
 
 // constraintSet renders the currently satisfiable constraint set C:
 // the sorted operation names whose quorums the reachable sites can
-// assemble. An empty set renders as "∅".
-//
-//lint:ignore lock-guard caller holds mu (every call site is under Lock)
+// assemble. An empty set renders as "∅". Caller holds mu.
 func (c *Cluster) constraintSet(reachable []int) string {
 	alive := make([]bool, len(c.logs))
 	for _, s := range reachable {

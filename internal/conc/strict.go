@@ -70,9 +70,8 @@ func (q *Strict) Deq() (int, bool) {
 	return v, true
 }
 
-// grow doubles the ring.
-//
-//lint:ignore lock-guard grow is only called from Enq with mu already held
+// grow doubles the ring. It is only called from Enq with mu already
+// held.
 func (q *Strict) grow() {
 	grown := make([]int, 2*len(q.ring))
 	for i := 0; i < q.n; i++ {

@@ -46,7 +46,7 @@ func TestProofDeterminismFacts(t *testing.T) {
 	}
 }
 
-// Soak: a long fault-ridden degraded run with the online Monitor
+// Soak: a long fault-ridden degraded run with the online StepChecker
 // cross-checked against the offline audit at sampled points, and the
 // final history re-justified by the QCA machinery.
 func TestSoakClusterMonitor(t *testing.T) {
@@ -68,7 +68,7 @@ func TestSoakClusterMonitor(t *testing.T) {
 			MTTF: 12, MTTR: 4, MTBP: 30, PartitionDwell: 8,
 		})
 		faults.Start()
-		m := lattice.NewMonitor(lat)
+		m := lattice.NewStepChecker(lat, 0)
 		fed := 0
 		at := 0.0
 		for i := 0; i < 400; i++ {
@@ -88,8 +88,8 @@ func TestSoakClusterMonitor(t *testing.T) {
 					return
 				}
 				fed++
-				if !m.Feed(op) {
-					t.Errorf("seed %d: monitor died at op %d (%v)", seed, fed, op)
+				if !m.Step(op) {
+					t.Errorf("seed %d: checker died at op %d (%v)", seed, fed, op)
 				}
 				// Periodic cross-check against the offline audit.
 				if fed%50 == 0 {
@@ -99,11 +99,11 @@ func TestSoakClusterMonitor(t *testing.T) {
 					}
 					got := m.Current()
 					if len(got) != len(want) {
-						t.Fatalf("seed %d at %d ops: monitor %v vs offline %v", seed, fed, got, want)
+						t.Fatalf("seed %d at %d ops: checker %v vs offline %v", seed, fed, got, want)
 					}
 					for j := range got {
 						if got[j] != want[j] {
-							t.Fatalf("seed %d: monitor %v vs offline %v", seed, got, want)
+							t.Fatalf("seed %d: checker %v vs offline %v", seed, got, want)
 						}
 					}
 				}

@@ -251,3 +251,22 @@ func TestPartialPhiPanicsWithoutTop(t *testing.T) {
 	}()
 	r.Preferred()
 }
+
+func TestCensus(t *testing.T) {
+	lat := ssqLattice()
+	corpus := []history.History{
+		{history.Enq(1), history.DeqOk(1)},                   // top
+		{history.Enq(1), history.Enq(2), history.DeqOk(2)},   // {J}
+		{history.Enq(1), history.DeqOk(1), history.DeqOk(1)}, // {K}
+		{history.Enq(1), history.DeqOk(1), history.DeqOk(1)}, // {K}
+		{history.DeqOk(9)}, // outside
+	}
+	counts, rejected := Census(lat, corpus)
+	if rejected != 1 {
+		t.Errorf("rejected = %d", rejected)
+	}
+	u := lat.Universe
+	if counts[u.All()] != 1 || counts[u.Named("J")] != 1 || counts[u.Named("K")] != 2 {
+		t.Errorf("counts = %v", counts)
+	}
+}

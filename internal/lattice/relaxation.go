@@ -179,3 +179,25 @@ func (r *Relaxation) Hasse() string {
 	}
 	return b.String()
 }
+
+// Census tallies, over a corpus of observed histories, how many land on
+// each lattice element as their strongest accepting constraint set —
+// fleet-level degradation reporting. Histories outside the lattice are
+// counted under the second return value. When a history has several
+// incomparable maximal elements, each is counted (so totals can exceed
+// the corpus size).
+func Census(lat *Relaxation, corpus []history.History) (map[Set]int, int) {
+	counts := map[Set]int{}
+	rejected := 0
+	for _, h := range corpus {
+		sets, ok := lat.WeakestAccepting(h)
+		if !ok {
+			rejected++
+			continue
+		}
+		for _, s := range sets {
+			counts[s]++
+		}
+	}
+	return counts, rejected
+}

@@ -15,10 +15,10 @@ import (
 // incrementally: each Step is amortized O(Σ frontier sizes) instead of
 // replaying the full history through every automaton.
 //
-// StepChecker subsumes Monitor for production checking: it keeps the
-// domain in a deterministic slice (no map iteration), exposes frontier
-// statistics for observability, and can memoize recurring state-class
-// transitions via the exploration engine's canonical set keys.
+// It keeps the domain in a deterministic slice (no map iteration),
+// exposes frontier statistics for observability, and can memoize
+// recurring state-class transitions via the exploration engine's
+// canonical set keys.
 //
 // A StepChecker is not safe for concurrent use; callers serialize
 // Steps (internal/relaxcheck wraps one in a mutex for live audits).

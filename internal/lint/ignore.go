@@ -5,9 +5,7 @@ import (
 	"strings"
 )
 
-// ignoreDirective is one rule name of one //lint:ignore comment.
-// Directives naming several rules ("a,b") expand to one directive per
-// rule so usage is tracked per pass.
+// ignoreDirective is one //lint:ignore comment.
 type ignoreDirective struct {
 	file string
 	line int
@@ -26,7 +24,7 @@ type ignoreIndex struct {
 // collectIgnores scans the matched packages' comments for the
 // suppression convention
 //
-//	//lint:ignore <pass>[,<pass>...] <reason>
+//	//lint:ignore <pass> <reason>
 //
 // and returns an index of suppressed (file, line, pass) triples. The
 // comment suppresses matching findings on its own line and on the
@@ -53,21 +51,20 @@ func collectIgnores(pkgs []*Package, report reportFunc) *ignoreIndex {
 							`malformed suppression: want "//lint:ignore <pass> <reason>"`)
 						continue
 					}
-					pos := p.Fset.Position(c.Pos())
-					for _, rule := range strings.Split(fields[0], ",") {
-						if !knownRules[rule] {
-							report(c.Pos(), "bad-ignore", fmt.Sprintf(
-								"unknown pass %q in suppression; known passes: %s",
-								rule, strings.Join(KnownRules(), ", ")))
-							continue
-						}
-						d := &ignoreDirective{file: pos.Filename, line: pos.Line, col: pos.Column, rule: rule}
-						if idx.byLine[d.file] == nil {
-							idx.byLine[d.file] = map[int][]*ignoreDirective{}
-						}
-						idx.byLine[d.file][d.line] = append(idx.byLine[d.file][d.line], d)
-						idx.all = append(idx.all, d)
+					rule := fields[0]
+					if !knownRules[rule] {
+						report(c.Pos(), "bad-ignore", fmt.Sprintf(
+							"unknown pass %q in suppression; known passes: %s",
+							rule, strings.Join(KnownRules(), ", ")))
+						continue
 					}
+					pos := p.Fset.Position(c.Pos())
+					d := &ignoreDirective{file: pos.Filename, line: pos.Line, col: pos.Column, rule: rule}
+					if idx.byLine[d.file] == nil {
+						idx.byLine[d.file] = map[int][]*ignoreDirective{}
+					}
+					idx.byLine[d.file][d.line] = append(idx.byLine[d.file][d.line], d)
+					idx.all = append(idx.all, d)
 				}
 			}
 		}

@@ -52,50 +52,31 @@ func repoPackages(t *testing.T) []*Package {
 	return loadCached(t, filepath.Join("..", ".."))
 }
 
-// golden is the exact finding set over the fixture tree: every rule
-// family fires, suppressed sites stay silent, and the clean package
-// contributes nothing.
+// golden is the exact finding set over the fixture tree: the pass and
+// both meta diagnostics fire, suppressed sites stay silent, and the
+// clean package contributes nothing.
 var golden = []string{
 	"errs/errs.go:16:2: [err-drop] error result discarded; handle it or annotate //lint:ignore err-drop <reason>",
 	"errs/errs.go:17:5: [err-drop] error result discarded; handle it or annotate //lint:ignore err-drop <reason>",
 	"errs/errs.go:18:5: [err-drop] error result discarded; handle it or annotate //lint:ignore err-drop <reason>",
 	`errs/errs.go:46:2: [bad-ignore] malformed suppression: want "//lint:ignore <pass> <reason>"`,
 	"errs/errs.go:47:2: [err-drop] error result discarded; handle it or annotate //lint:ignore err-drop <reason>",
-	`errs/errs.go:53:2: [bad-ignore] unknown pass "err-dropp" in suppression; known passes: det-maporder, det-rand, det-time, err-drop, lock-balance, lock-guard, spec-purity`,
+	`errs/errs.go:53:2: [bad-ignore] unknown pass "err-dropp" in suppression; known passes: err-drop`,
 	"errs/errs.go:54:2: [err-drop] error result discarded; handle it or annotate //lint:ignore err-drop <reason>",
 	"errs/errs.go:60:2: [unused-ignore] //lint:ignore err-drop suppresses no finding; delete the directive or fix the pass name",
-	"errs/errs.go:68:2: [unused-ignore] //lint:ignore spec-purity suppresses no finding; delete the directive or fix the pass name",
-	"internal/automaton/clock.go:13:7: [det-time] time.Now reads the wall clock; model-layer code must take time as an input",
-	"internal/automaton/clock.go:14:23: [det-time] time.Since reads the wall clock; model-layer code must take time as an input",
-	"internal/automaton/clock.go:19:9: [det-rand] rand.Intn draws from the global RNG; model-layer code must use an injected generator",
-	"internal/automaton/clock.go:33:2: [det-maporder] map iteration order escapes the loop (append/send/return) with no subsequent sort",
-	"internal/automaton/clock.go:51:2: [det-maporder] map iteration order escapes the loop (append/send/return) with no subsequent sort",
-	"internal/automaton/instrumented.go:27:9: [det-time] time.Now captured as a function value still reads the wall clock; inject an obs.Clock instead",
-	"internal/automaton/instrumented.go:34:9: [det-rand] rand.Int captured as a function value draws from the global RNG; inject a generator instead",
-	"internal/conc/conc.go:59:2: [lock-balance] s.mu locked but never released in this function; use defer s.mu.Unlock()",
-	"internal/obs/obs.go:53:2: [det-maporder] map iteration order escapes the loop (append/send/return) with no subsequent sort",
-	"internal/obs/trace/trace.go:39:33: [det-time] time.Now reads the wall clock; model-layer code must take time as an input",
-	"internal/obs/trace/trace.go:55:2: [det-maporder] map iteration order escapes the loop (append/send/return) with no subsequent sort",
-	"internal/specs/impure.go:13:2: [spec-purity] spec package function writes package-level variable hits; specs must be pure",
-	"internal/specs/impure.go:14:2: [spec-purity] spec package function writes package-level variable registry; specs must be pure",
-	"locks/branches.go:41:3: [lock-balance] p.mu may still be held on an early return; use defer p.mu.Unlock()",
-	"locks/branches.go:66:2: [lock-balance] r.rw locked but never released in this function; use defer r.rw.Unlock()",
-	"locks/locks.go:21:19: [lock-guard] method Peek touches field(s) n of Counter guarded by mu without acquiring it",
-	"locks/locks.go:27:2: [lock-balance] c.mu locked but never released in this function; use defer c.mu.Unlock()",
-	"locks/locks.go:33:2: [lock-balance] c.mu may still be held on an early return; use defer c.mu.Unlock()",
 }
 
 func runFixtures(t *testing.T, patterns ...string) []Diagnostic {
 	t.Helper()
-	diags, err := RunPackages(fixturePackages(t), DefaultConfig(), patterns)
+	diags, err := RunPackages(fixturePackages(t), patterns)
 	if err != nil {
 		t.Fatalf("RunPackages: %v", err)
 	}
 	return diags
 }
 
-// TestGoldenFixtures pins the exact diagnostic set for all rule
-// families at once. Any behavioral change to a rule must update this
+// TestGoldenFixtures pins the exact diagnostic set. Any behavioral
+// change to the pass or the suppression machinery must update this
 // list deliberately.
 func TestGoldenFixtures(t *testing.T) {
 	diags := runFixtures(t, "./...")
@@ -130,108 +111,12 @@ func TestEveryRuleFamilyRepresented(t *testing.T) {
 	}
 }
 
-// TestConcLayerClassification pins the scoping decision for the
-// runtime concurrency layer: internal/conc is NOT a model-layer path,
-// so its fixture — which reads the wall clock, draws from the global
-// RNG, and stores both in fields — produces no determinism findings of
-// any family, while the path-unscoped lock rules still fire on it.
-// The mirror-image fixture internal/automaton proves the same sources
-// would be flagged inside ModelPaths, so a silent conc fixture means
-// "exempt", not "rule broken".
-func TestConcLayerClassification(t *testing.T) {
-	if pathMatches("fixture/internal/conc", DefaultConfig().ModelPaths) {
-		t.Fatal("internal/conc matched ModelPaths; the concurrency layer must stay exempt from determinism rules")
-	}
-	lockFindings := 0
-	for _, d := range runFixtures(t, "./...") {
-		if !strings.HasPrefix(d.File, "internal/conc/") {
-			continue
-		}
-		switch d.Rule {
-		case "det-time", "det-rand", "det-maporder":
-			t.Errorf("determinism rule fired on the concurrency layer: %s", d)
-		case "lock-balance", "lock-guard":
-			lockFindings++
-		}
-	}
-	if lockFindings == 0 {
-		t.Error("no lock-family finding on internal/conc; lock discipline must apply to every layer")
-	}
-}
-
-// TestRelaxdLayerClassification pins the scoping decision for the
-// networked runtime: internal/relaxd does real I/O on real clocks
-// (socket deadlines, fsync batching), so it must stay outside
-// ModelPaths — its behavior is held to the deterministic cluster by
-// the differential tests, not by determinism lint. The path-unscoped
-// families (lock discipline, error discipline) still apply.
-func TestRelaxdLayerClassification(t *testing.T) {
-	for _, path := range []string{"internal/relaxd", "fixture/internal/relaxd"} {
-		if pathMatches(path, DefaultConfig().ModelPaths) {
-			t.Fatalf("%s matched ModelPaths; the networked runtime must stay exempt from determinism rules", path)
-		}
-	}
-	if !pathMatches("internal/relaxcheck", DefaultConfig().ModelPaths) {
-		t.Fatal("internal/relaxcheck no longer matches ModelPaths; the checker is model-layer")
-	}
-	// The protocol relaxd executes is not in relaxd: cluster.Engine is
-	// model-layer, and the determinism rules certify it for both callers.
-	if !pathMatches("internal/cluster", DefaultConfig().ModelPaths) {
-		t.Fatal("internal/cluster no longer matches ModelPaths; the shared protocol engine is model-layer")
-	}
-}
-
-// TestLockBalanceBranchCases asserts the branch fixtures resolve the
-// way locks.go documents: conditional defers and nested guards that
-// release on every path are clean, the leaking variants are not.
-func TestLockBalanceBranchCases(t *testing.T) {
-	wantLines := map[int]bool{41: true, 66: true} // NestedLeak, ReadLeak
-	gotLines := map[int]bool{}
-	for _, d := range runFixtures(t, "./...") {
-		if d.File != "locks/branches.go" {
-			continue
-		}
-		if d.Rule != "lock-balance" {
-			t.Errorf("unexpected %s finding in branches.go: %s", d.Rule, d)
-		}
-		gotLines[d.Line] = true
-	}
-	for line := range wantLines {
-		if !gotLines[line] {
-			t.Errorf("expected a lock-balance finding at branches.go:%d", line)
-		}
-	}
-	for line := range gotLines {
-		if !wantLines[line] {
-			t.Errorf("clean branch case flagged at branches.go:%d (ConditionalDefer, NestedGuard, and Read must stay silent)", line)
-		}
-	}
-}
-
-// TestSuppressionsHold asserts the //lint:ignore sites stay silent:
-// each names a function that violates its rule but carries a
-// well-formed suppression.
+// TestSuppressionsHold asserts a well-formed //lint:ignore keeps its
+// site silent: Best discards an error under a suppression.
 func TestSuppressionsHold(t *testing.T) {
-	suppressed := map[string]string{
-		"SuppressedStamp": "det-time",
-		"Tracked":         "spec-purity",
-		"unsafePeek":      "lock-guard",
-		"bump":            "lock-guard",
-		"Best":            "err-drop",
-	}
 	for _, d := range runFixtures(t, "./...") {
-		for fn := range suppressed {
-			if strings.Contains(d.Message, fn) {
-				t.Errorf("suppressed site %s still reported: %s", fn, d)
-			}
-		}
-	}
-	// The suppressed det-time call in SuppressedStamp is at
-	// clock.go:88; no finding may appear past the last golden line of
-	// that file (line 51).
-	for _, d := range runFixtures(t, "./...") {
-		if d.File == "internal/automaton/clock.go" && d.Line > 51 {
-			t.Errorf("unexpected finding after the suppressed region: %s", d)
+		if d.File == "errs/errs.go" && d.Line >= 38 && d.Line <= 41 {
+			t.Errorf("suppressed site Best still reported: %s", d)
 		}
 	}
 }
@@ -248,14 +133,17 @@ func TestCleanPackageIsClean(t *testing.T) {
 
 // TestPatternFiltering asserts ./dir/... selects only that package.
 func TestPatternFiltering(t *testing.T) {
-	diags := runFixtures(t, "./locks/...")
-	if len(diags) != 5 {
-		t.Fatalf("got %d findings for ./locks/..., want 5", len(diags))
+	diags := runFixtures(t, "./errs/...")
+	if len(diags) != len(golden) {
+		t.Fatalf("got %d findings for ./errs/..., want %d", len(diags), len(golden))
 	}
 	for _, d := range diags {
-		if !strings.HasPrefix(d.File, "locks/") {
-			t.Errorf("pattern ./locks/... matched %s", d.File)
+		if !strings.HasPrefix(d.File, "errs/") {
+			t.Errorf("pattern ./errs/... matched %s", d.File)
 		}
+	}
+	if diags := runFixtures(t, "./clean/..."); len(diags) != 0 {
+		t.Errorf("got %d findings for ./clean/..., want 0", len(diags))
 	}
 }
 
@@ -264,7 +152,7 @@ func TestPatternFiltering(t *testing.T) {
 // has zero findings — every in-tree //lint:ignore must also count as
 // used (no unused-ignore in the output).
 func TestRepairedTreeIsClean(t *testing.T) {
-	diags, err := RunPackages(repoPackages(t), DefaultConfig(), []string{"./..."})
+	diags, err := RunPackages(repoPackages(t), []string{"./..."})
 	if err != nil {
 		t.Fatalf("RunPackages on repository root: %v", err)
 	}
@@ -307,7 +195,7 @@ func TestJSONOutputIsStable(t *testing.T) {
 // loudly instead of passing vacuously (a typo'd CI invocation must
 // not look green).
 func TestNoMatchIsError(t *testing.T) {
-	_, err := RunPackages(fixturePackages(t), DefaultConfig(), []string{"./nosuchpkg/..."})
+	_, err := RunPackages(fixturePackages(t), []string{"./nosuchpkg/..."})
 	if err == nil || !strings.Contains(err.Error(), "no packages match") {
 		t.Errorf("Run with a no-match pattern: err = %v, want 'no packages match'", err)
 	}

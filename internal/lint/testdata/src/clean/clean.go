@@ -2,18 +2,13 @@
 // test.
 package clean
 
-import "sync"
+import "strconv"
 
-// Box is a guarded container whose only method follows the
-// lock-then-defer discipline.
-type Box struct {
-	mu sync.Mutex
-	v  int // guarded by mu
-}
-
-// Get locks around the read.
-func (b *Box) Get() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.v
+// Parse handles the error it is given.
+func Parse(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
 }

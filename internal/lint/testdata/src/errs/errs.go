@@ -60,11 +60,3 @@ func Stale() int {
 	//lint:ignore err-drop the call this once justified is gone
 	return 0
 }
-
-// Multi names two passes in one directive: err-drop suppresses the
-// finding below and counts as used, spec-purity suppresses nothing in
-// this package and is reported unused — usage is tracked per pass.
-func Multi() {
-	//lint:ignore err-drop,spec-purity fixture demonstrates per-pass usage tracking
-	_ = fallible()
-}

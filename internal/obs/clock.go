@@ -3,7 +3,7 @@ package obs
 import "sync/atomic"
 
 // Clock supplies logical time to instrumented components. Model
-// packages never read wall clocks (relaxlint det-time); they receive a
+// packages never read wall clocks; they receive a
 // Clock — backed by a Lamport counter, a schedule index, a simulation
 // engine, or (only in cmd/ binaries) real time — and stamp events with
 // whatever it returns.

@@ -20,9 +20,8 @@
 //   - Journal events are ordered, so they are recorded only at
 //     deterministic points under a component's own lock, with logical
 //     time injected by the component (a Lamport tick, a schedule
-//     index, a depth). Wall clocks never appear here; relaxlint's
-//     det-time rule holds this package (and its model-layer callers)
-//     to that.
+//     index, a depth). Wall clocks never appear here, so the journal
+//     replays byte-identically.
 //
 // Every type is nil-receiver-safe: a nil *Registry hands out nil
 // instruments whose update methods no-op, so instrumented code pays a

@@ -85,8 +85,6 @@ func (f *FlightRecorder) Spans() []Span {
 }
 
 // orderedSpans unrolls the ring. Caller holds mu.
-//
-//lint:ignore lock-guard caller holds mu (every call site is under Lock)
 func (f *FlightRecorder) orderedSpans() []Span {
 	if f.nspans <= uint64(len(f.spans)) {
 		return append([]Span(nil), f.spans...)
@@ -108,8 +106,6 @@ func (f *FlightRecorder) Events() []obs.Event {
 }
 
 // orderedEvents unrolls the ring. Caller holds mu.
-//
-//lint:ignore lock-guard caller holds mu (every call site is under Lock)
 func (f *FlightRecorder) orderedEvents() []obs.Event {
 	if f.nevents <= uint64(len(f.events)) {
 		return append([]obs.Event(nil), f.events...)

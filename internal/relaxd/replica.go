@@ -369,8 +369,6 @@ func (r *Replica) publish(st *Store, l quorum.Log, seal int) {
 // Like Crash it lets a publish in flight finish first, releasing mu
 // while it waits, so the directory is final when it returns. The
 // publisher itself must not call it.
-//
-//lint:ignore lock-guard caller holds mu (hook paths inside Handle)
 func (r *Replica) crashLocked() {
 	r.down = true
 	for r.publishing {

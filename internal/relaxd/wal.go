@@ -484,7 +484,7 @@ func appendRecord(b []byte, e quorum.Entry) ([]byte, error) {
 // connections share fsyncs. An empty batch returns the current commit
 // sequence (already durable or in flight).
 //
-//lint:ignore lock-guard wal is writer state; the owning Replica's mutex serializes writers (cmu guards only commit state)
+// Writer-only: the owning Replica's mutex serializes writers.
 func (s *Store) AppendBatch(entries []quorum.Entry) (int64, error) {
 	if len(entries) == 0 {
 		s.cmu.Lock()
@@ -541,7 +541,8 @@ func (s *Store) WaitDurable(target int64) error {
 		covered := s.seq
 		s.cmu.Unlock()
 		err := f.Sync()
-		//lint:ignore lock-balance group commit drops cmu around the fsync and reacquires it; the deferred Unlock releases the final hold
+		// Reacquire cmu after the fsync; the deferred Unlock releases the
+		// final hold.
 		s.cmu.Lock()
 		s.syncing = false
 		if err != nil {
@@ -569,7 +570,7 @@ func (s *Store) Sync() error {
 // caller can still need an fsync of the old file (their targets are
 // all ≤ the now-durable sequence).
 //
-//lint:ignore lock-guard wal is writer state; the owning Replica's mutex serializes writers (cmu guards only commit state)
+// Writer-only: the owning Replica's mutex serializes writers.
 func (s *Store) rotate() error {
 	if err := s.Sync(); err != nil {
 		return err
@@ -698,7 +699,7 @@ func (s *Store) publish(l quorum.Log, seal int) error {
 
 // resetWAL truncates the active segment to a fresh header.
 //
-//lint:ignore lock-guard wal is writer state; the owning Replica's mutex serializes writers (cmu guards only commit state)
+// Writer-only: the owning Replica's mutex serializes writers.
 func (s *Store) resetWAL() error {
 	if err := s.wal.Truncate(0); err != nil {
 		return err
@@ -719,7 +720,7 @@ func (s *Store) resetWAL() error {
 
 // Close flushes and closes the WAL.
 //
-//lint:ignore lock-guard wal is writer state; the owning Replica's mutex serializes writers (cmu guards only commit state)
+// Writer-only: the owning Replica's mutex serializes writers.
 func (s *Store) Close() error {
 	err := s.Sync()
 	if cerr := s.wal.Close(); err == nil {

@@ -17,8 +17,8 @@
 // transport/protocol/store boundaries and the recovery invariant.
 //
 // Like internal/conc, relaxd is a runtime layer: it does real I/O on
-// real clocks and is therefore exempt from the model-layer determinism
-// lint rules (lock and error discipline still apply in full).
+// real clocks, so its determinism is certified against the simulation
+// by differential tests rather than built in.
 package relaxd
 
 import (

@@ -10,8 +10,7 @@
 // Everything here is deterministic by construction: delays are
 // simulation-time floats scheduled on a sim.Engine, jitter draws come
 // from an injected sim.RNG, and the controller is a pure state machine
-// driven by the caller. The wall clock never appears (relaxlint holds
-// this package to the model-layer determinism rules), so a seeded run
+// driven by the caller. The wall clock never appears, so a seeded run
 // replays bit-for-bit — the same contract the cluster substrate and
 // the experiment harness pin in CI.
 package resilience
