@@ -14,7 +14,7 @@ test: vet
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/value/ ./internal/quorum/ ./internal/automaton/ ./internal/experiments/ ./internal/txn/ ./internal/cluster/ ./internal/commit/ ./internal/sim/ ./internal/resilience/ ./internal/relaxcheck/ ./internal/integration/ ./internal/conc/ ./internal/relaxd/ ./internal/obs/... ./cmd/...
+	$(GO) test -race ./internal/value/ ./internal/quorum/ ./internal/automaton/ ./internal/experiments/ ./internal/txn/ ./internal/cluster/ ./internal/sim/ ./internal/resilience/ ./internal/relaxcheck/ ./internal/integration/ ./internal/conc/ ./internal/relaxd/ ./internal/obs/... ./cmd/...
 
 # Short native-fuzzing smoke: each target gets a bounded budget on top
 # of its checked-in seed corpus (testdata/fuzz). CI runs this; longer

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"relaxlattice/internal/automaton"
-	"relaxlattice/internal/commit"
 	"relaxlattice/internal/core"
 	"relaxlattice/internal/experiments"
 	"relaxlattice/internal/history"
@@ -246,38 +245,6 @@ func BenchmarkStepCheckerStep(b *testing.B) {
 		for _, op := range ops {
 			if !c.Step(op) {
 				b.Fatal("checker died")
-			}
-		}
-	}
-}
-
-func BenchmarkTwoPhaseCommit(b *testing.B) {
-	votes := []commit.Vote{commit.VoteYes, commit.VoteYes, commit.VoteYes, commit.VoteYes, commit.VoteYes}
-	for i := 0; i < b.N; i++ {
-		p := commit.New(5)
-		out := p.Run(votes, commit.Faults{})
-		if out.Coordinator != commit.DecisionCommit {
-			b.Fatal("did not commit")
-		}
-	}
-}
-
-func BenchmarkStoreTransfer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := txn.NewStore()
-		fund := s.Begin()
-		_ = s.Credit(fund, "a", 1000)
-		_ = s.Commit(fund)
-		for j := 0; j < 32; j++ {
-			t := s.Begin()
-			if _, err := s.Debit(t, "a", 1); err != nil {
-				b.Fatal(err)
-			}
-			if err := s.Credit(t, "b", 1); err != nil {
-				b.Fatal(err)
-			}
-			if err := s.Commit(t); err != nil {
-				b.Fatal(err)
 			}
 		}
 	}

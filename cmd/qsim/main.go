@@ -71,7 +71,19 @@ func main() {
 	}
 }
 
+// checkSites rejects cluster sizes the taxi quorum assignments cannot
+// be built for (quorum.TaxiAssignments panics below 3 sites).
+func checkSites(sites int) error {
+	if sites < 3 {
+		return fmt.Errorf("-sites %d: taxi assignments need ≥ 3 sites", sites)
+	}
+	return nil
+}
+
 func run(w io.Writer, sites, ops int, seed int64, pCrash, pRepair, pPartition float64, assignment string, degrade bool) error {
+	if err := checkSites(sites); err != nil {
+		return err
+	}
 	assigns := quorum.TaxiAssignments(sites)
 	voting, ok := assigns[assignment]
 	if !ok {
@@ -187,6 +199,9 @@ func run(w io.Writer, sites, ops int, seed int64, pCrash, pRepair, pPartition fl
 // runAdaptive drives one adaptive client through a stochastic fault
 // regime on a discrete-event engine and audits the outcome.
 func runAdaptive(w io.Writer, sites, ops int, seed int64, faultCfg cluster.FaultConfig, horizon float64, onlineCheck bool) error {
+	if err := checkSites(sites); err != nil {
+		return err
+	}
 	opts := resilience.DefaultOptions()
 	fmt.Fprintf(w, "adaptive taxi queue: %d sites, ladder Q1Q2 → Q1 → none, %d ops, horizon %.0f\n", sites, ops, horizon)
 	fmt.Fprintf(w, "faults until t=%.0f: MTTF=%g MTTR=%g MTBP=%g dwell=%g\n\n",

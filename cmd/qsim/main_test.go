@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"relaxlattice/internal/cluster"
 )
 
 func TestQsimRunDeterministic(t *testing.T) {
@@ -29,6 +31,17 @@ func TestQsimUnknownAssignment(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, 5, 10, 1, 0, 0, 0, "nope", true); err == nil {
 		t.Errorf("expected error")
+	}
+}
+
+// Fewer than 3 sites is an error in both modes, not a panic.
+func TestQsimTooFewSites(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf, 1, 10, 1, 0, 0, 0, "Q1Q2", true); err == nil {
+		t.Errorf("run: expected error for 1 site")
+	}
+	if err := runAdaptive(&buf, 2, 10, 1, cluster.FaultConfig{}, 100, false); err == nil {
+		t.Errorf("runAdaptive: expected error for 2 sites")
 	}
 }
 

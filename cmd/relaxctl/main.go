@@ -118,7 +118,7 @@ observability flags (run):
   -trace F     write the logical-clock event journal (JSON Lines) to F;
                same byte-determinism guarantee
   -pprof ADDR  serve net/http/pprof on ADDR; scheduling-dependent
-               runtime metrics (cache hit rates, shard shapes) appear
+               runtime metrics (view-cache hit rates, shard shapes) appear
                at /debug/vars under "relaxlattice"
   (trace also accepts -trace F to journal its degradation episodes)`)
 	return nil

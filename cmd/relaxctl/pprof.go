@@ -19,8 +19,8 @@ import (
 var pprofOnce sync.Once
 
 // startPprof serves net/http/pprof and expvar on addr, and installs the
-// runtime observability registry: scheduling-dependent metrics (step-
-// cache and view-cache hit rates, shard shapes) are published live at
+// runtime observability registry: scheduling-dependent metrics (view-
+// cache hit rates, shard shapes) are published live at
 // /debug/vars under "relaxlattice" — deliberately kept out of the
 // deterministic -metrics snapshot, whose bytes must not depend on the
 // scheduler. Listening starts synchronously so a bad address fails the

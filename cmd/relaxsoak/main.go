@@ -102,6 +102,11 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch *mode {
+	case "cluster", "txn", "both", "conc", "audit", "longhaul":
+	default:
+		return fmt.Errorf("unknown -mode %q (want cluster, txn, both, conc, audit or longhaul)", *mode)
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

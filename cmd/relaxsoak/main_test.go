@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -111,6 +112,22 @@ func TestAuditRejectsMissingHistory(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-mode", "audit"}, &out); err == nil {
 		t.Fatal("audit without -history succeeded")
+	}
+}
+
+// TestUnknownModeFails: a mistyped -mode must fail naming the valid
+// modes, not soak nothing and report success.
+func TestUnknownModeFails(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-mode", "bogus"}, &out)
+	if err == nil {
+		t.Fatalf("-mode bogus succeeded:\n%s", out.String())
+	}
+	if !strings.Contains(err.Error(), "cluster, txn, both, conc, audit or longhaul") {
+		t.Fatalf("error does not name the modes: %v", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("-mode bogus printed a report:\n%s", out.String())
 	}
 }
 

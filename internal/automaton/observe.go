@@ -16,11 +16,10 @@ import (
 //     exactly), so the final snapshot is byte-stable across worker
 //     counts. These metrics go into `relaxctl run -metrics`.
 //   - ObserveEngineRuntime installs the *runtime* registry for
-//     scheduling-dependent quantities: step-cache hits and misses (two
-//     workers can race to compute the same key, so the split varies
-//     run to run) and shard sizes/imbalance (they depend on the worker
-//     count by construction). These are published via expvar under
-//     -pprof and must never be written to the deterministic snapshot.
+//     scheduling-dependent quantities: shard sizes/imbalance (they
+//     depend on the worker count by construction). These are published
+//     via expvar under -pprof and must never be written to the
+//     deterministic snapshot.
 //
 // Both registries are held in atomic pointers so installation needs no
 // lock and uninstalled observation costs one atomic load per depth.
@@ -50,8 +49,6 @@ func ObserveEngine(r *obs.Registry) {
 // ObserveEngineRuntime installs (or uninstalls) the runtime registry
 // for scheduling-dependent engine metrics:
 //
-//	engine.stepcache.hits     counter: memoized-transition cache hits
-//	engine.stepcache.misses   counter: memoized-transition cache misses
 //	engine.shard.expands      counter: sharded depth expansions
 //	engine.shard.workers      gauge (max): widest worker fan-out used
 //	engine.shard.imbalance    histogram: per-expansion max−min chunk output sizes
@@ -92,12 +89,4 @@ func observeShards(parts [][]childUpdate) {
 	r.Counter("engine.shard.expands").Add(1)
 	r.Gauge("engine.shard.workers").Max(int64(len(parts)))
 	r.Histogram("engine.shard.imbalance", frontierBounds).Observe(int64(maxSz - minSz))
-}
-
-// stepCacheCounters resolves the runtime step-cache counters against
-// the registry installed at construction time (nil registry → nil
-// counters → no-op adds on the hot path).
-func stepCacheCounters() (hits, misses *obs.Counter) {
-	r := engineRT.Load()
-	return r.Counter("engine.stepcache.hits"), r.Counter("engine.stepcache.misses")
 }

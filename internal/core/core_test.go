@@ -225,6 +225,20 @@ func TestStutteringAndCombinedLattices(t *testing.T) {
 	if !automaton.Accepts(bottom, h) {
 		t.Errorf("Stuttering_3 should accept triple service")
 	}
+	// Bottom of the combined lattice accepts a reorder and a stutter in
+	// one history — neither component queue alone does (Section 4.2.2).
+	combBottom, _ := comb.Phi(comb.Universe.Named(ConstraintCk(3)))
+	mixed := history.History{history.Enq(1), history.Enq(2), history.DeqOk(2), history.DeqOk(2), history.DeqOk(1)}
+	if !automaton.Accepts(combBottom, mixed) {
+		t.Errorf("%s should accept the mixed reorder-and-stutter history", combBottom.Name())
+	}
+	semi := SemiqueueLattice(3)
+	semiBottom, _ := semi.Phi(semi.Universe.Named(ConstraintCk(3)))
+	for _, a := range []automaton.Automaton{bottom, semiBottom} {
+		if automaton.Accepts(a, mixed) {
+			t.Errorf("%s alone should reject the mixed history", a.Name())
+		}
+	}
 }
 
 func TestSpoolUniversePanics(t *testing.T) {

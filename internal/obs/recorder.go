@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -155,40 +154,6 @@ func (r *Recorder) SetObserver(fn func(Event)) {
 	r.observer = fn
 }
 
-// CompactBefore drops every event with T < t — the checkpoint-keyed
-// journal compaction of the audit sidecar: once a checker checkpoint
-// at logical time t is durable, the events before it are evidence the
-// checkpoint has absorbed, and a bounded-memory sidecar may forget
-// them (what is lost is forensic attribution for that prefix, never a
-// future verdict — see DESIGN.md §14). It returns the number of events
-// dropped; no-op on nil.
-func (r *Recorder) CompactBefore(t int64) int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	kept := r.events[:0]
-	for _, e := range r.events {
-		if e.T >= t {
-			kept = append(kept, e)
-		}
-	}
-	dropped := len(r.events) - len(kept)
-	r.events = kept
-	return dropped
-}
-
-// Span records a begin/end pair as two events sharing the attrs —
-// "<name>.begin" at t0 and "<name>.end" at t1. It no-ops on nil.
-func (r *Recorder) Span(t0, t1 int64, name string, attrs ...KV) {
-	if r == nil {
-		return
-	}
-	r.Record(t0, name+".begin", attrs...)
-	r.Record(t1, name+".end", attrs...)
-}
-
 // Append moves every event of src onto r in src's recorded order —
 // the deterministic merge primitive: create one scratch Recorder per
 // unit of work, then Append them in unit order. Appending nil, or onto
@@ -227,18 +192,6 @@ func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Event(nil), r.events...)
-}
-
-// SortStable stably sorts the journal by logical time, preserving
-// recorded order among equal times. Useful when a caller interleaves
-// recorders whose clocks share a domain. No-op on nil.
-func (r *Recorder) SortStable() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sort.SliceStable(r.events, func(i, j int) bool { return r.events[i].T < r.events[j].T })
 }
 
 // WriteJSONL writes the journal as JSON Lines, one event per line —

@@ -54,35 +54,11 @@ func TestRecorderAppendOrder(t *testing.T) {
 	}
 }
 
-func TestRecorderSortStable(t *testing.T) {
-	r := NewRecorder()
-	r.Record(2, "late")
-	r.Record(1, "early-a")
-	r.Record(1, "early-b")
-	r.SortStable()
-	evs := r.Events()
-	if evs[0].Name != "early-a" || evs[1].Name != "early-b" || evs[2].Name != "late" {
-		t.Fatalf("sort order wrong: %v", evs)
-	}
-}
-
-func TestRecorderSpan(t *testing.T) {
-	r := NewRecorder()
-	r.Span(1, 9, "phase", KV{K: "id", V: "E01"})
-	evs := r.Events()
-	if len(evs) != 2 || evs[0].Name != "phase.begin" || evs[0].T != 1 ||
-		evs[1].Name != "phase.end" || evs[1].T != 9 {
-		t.Fatalf("span events wrong: %v", evs)
-	}
-}
-
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(1, "x")
-	r.Span(1, 2, "y")
 	r.Append(NewRecorder())
 	NewRecorder().Append(r)
-	r.SortStable()
 	if r.Len() != 0 || r.Events() != nil {
 		t.Fatal("nil recorder should be empty")
 	}

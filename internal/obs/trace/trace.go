@@ -312,31 +312,6 @@ func (s *SpanRef) End(attrs ...obs.KV) int64 {
 	return end
 }
 
-// Emit records a completed root span with explicit boundaries — for
-// converters that rebuild spans from an existing journal, like
-// internal/conc's linearization-point Journal where each operation
-// occupies its ticket index. The ID is derived exactly like Begin's;
-// the returned ID is 0 on a nil tracer.
-func (t *Tracer) Emit(name string, start, end int64, links []SpanID, attrs ...obs.KV) SpanID {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	idx := t.nroots
-	t.nroots++
-	t.mu.Unlock()
-	id := deriveID(t.track, idx)
-	t.record(Span{
-		ID:    id,
-		Name:  name,
-		Start: start,
-		End:   end,
-		Links: links,
-		Attrs: append([]obs.KV(nil), attrs...),
-	})
-	return id
-}
-
 // record appends a completed span and notifies the mirror (outside the
 // lock, like obs.Recorder's observer).
 func (t *Tracer) record(sp Span) {

@@ -299,17 +299,3 @@ func TestChromeExportSchema(t *testing.T) {
 		t.Fatalf("chrome export not deterministic")
 	}
 }
-
-func TestRecorderCompactBefore(t *testing.T) {
-	r := obs.NewRecorder()
-	for i := 0; i < 10; i++ {
-		r.Record(int64(i), "ev")
-	}
-	if n := r.CompactBefore(7); n != 7 {
-		t.Fatalf("dropped %d, want 7", n)
-	}
-	evs := r.Events()
-	if len(evs) != 3 || evs[0].T != 7 {
-		t.Fatalf("compaction kept %v", evs)
-	}
-}

@@ -8,9 +8,9 @@ import (
 
 // viewRT is the runtime-only registry for the compiled automaton's
 // transposition cache. Hit/miss splits are scheduling-dependent (two
-// exploration workers can race to compute the same transition), so —
-// like the engine's step cache — they are published via expvar under
-// -pprof and never written to the deterministic snapshot.
+// exploration workers can race to compute the same transition), so
+// they are published via expvar under -pprof and never written to the
+// deterministic snapshot.
 var viewRT atomic.Pointer[obs.Registry]
 
 // ObserveRuntime installs (or, with nil, uninstalls) the runtime

@@ -73,9 +73,9 @@ func OnlineAtomic(s Schedule, a automaton.Automaton) bool {
 }
 
 // HybridAtomic reports the hybrid-atomicity property of Section 4.1:
-// committed transactions serialize in the order they committed. It is
-// the guarantee of strict two-phase locking, and the property our queue
-// runtimes are verified against.
+// committed transactions serialize in the order they committed. The
+// paper cites strict two-phase locking as a mechanism that guarantees
+// it; here it is the property our queue runtimes are verified against.
 func HybridAtomic(s Schedule, a automaton.Automaton) bool {
 	return SerializableInOrder(s.Perm(), a, s.Committed())
 }

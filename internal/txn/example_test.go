@@ -34,23 +34,3 @@ func ExampleQueue() {
 	// FIFO atomic:        false
 	// Semiqueue_2 atomic: true
 }
-
-// Transfers between accounts run under strict two-phase locking with
-// automatic deadlock retry; money is conserved and no account is ever
-// overdrawn.
-func ExampleExecutor() {
-	e := txn.NewExecutor()
-	_ = e.Run(func(tx *txn.Tx) error { return tx.Credit("alice", 10) })
-	err := e.Run(func(tx *txn.Tx) error {
-		if _, err := tx.Debit("alice", 4); err != nil {
-			return err
-		}
-		return tx.Credit("bob", 4)
-	})
-	balances, _ := e.Store.Snapshot()
-	fmt.Println("err:", err)
-	fmt.Println("alice:", balances["alice"], "bob:", balances["bob"])
-	// Output:
-	// err: <nil>
-	// alice: 6 bob: 4
-}

@@ -91,13 +91,3 @@ func (cq *ConcurrentQueue) Observe(reg *obs.Registry, rec *obs.Recorder) {
 	defer cq.mu.Unlock()
 	cq.q.Observe(reg, rec)
 }
-
-// Observe attaches a metrics registry to the lock table. Counters:
-//
-//	txn.lock.acquire     new or upgraded grants
-//	txn.lock.wait        conflicts that would block
-//	txn.lock.deadlock    grants refused to break a wait-for cycle
-//	txn.lock.release     ReleaseAll calls (strict 2PL release points)
-func (lm *LockManager) Observe(reg *obs.Registry) {
-	lm.reg = reg
-}

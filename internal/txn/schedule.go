@@ -1,9 +1,9 @@
 // Package txn implements the atomic-object machinery of Section 4:
 // transactional schedules, well-formedness, serializability
 // (Definition 5), atomicity (Definition 6), on-line atomicity
-// (Definition 7), hybrid atomicity, a strict two-phase-locking manager,
-// and the three print-spooler queue runtimes of Section 4.2 — blocking
-// FIFO, optimistic (semiqueue), and pessimistic (stuttering queue).
+// (Definition 7), hybrid atomicity, and the three print-spooler queue
+// runtimes of Section 4.2 — blocking FIFO, optimistic (semiqueue), and
+// pessimistic (stuttering queue).
 package txn
 
 import (
