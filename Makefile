@@ -24,7 +24,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzEngineMatchesNaive -fuzztime=20s ./internal/automaton/
 	$(GO) test -fuzz=FuzzTaxiLatticeMonotonicity -fuzztime=20s ./internal/lattice/
 	$(GO) test -fuzz=FuzzStepCheckerMatchesOffline -fuzztime=20s ./internal/relaxcheck/
-	$(GO) test -fuzz=FuzzCheckpointResume -fuzztime=20s ./internal/relaxcheck/
 	$(GO) test -fuzz=FuzzCertifyMatchesReplay -fuzztime=20s ./internal/relaxcheck/
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=20s ./internal/relaxd/
 	$(GO) test -fuzz=FuzzWALOpen -fuzztime=20s ./internal/relaxd/

@@ -241,7 +241,7 @@ func BenchmarkStepCheckerStep(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := lattice.NewStepChecker(lat, 0)
+		c := lattice.NewStepChecker(lat)
 		for _, op := range ops {
 			if !c.Step(op) {
 				b.Fatal("checker died")

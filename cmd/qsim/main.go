@@ -100,7 +100,7 @@ func run(w io.Writer, sites, ops int, seed int64, pCrash, pRepair, pPartition fl
 	g := sim.NewRNG(seed)
 	counts := sim.NewCounter()
 	lat := core.TaxiSimpleLattice()
-	checker := lattice.NewStepChecker(lat, 0)
+	checker := lattice.NewStepChecker(lat)
 	describe := func(sets []lattice.Set) string {
 		parts := make([]string, 0, len(sets))
 		for _, s := range sets {

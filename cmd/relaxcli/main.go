@@ -74,8 +74,14 @@ func run(args []string, w io.Writer) error {
 	if (*opText == "") == (*ops == 0) {
 		return fmt.Errorf("exactly one of -op or -ops is required")
 	}
+	if *clients < 1 {
+		return fmt.Errorf("-clients %d: need at least 1 client", *clients)
+	}
 	addrs := strings.Split(*peers, ",")
 	n := len(addrs)
+	if n < 3 {
+		return fmt.Errorf("-peers names %d sites: taxi assignments need ≥ 3 sites", n)
+	}
 	assignments := quorum.TaxiAssignments(n)
 	gate, ok := assignments[*rung]
 	if !ok {

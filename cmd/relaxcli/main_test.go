@@ -125,6 +125,21 @@ func TestFlagAndOpValidation(t *testing.T) {
 	if err := run([]string{"-peers", "a,b,c", "-op", "Push(1)"}, &out); err == nil {
 		t.Fatal("bad -op accepted")
 	}
+	// Bad sizes are errors naming the flag, not panics.
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-peers", "a,b", "-ops", "3"}, "-peers"},
+		{[]string{"-peers", "a", "-op", "Deq"}, "-peers"},
+		{[]string{"-peers", "a,b,c", "-clients", "0", "-ops", "3"}, "-clients"},
+		{[]string{"-peers", "a,b,c", "-clients", "0", "-op", "Deq"}, "-clients"},
+	} {
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Fatalf("%v: err = %v, want one naming %s", tc.args, err, tc.flag)
+		}
+	}
 	if _, err := parseInvocation("Enq(x)"); err == nil {
 		t.Fatal("Enq(x) parsed")
 	}

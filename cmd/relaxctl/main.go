@@ -170,6 +170,11 @@ func runExperiments(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if cfg.Sites < 3 {
+		// The cluster experiments build quorum.TaxiAssignments, which
+		// panics below 3 sites.
+		return fmt.Errorf("-sites %d: taxi assignments need ≥ 3 sites", cfg.Sites)
+	}
 	if *pprofAddr != "" {
 		if err := startPprof(*pprofAddr); err != nil {
 			return err

@@ -58,6 +58,18 @@ func TestRunSingleExperiment(t *testing.T) {
 	}
 }
 
+// TestRunRejectsTooFewSites: fewer than 3 sites is an error naming the
+// flag, not a panic inside quorum.TaxiAssignments.
+func TestRunRejectsTooFewSites(t *testing.T) {
+	out, err := runCmd(t, "run", "-sites", "2", "X06")
+	if err == nil || !strings.Contains(err.Error(), "-sites") {
+		t.Fatalf("run -sites 2 X06: err = %v", err)
+	}
+	if out != "" {
+		t.Fatalf("rejected run printed output: %q", out)
+	}
+}
+
 func TestLatticeCommand(t *testing.T) {
 	out, err := runCmd(t, "lattice", "account")
 	if err != nil {

@@ -63,9 +63,6 @@ func (c longhaulConfig) storeOptions() relaxd.StoreOptions {
 }
 
 func runLonghaul(w io.Writer, cfg longhaulConfig) error {
-	if cfg.sites < 3 {
-		return fmt.Errorf("longhaul needs at least 3 sites, have %d", cfg.sites)
-	}
 	if cfg.wipeEvery < 1 {
 		cfg.wipeEvery = 1
 	}

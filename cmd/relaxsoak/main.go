@@ -18,6 +18,12 @@
 // the deterministic artifact — it names the structure, its claim, and
 // the certification outcome, never schedule-dependent counts.
 //
+// A fourth mode, audit, is the audit sidecar: it replays an exported
+// observed history (-history, written by a cluster, txn, longhaul or
+// relaxcli run) through the online checker alone and prints the
+// verdict. The verdict is a function of the history, so an audit that
+// is killed is simply run again (DESIGN.md §14).
+//
 // A fifth mode, longhaul, is the kill-9 soak battery: a real networked
 // relaxd service (TCP listeners, durable segmented WALs, pooled
 // multiplexed transport) under sustained client load while sites are
@@ -27,22 +33,12 @@
 // strongest taxi rung. Unlike cluster/txn runs it is genuinely
 // nondeterministic; the verdict lines are the artifact.
 //
-// A fourth mode, audit, is the checkpointable audit sidecar: it replays
-// an exported observed history (-history, written by a cluster or txn
-// run) through the online checker alone, writing a resumable checkpoint
-// every -checkpoint-every operations. A run killed at any point (or cut
-// short with -stop-at) resumes from its checkpoint (-resume) and, by
-// the checkpoint/restore soundness property (DESIGN.md §14), reaches
-// exactly the verdicts of the run that was never interrupted.
-//
 // Usage:
 //
 //	relaxsoak [-mode cluster|txn|both|conc|audit|longhaul] [-workload uniform|bursty|skewed|fault-correlated|all]
 //	          [-seed N] [-clients N] [-ops N] [-sites N] [-dequeuers N]
-//	          [-workers N] [-sample N] [-calm] [-metrics F] [-trace F]
-//	          [-spans F] [-flight F] [-history F]
-//	          [-lattice taxi|spool] [-checkpoint F] [-checkpoint-every N]
-//	          [-resume F] [-stop-at N] [-window N] [-frontier-cap N]
+//	          [-workers N] [-calm] [-metrics F] [-trace F]
+//	          [-spans F] [-flight F] [-history F] [-lattice taxi|spool]
 //	          [-kill-every D] [-wipe-every N] [-dir P]
 package main
 
@@ -81,7 +77,6 @@ func run(args []string, w io.Writer) error {
 	sites := fs.Int("sites", 5, "cluster sites")
 	dequeuers := fs.Int("dequeuers", 3, "txn-mode concurrent dequeuer bound (spool universe size)")
 	workers := fs.Int("workers", 4, "conc-mode goroutines per structure")
-	sample := fs.Int("sample", 0, "record the checker verdict every N ops")
 	calm := fs.Bool("calm", false, "disable the stochastic background fault process (cluster mode)")
 	metricsPath := fs.String("metrics", "", "write the deterministic metrics snapshot (JSON) to this file")
 	tracePath := fs.String("trace", "", "write the logical-clock event journal (JSON Lines) to this file")
@@ -89,12 +84,6 @@ func run(args []string, w io.Writer) error {
 	flightPath := fs.String("flight", "", "on the first violation, dump the degradation flight recorder (JSON Lines) to this file")
 	historyPath := fs.String("history", "", "cluster/txn: write the audited history to this file; audit: read it")
 	auditLattice := fs.String("lattice", "taxi", "audit-mode lattice: taxi (cluster histories) or spool (txn histories)")
-	checkpointPath := fs.String("checkpoint", "", "audit mode: write a resumable checker checkpoint to this file")
-	checkpointEvery := fs.Int("checkpoint-every", 1000, "audit mode: checkpoint every N observed operations (plus one at exit)")
-	resumePath := fs.String("resume", "", "audit mode: resume from this checkpoint instead of the empty history")
-	stopAt := fs.Int("stop-at", 0, "audit mode: stop after N total operations (simulates a kill; 0 = run to the end)")
-	window := fs.Int("window", 0, "audit mode: keep only the most recent N sampled verdicts")
-	frontierCap := fs.Int("frontier-cap", 0, "audit mode: abandon lattice elements whose frontier exceeds N states (bounded memory; suppresses violations while any element is abandoned)")
 	killEvery := fs.Duration("kill-every", 100*time.Millisecond, "longhaul mode: dwell between hard kill cycles")
 	wipeEvery := fs.Int("wipe-every", 3, "longhaul mode: every Nth kill cycle wipes the victim's store (rejoin via snapshot shipping)")
 	dir := fs.String("dir", "", "longhaul mode: store root directory (empty = a temp dir, removed at exit)")
@@ -106,6 +95,16 @@ func run(args []string, w io.Writer) error {
 	case "cluster", "txn", "both", "conc", "audit", "longhaul":
 	default:
 		return fmt.Errorf("unknown -mode %q (want cluster, txn, both, conc, audit or longhaul)", *mode)
+	}
+	switch {
+	case *ops < 1:
+		return fmt.Errorf("-ops %d: need at least 1 operation", *ops)
+	case *clients < 1:
+		return fmt.Errorf("-clients %d: need at least 1 client", *clients)
+	case *workers < 1:
+		return fmt.Errorf("-workers %d: need at least 1 worker", *workers)
+	case *sites < 3 && (*mode == "cluster" || *mode == "both" || *mode == "longhaul"):
+		return fmt.Errorf("-sites %d: taxi assignments need ≥ 3 sites", *sites)
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -133,18 +132,7 @@ func run(args []string, w io.Writer) error {
 	}
 
 	if *mode == "audit" {
-		return runAudit(w, auditConfig{
-			historyPath:     *historyPath,
-			lattice:         *auditLattice,
-			dequeuers:       *dequeuers,
-			sample:          *sample,
-			window:          *window,
-			frontierCap:     *frontierCap,
-			checkpointPath:  *checkpointPath,
-			checkpointEvery: *checkpointEvery,
-			resumePath:      *resumePath,
-			stopAt:          *stopAt,
-		})
+		return runAudit(w, *historyPath, *auditLattice, *dequeuers)
 	}
 
 	if *mode == "conc" {
@@ -202,7 +190,6 @@ func run(args []string, w io.Writer) error {
 				Sites:       *sites,
 				Metrics:     reg,
 				Trace:       rec,
-				SampleEvery: *sample,
 				Spans:       spans,
 				OnViolation: onViolation,
 			}
@@ -224,7 +211,6 @@ func run(args []string, w io.Writer) error {
 				Dequeuers:   *dequeuers,
 				Metrics:     reg,
 				Trace:       rec,
-				SampleEvery: *sample,
 				Spans:       spans,
 				OnViolation: onViolation,
 			})
@@ -304,31 +290,22 @@ func printReport(w io.Writer, mode string, kind relaxcheck.Kind, r *relaxcheck.S
 		mode, kind, r.Ops, r.Completed, r.Failed, r.Steps, r.Level, floor, r.MaxFrontier)
 }
 
-// auditConfig gathers the audit-sidecar flags.
-type auditConfig struct {
-	historyPath     string
-	lattice         string
-	dequeuers       int
-	sample          int
-	window          int
-	frontierCap     int
-	checkpointPath  string
-	checkpointEvery int
-	resumePath      string
-	stopAt          int
-}
-
 // runAudit replays an exported observed history through the online
-// checker alone — the audit sidecar. Checkpoints are written every
-// checkpointEvery operations plus once at exit, so killing the process
-// anywhere loses at most checkpointEvery operations of progress and
-// never any soundness: resuming from the latest checkpoint reproduces
-// the uninterrupted run's verdicts exactly.
-func runAudit(w io.Writer, cfg auditConfig) error {
-	if cfg.historyPath == "" {
+// checker alone — the audit sidecar.
+func runAudit(w io.Writer, historyPath, latName string, dequeuers int) error {
+	if historyPath == "" {
 		return fmt.Errorf("-mode audit requires -history (an exported observed history)")
 	}
-	hf, err := os.Open(cfg.historyPath)
+	var lat *lattice.Relaxation
+	switch latName {
+	case "taxi":
+		lat = core.TaxiSimpleLattice()
+	case "spool":
+		lat = core.SemiqueueLattice(dequeuers)
+	default:
+		return fmt.Errorf("unknown audit lattice %q (want taxi or spool)", latName)
+	}
+	hf, err := os.Open(historyPath)
 	if err != nil {
 		return err
 	}
@@ -338,70 +315,15 @@ func runAudit(w io.Writer, cfg auditConfig) error {
 		return err
 	}
 
-	var lat *lattice.Relaxation
-	switch cfg.lattice {
-	case "taxi":
-		lat = core.TaxiSimpleLattice()
-	case "spool":
-		lat = core.SemiqueueLattice(cfg.dequeuers)
-	default:
-		return fmt.Errorf("unknown audit lattice %q (want taxi or spool)", cfg.lattice)
+	checker := relaxcheck.New(lat, relaxcheck.Options{})
+	for _, op := range h {
+		checker.ObserveOp(op)
 	}
-	opts := relaxcheck.Options{
-		SampleEvery: cfg.sample,
-		Window:      cfg.window,
-		FrontierCap: cfg.frontierCap,
-	}
-
-	checker := relaxcheck.New(lat, opts)
-	start := 0
-	if cfg.resumePath != "" {
-		rf, err := os.Open(cfg.resumePath)
-		if err != nil {
-			return err
-		}
-		checker, err = relaxcheck.Resume(lat, opts, rf)
-		rf.Close()
-		if err != nil {
-			return err
-		}
-		start = checker.Steps()
-		if start > len(h) {
-			return fmt.Errorf("checkpoint is %d operations ahead of the %d-operation history", start, len(h))
-		}
-	}
-	stop := len(h)
-	if cfg.stopAt > 0 && cfg.stopAt < stop {
-		stop = cfg.stopAt
-	}
-
-	writeCheckpoint := func() error {
-		if cfg.checkpointPath == "" {
-			return nil
-		}
-		return writeFile(cfg.checkpointPath, checker.Checkpoint)
-	}
-	for i := start; i < stop; i++ {
-		checker.ObserveOp(h[i])
-		if cfg.checkpointEvery > 0 && (i+1-start)%cfg.checkpointEvery == 0 {
-			if err := writeCheckpoint(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := writeCheckpoint(); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "audit    %-16s ops=%d from=%d to=%d level=%s abandoned=%d maxfrontier=%d\n",
-		cfg.lattice, len(h), start, stop, checker.Level(), checker.Abandoned(), checker.MaxFrontier())
+	fmt.Fprintf(w, "audit    %-16s ops=%d level=%s maxfrontier=%d\n",
+		latName, len(h), checker.Level(), checker.MaxFrontier())
 	if v := checker.Violation(); v != nil {
 		fmt.Fprintf(w, "  FAIL: %v\n", v)
 		return fmt.Errorf("lattice-level violations detected")
-	}
-	if stop < len(h) {
-		fmt.Fprintf(w, "audit stopped at %d of %d operations (resumable from the checkpoint)\n", stop, len(h))
-		return nil
 	}
 	fmt.Fprintln(w, "audited history stays inside its relaxation lattice")
 	return nil

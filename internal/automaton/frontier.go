@@ -6,112 +6,41 @@ import (
 )
 
 // Frontier maintains δ*(s₀, h) for an incrementally extended history:
-// the exploration engine's state-set representation (deduplicated,
-// sorted, canonically keyed — engine.go's setKey) applied one operation
-// at a time. Where Accepts replays the whole history on every call —
-// O(|h|) automaton steps per query, O(|h|²) for a growing history — a
-// Frontier pays one stepAll per operation, amortized O(frontier size),
-// which is what makes online relaxation checking tractable on 10k-op
-// soak runs.
+// the exploration engine's state-set representation (deduplicated and
+// sorted) applied one operation at a time. Where Accepts replays the
+// whole history on every call — O(|h|) automaton steps per query,
+// O(|h|²) for a growing history — a Frontier pays one stepAll per
+// operation, amortized O(frontier size), which is what makes online
+// relaxation checking tractable on 10k-op soak runs.
 //
 // Once a prefix is rejected the frontier is dead forever (languages of
-// simple object automata are prefix-closed); further Steps only count
-// operations.
+// simple object automata are prefix-closed); further Steps keep
+// returning false.
 //
 // A Frontier is not safe for concurrent use; callers serialize Steps.
 type Frontier struct {
 	a      Automaton
 	states []value.Value // nil = dead; otherwise deduplicated + sorted
-	key    string        // canonical key of states; "" = not yet computed
-	steps  int
-	peak   int
-
-	// memo caches state-set transitions keyed by (set key, op key), the
-	// same state-class identification the exploration engine memoizes
-	// on. It pays off on automata whose reachable state sets recur
-	// (compiled quorum automata, small cyclic specs) and is bounded by
-	// memoCap entries; 0 disables memoization.
-	memo    map[string][]value.Value
-	memoCap int
 }
 
 // NewFrontier starts a frontier at {s₀} (the empty history).
 func NewFrontier(a Automaton) *Frontier {
-	return &Frontier{a: a, states: []value.Value{a.Init()}, peak: 1}
-}
-
-// EnableMemo turns on transition memoization with the given entry cap
-// (≤ 0 disables it). The cache keys transitions by canonical state-set
-// key, so it is only worthwhile when state keys are short and state
-// sets recur; a full cache stops admitting new entries rather than
-// evicting.
-func (f *Frontier) EnableMemo(cap int) {
-	if cap <= 0 {
-		f.memo = nil
-		f.memoCap = 0
-		return
-	}
-	f.memo = make(map[string][]value.Value)
-	f.memoCap = cap
+	return &Frontier{a: a, states: []value.Value{a.Init()}}
 }
 
 // Step advances the frontier by one operation execution and reports
 // whether the extended history is still accepted.
 func (f *Frontier) Step(op history.Op) bool {
-	f.steps++
 	if f.states == nil {
 		return false
 	}
-	if f.memo == nil {
-		f.states = stepAll(f.a, f.states, op)
-		f.key = ""
-	} else {
-		k := f.Key() + string(setKeySep) + op.String()
-		next, hit := f.memo[k]
-		if !hit {
-			next = stepAll(f.a, f.states, op)
-			if len(f.memo) < f.memoCap {
-				f.memo[k] = next
-			}
-		}
-		f.states = next
-		f.key = ""
-	}
-	if len(f.states) > f.peak {
-		f.peak = len(f.states)
-	}
+	f.states = stepAll(f.a, f.states, op)
 	return f.states != nil
 }
-
-// Alive reports whether the history fed so far is accepted.
-func (f *Frontier) Alive() bool { return f.states != nil }
 
 // Size returns the number of states in the frontier (0 when dead).
 func (f *Frontier) Size() int { return len(f.states) }
 
-// Peak returns the largest frontier size seen so far.
-func (f *Frontier) Peak() int { return f.peak }
-
-// Steps returns the number of operations fed.
-func (f *Frontier) Steps() int { return f.steps }
-
 // States returns the frontier's state set in canonical order. The
 // returned slice is shared; callers must not mutate it.
 func (f *Frontier) States() []value.Value { return f.states }
-
-// Key returns the canonical state-class key of the frontier — the same
-// encoding the exploration engine uses to identify state sets
-// (SetKey). Two frontiers of the same automaton with equal keys accept
-// exactly the same extensions.
-func (f *Frontier) Key() string {
-	if f.key == "" {
-		f.key = setKey(f.states)
-	}
-	return f.key
-}
-
-// SetKey canonically encodes a deduplicated, sorted state set; the
-// empty (dead) set has a reserved key. This is the exploration
-// engine's state-class representation, exported so online checkers can
-// share it.
-func SetKey(states []value.Value) string { return setKey(states) }

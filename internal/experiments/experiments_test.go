@@ -253,6 +253,25 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 }
 
+// At the 1 000-trial floor one standard error of the n=1 estimate is
+// about 0.0095, so E08's tolerance must scale with the trial count for
+// the correct 0.1^n model to hold.
+func TestE08HoldsAtTrialFloor(t *testing.T) {
+	e, _ := Find("E08")
+	for seed := int64(1); seed <= 8; seed++ {
+		cfg := fastConfig()
+		cfg.Seed = seed
+		cfg.Trials = 1000
+		var buf bytes.Buffer
+		if err := e.Run(&buf, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), ": HOLDS") {
+			t.Fatalf("seed %d:\n%s", seed, buf.String())
+		}
+	}
+}
+
 func TestVerdict(t *testing.T) {
 	if verdict(true) != "HOLDS" || verdict(false) != "FAILS" {
 		t.Errorf("verdict strings wrong")

@@ -68,7 +68,7 @@ func TestSoakClusterMonitor(t *testing.T) {
 			MTTF: 12, MTTR: 4, MTBP: 30, PartitionDwell: 8,
 		})
 		faults.Start()
-		m := lattice.NewStepChecker(lat, 0)
+		m := lattice.NewStepChecker(lat)
 		fed := 0
 		at := 0.0
 		for i := 0; i < 400; i++ {

@@ -15,50 +15,31 @@ import (
 // incrementally: each Step is amortized O(Σ frontier sizes) instead of
 // replaying the full history through every automaton.
 //
-// It keeps the domain in a deterministic slice (no map iteration),
-// exposes frontier statistics for observability, and can memoize
-// recurring state-class transitions via the exploration engine's
-// canonical set keys.
+// It keeps the domain in a deterministic slice (no map iteration) and
+// exposes the peak frontier size for observability.
 //
 // A StepChecker is not safe for concurrent use; callers serialize
 // Steps (internal/relaxcheck wraps one in a mutex for live audits).
 type StepChecker struct {
 	lat    *Relaxation
 	sets   []Set                 // φ's domain, strongest first; parallel to fronts
-	fronts []*automaton.Frontier // nil once the element is dead or abandoned
+	fronts []*automaton.Frontier // nil once the element is dead
 	alive  int
 	length int
 	peak   int // largest single-element frontier seen
-
-	// Bounded-memory windowed checking (DESIGN.md §14): when cap > 0,
-	// an element whose frontier outgrows cap states is *abandoned* —
-	// dropped from tracking without being declared dead. Abandoned
-	// elements are excluded from Current (their verdict is unknown),
-	// and callers must not raise exhaustion or claim violations while
-	// nabandoned > 0: an abandoned element could still accept.
-	capN      int
-	abandoned []bool
-	nabandon  int
 }
 
 // NewStepChecker starts a checker at the empty history (every element
-// of φ's domain viable). memoCap > 0 enables per-element transition
-// memoization with that entry cap (see automaton.Frontier.EnableMemo);
-// it pays off on lattices of finite-state automata with short state
-// keys and should stay off for bag/sequence-valued specs.
-func NewStepChecker(lat *Relaxation, memoCap int) *StepChecker {
-	return newStepChecker(lat, 0, memoCap)
+// of φ's domain viable).
+func NewStepChecker(lat *Relaxation) *StepChecker {
+	return NewUpSetChecker(lat, 0)
 }
 
 // NewUpSetChecker starts a checker over only the elements of φ's
 // domain that contain floor — the elements that can cover a claim of
 // floor. Current, Alive and Viable then range over that up-set alone;
-// with floor = ∅ it is NewStepChecker without memoization.
+// with floor = ∅ it is NewStepChecker.
 func NewUpSetChecker(lat *Relaxation, floor Set) *StepChecker {
-	return newStepChecker(lat, floor, 0)
-}
-
-func newStepChecker(lat *Relaxation, floor Set, memoCap int) *StepChecker {
 	var domain []Set
 	for _, s := range lat.Domain() {
 		if floor.SubsetOf(s) {
@@ -75,21 +56,9 @@ func newStepChecker(lat *Relaxation, floor Set, memoCap int) *StepChecker {
 	for i, s := range domain {
 		a, _ := lat.Phi(s)
 		c.fronts[i] = automaton.NewFrontier(a)
-		if memoCap > 0 {
-			c.fronts[i].EnableMemo(memoCap)
-		}
 	}
-	c.abandoned = make([]bool, len(domain))
 	return c
 }
-
-// SetFrontierCap bounds each element's frontier to cap states (≤ 0
-// removes the bound). An element whose frontier exceeds the cap on a
-// later Step is abandoned: no longer tracked, no longer in Current,
-// and — because its verdict is unknown rather than negative — any
-// exhaustion or claim violation raised while Abandoned() > 0 would be
-// unsound. Set it before stepping; it does not retroactively abandon.
-func (c *StepChecker) SetFrontierCap(cap int) { c.capN = cap }
 
 // Step advances every viable lattice element by one operation
 // execution. It returns true while at least one element still accepts
@@ -108,12 +77,6 @@ func (c *StepChecker) Step(op history.Op) bool {
 		}
 		if f.Size() > c.peak {
 			c.peak = f.Size()
-		}
-		if c.capN > 0 && f.Size() > c.capN {
-			c.fronts[i] = nil
-			c.abandoned[i] = true
-			c.nabandon++
-			c.alive--
 		}
 	}
 	return c.alive > 0
@@ -136,11 +99,6 @@ func (c *StepChecker) Len() int { return c.length }
 
 // Alive returns how many lattice elements still accept the history.
 func (c *StepChecker) Alive() int { return c.alive }
-
-// Abandoned returns how many elements were dropped by the frontier cap
-// (verdict unknown, not dead). While this is nonzero, exhaustion and
-// claim violations must not be raised (see SetFrontierCap).
-func (c *StepChecker) Abandoned() int { return c.nabandon }
 
 // Viable reports whether element s still accepts the history.
 func (c *StepChecker) Viable(s Set) bool {

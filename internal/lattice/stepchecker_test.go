@@ -24,9 +24,9 @@ func sameSets(a, b []lattice.Set) bool {
 
 // checkAllPrefixes feeds h one op at a time and asserts the checker's
 // Current equals WeakestAccepting of every prefix.
-func checkAllPrefixes(t *testing.T, lat *lattice.Relaxation, h history.History, memoCap int) {
+func checkAllPrefixes(t *testing.T, lat *lattice.Relaxation, h history.History) {
 	t.Helper()
-	sc := lattice.NewStepChecker(lat, memoCap)
+	sc := lattice.NewStepChecker(lat)
 	if want, ok := lat.WeakestAccepting(nil); !ok || !sameSets(sc.Current(), want) {
 		t.Fatalf("empty history: checker %v, offline %v (ok=%v)", sc.Current(), want, ok)
 	}
@@ -63,8 +63,7 @@ func TestStepCheckerMatchesWeakestAcceptingTable(t *testing.T) {
 		{history.Enq(1), history.Enq(2), history.DeqOk(2), history.DeqOk(2)}, // duplicate after reorder
 	}
 	for _, h := range taxi {
-		checkAllPrefixes(t, core.TaxiSimpleLattice(), h, 0)
-		checkAllPrefixes(t, core.TaxiSimpleLattice(), h, 128)
+		checkAllPrefixes(t, core.TaxiSimpleLattice(), h)
 	}
 	spool := [][]history.Op{
 		{history.Enq(1), history.Enq(2), history.DeqOk(1), history.DeqOk(2)},
@@ -72,8 +71,8 @@ func TestStepCheckerMatchesWeakestAcceptingTable(t *testing.T) {
 		{history.Enq(1), history.DeqOk(1), history.DeqOk(1)},
 	}
 	for _, h := range spool {
-		checkAllPrefixes(t, core.SemiqueueLattice(3), h, 0)
-		checkAllPrefixes(t, core.StutteringLattice(3), h, 0)
+		checkAllPrefixes(t, core.SemiqueueLattice(3), h)
+		checkAllPrefixes(t, core.StutteringLattice(3), h)
 	}
 }
 
@@ -92,7 +91,7 @@ func TestStepCheckerMatchesWeakestAcceptingRandom(t *testing.T) {
 			h = append(h, alphabet[rng.Intn(len(alphabet))])
 		}
 		for _, mk := range lats {
-			checkAllPrefixes(t, mk(), h, 0)
+			checkAllPrefixes(t, mk(), h)
 		}
 	}
 }
@@ -103,13 +102,12 @@ func TestStepCheckerMatchesWeakestAcceptingRandom(t *testing.T) {
 // comparison: Current and Degraded after each op against the offline answer.
 func TestStepCheckerAgreesWithMonitor(t *testing.T) {
 	h := history.History{history.Enq(3), history.Enq(1), history.DeqOk(3), history.DeqOk(3)}
-	checkAllPrefixes(t, core.TaxiSimpleLattice(), h, 0)
-	checkAllPrefixes(t, core.TaxiSimpleLattice(), h, 128)
+	checkAllPrefixes(t, core.TaxiSimpleLattice(), h)
 }
 
 func TestStepCheckerViableAndAlive(t *testing.T) {
 	lat := core.TaxiSimpleLattice()
-	sc := lattice.NewStepChecker(lat, 0)
+	sc := lattice.NewStepChecker(lat)
 	u := lat.Universe
 	if !sc.Viable(u.All()) || sc.Degraded() {
 		t.Fatal("fresh checker already degraded")
@@ -133,7 +131,7 @@ func TestStepCheckerViableAndAlive(t *testing.T) {
 func TestStepCheckerStepAllStopsAtDeath(t *testing.T) {
 	// A phantom dequeue from empty kills every taxi element at step 1.
 	lat := core.TaxiSimpleLattice()
-	sc := lattice.NewStepChecker(lat, 0)
+	sc := lattice.NewStepChecker(lat)
 	h := history.History{history.DeqOk(9), history.Enq(1)}
 	if sc.StepAll(h) {
 		t.Fatal("phantom dequeue accepted")

@@ -1,7 +1,6 @@
 package relaxcheck
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -9,31 +8,6 @@ import (
 	"relaxlattice/internal/history"
 	"relaxlattice/internal/value"
 )
-
-// BenchmarkCheckpointRoundtrip measures the audit sidecar's
-// checkpoint/resume cycle on a warm checker: serialize the full
-// frontier snapshot, then restore it. This is the cost paid once per
-// -checkpoint-every interval, so ns/op here bounds how aggressively a
-// soak can checkpoint.
-func BenchmarkCheckpointRoundtrip(b *testing.B) {
-	lat, opts := spoolOpts()
-	c := New(lat, opts)
-	for _, ev := range genEvents(7, 256) {
-		applyEvent(c, ev)
-	}
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := c.Checkpoint(&buf); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Resume(lat, opts, &buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkAuditObserve measures the steady-state per-op cost of the
 // online checker the audit sidecar replays through.

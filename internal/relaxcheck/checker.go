@@ -85,25 +85,9 @@ type Options struct {
 	// constraint sets they claim. ObserveClaim panics on a name not in
 	// the map — an unmapped rung is a configuration error.
 	Claims map[string]lattice.Set
-	// MemoCap, when positive, enables per-element transition
-	// memoization (see lattice.NewStepChecker).
-	MemoCap int
 	// SampleEvery, when positive, records the checker's verdict every
 	// SampleEvery operations (see Samples).
 	SampleEvery int
-	// Window, when positive, bounds the retained samples to the most
-	// recent Window entries — the bounded-memory mode for audits that
-	// run forever. It bounds observability, not soundness: verdicts
-	// are unaffected.
-	Window int
-	// FrontierCap, when positive, abandons any lattice element whose
-	// frontier outgrows FrontierCap states (bounded-memory windowed
-	// checking). Soundness contract: while any element is abandoned
-	// the checker reports NO violations — an abandoned element could
-	// still accept the history, so both exhaustion and claim verdicts
-	// become unknowable. The checker never reports a false violation;
-	// under a cap it may miss real ones (see DESIGN.md §14).
-	FrontierCap int
 	// OnViolation, when set, is called once, synchronously, at the
 	// first violation. It must not call back into the checker.
 	OnViolation func(Violation)
@@ -131,10 +115,7 @@ type Checker struct {
 // New builds a checker over a relaxation lattice, starting at the
 // empty history.
 func New(lat *lattice.Relaxation, opts Options) *Checker {
-	sc := lattice.NewStepChecker(lat, opts.MemoCap)
-	if opts.FrontierCap > 0 {
-		sc.SetFrontierCap(opts.FrontierCap)
-	}
+	sc := lattice.NewStepChecker(lat)
 	c := &Checker{sc: sc, opts: opts, prevAlive: sc.Alive()}
 	c.lastLevel = formatSets(lat.Universe, sc.Current())
 	return c
@@ -153,11 +134,6 @@ func (c *Checker) ObserveOp(op history.Op) {
 	c.opts.Metrics.Counter("relaxcheck.step").Add(1)
 	c.opts.Metrics.Gauge("relaxcheck.frontier.max").Max(int64(c.sc.MaxFrontier()))
 	switch {
-	// Both violation kinds are suppressed while any element is
-	// abandoned: an abandoned element could still accept the history
-	// (and could cover the claim), so the verdict is unknowable and
-	// raising it would be unsound (Options.FrontierCap).
-	case c.sc.Abandoned() > 0:
 	case !alive:
 		c.violate(Violation{Kind: KindExhausted, Step: c.steps, Op: op, Level: before})
 	case c.haveClaim && !c.covered(c.minClaim):
@@ -170,9 +146,6 @@ func (c *Checker) ObserveOp(op history.Op) {
 	}
 	if c.opts.SampleEvery > 0 && c.steps%c.opts.SampleEvery == 0 {
 		c.samples = append(c.samples, Sample{Step: c.steps, Sets: c.sc.Current()})
-		if c.opts.Window > 0 && len(c.samples) > c.opts.Window {
-			c.samples = c.samples[:copy(c.samples, c.samples[len(c.samples)-c.opts.Window:])]
-		}
 	}
 }
 
@@ -204,7 +177,7 @@ func (c *Checker) ObserveClaim(client int, level string) {
 			obs.KV{K: "level", V: level},
 			obs.KV{K: "floor", V: c.formatClaim()})
 	}
-	if c.sc.Abandoned() == 0 && !c.covered(c.minClaim) {
+	if !c.covered(c.minClaim) {
 		c.violate(Violation{Kind: KindClaim, Step: c.steps,
 			Claim: c.formatClaim(), Level: c.sc.Current()})
 	}
@@ -307,15 +280,6 @@ func (c *Checker) Degraded() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.sc.Degraded()
-}
-
-// Abandoned returns how many lattice elements the frontier cap has
-// dropped (0 without Options.FrontierCap). While nonzero, the checker
-// suppresses violations — see Options.FrontierCap.
-func (c *Checker) Abandoned() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sc.Abandoned()
 }
 
 // MaxFrontier returns the largest per-element automaton frontier seen.

@@ -4,9 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"relaxlattice/internal/automaton"
 	"relaxlattice/internal/core"
 	"relaxlattice/internal/history"
+	"relaxlattice/internal/lattice"
 	"relaxlattice/internal/obs"
+	"relaxlattice/internal/value"
 )
 
 func TestCheckerExhaustedViolation(t *testing.T) {
@@ -295,5 +298,57 @@ func TestCheckerLevelJournal(t *testing.T) {
 	}
 	if levels != 1 {
 		t.Fatalf("%d level events, want 1", levels)
+	}
+}
+
+// growAuto is a deliberately nondeterministic test automaton: each
+// "Grow" op forks every state n into n and n+1000 (states are account
+// balances), and "Die" rejects. The spooler lattices keep singleton
+// frontiers; this one gives the checker a frontier that grows.
+type growAuto struct{}
+
+func (growAuto) Name() string      { return "Grow" }
+func (growAuto) Init() value.Value { return value.Account{Balance: 0} }
+func (g growAuto) Step(s value.Value, op history.Op) []value.Value {
+	n := s.(value.Account).Balance
+	switch op.Name {
+	case "Grow":
+		return []value.Value{value.Account{Balance: n}, value.Account{Balance: n + 1000}}
+	case "Die":
+		return nil
+	}
+	return []value.Value{s}
+}
+
+func growLattice() *lattice.Relaxation {
+	u := lattice.NewUniverse(lattice.Constraint{Name: "G", Desc: "growth bound"})
+	return &lattice.Relaxation{
+		Name:     "GrowLattice",
+		Universe: u,
+		Phi: func(s lattice.Set) (automaton.Automaton, bool) {
+			if s != u.All() {
+				return nil, false // φ defined only at ⊤: a one-element domain
+			}
+			return growAuto{}, true
+		},
+	}
+}
+
+// TestCheckerExhaustedAfterFrontierGrowth: a frontier that grew 1→2→3
+// states still dies as a whole, and the checker reports exhaustion at
+// exactly the op that killed its last state.
+func TestCheckerExhaustedAfterFrontierGrowth(t *testing.T) {
+	grow := history.MakeOp("Grow", nil, history.Ok, nil)
+	die := history.MakeOp("Die", nil, history.Ok, nil)
+	c := New(growLattice(), Options{})
+	c.ObserveOp(grow)
+	c.ObserveOp(grow)
+	if c.MaxFrontier() != 3 || c.Violation() != nil {
+		t.Fatalf("after two Grows: maxfrontier=%d violation=%v, want 3 and none", c.MaxFrontier(), c.Violation())
+	}
+	c.ObserveOp(die)
+	v := c.Violation()
+	if v == nil || v.Kind != KindExhausted || v.Step != 3 {
+		t.Fatalf("violation = %v, want exhausted at step 3", v)
 	}
 }

@@ -29,9 +29,9 @@ func sameSets(a, b []lattice.Set) bool {
 // assertOnlineMatchesOffline feeds h through a fresh checker and
 // asserts, after every single operation, that the online verdict and
 // level equal the offline WeakestAccepting of that prefix.
-func assertOnlineMatchesOffline(t *testing.T, lat *lattice.Relaxation, h history.History, memoCap int) {
+func assertOnlineMatchesOffline(t *testing.T, lat *lattice.Relaxation, h history.History) {
 	t.Helper()
-	c := New(lat, Options{MemoCap: memoCap})
+	c := New(lat, Options{})
 	for i, op := range h {
 		c.ObserveOp(op)
 		prefix := h[:i+1]
@@ -72,8 +72,7 @@ func TestDifferentialTable(t *testing.T) {
 	}
 	for _, h := range table {
 		for _, lat := range diffLattices() {
-			assertOnlineMatchesOffline(t, lat, h, 0)
-			assertOnlineMatchesOffline(t, lat, h, 256)
+			assertOnlineMatchesOffline(t, lat, h)
 		}
 	}
 }
@@ -99,7 +98,7 @@ func TestDifferentialSeededWorkloads(t *testing.T) {
 				}
 			}
 			for _, lat := range diffLattices() {
-				assertOnlineMatchesOffline(t, lat, h, 0)
+				assertOnlineMatchesOffline(t, lat, h)
 			}
 		}
 	}
@@ -117,7 +116,7 @@ func TestDifferentialRandomHistories(t *testing.T) {
 			h = append(h, alphabet[rng.Intn(len(alphabet))])
 		}
 		for _, lat := range diffLattices() {
-			assertOnlineMatchesOffline(t, lat, h, 0)
+			assertOnlineMatchesOffline(t, lat, h)
 		}
 	}
 }

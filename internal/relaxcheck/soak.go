@@ -39,9 +39,6 @@ type ClusterSoakConfig struct {
 	// SampleEvery, when positive, records the checker's verdict every
 	// SampleEvery observed operations (for differential audits).
 	SampleEvery int
-	// MemoCap enables checker transition memoization (off by default:
-	// bag-valued taxi states have long keys).
-	MemoCap int
 	// Claims overrides the rung→constraint-set claim table (default
 	// TaxiClaims). Tests use TaxiRungLevels here to demonstrate that
 	// the checker refutes the nominal per-rung claims under mixing.
@@ -149,7 +146,6 @@ func RunClusterSoak(cfg ClusterSoakConfig) (*SoakReport, error) {
 		Metrics:     cfg.Metrics,
 		Trace:       cfg.Trace,
 		Claims:      claims,
-		MemoCap:     cfg.MemoCap,
 		SampleEvery: cfg.SampleEvery,
 		OnViolation: cfg.OnViolation,
 	})

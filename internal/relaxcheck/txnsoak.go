@@ -32,11 +32,10 @@ type TxnSoakConfig struct {
 	// Dequeuers bounds the concurrently active dequeuing transactions
 	// and sizes the spool constraint universe {C₁..C_n} (default 3).
 	Dequeuers int
-	// Metrics, Trace, SampleEvery, MemoCap: as in ClusterSoakConfig.
+	// Metrics, Trace, SampleEvery: as in ClusterSoakConfig.
 	Metrics     *obs.Registry
 	Trace       *obs.Recorder
 	SampleEvery int
-	MemoCap     int
 	// Spans, when set, receives one causal span per transaction on the
 	// schedule-index time axis (the serialization-relevant clock of the
 	// txn layer).
@@ -84,7 +83,6 @@ func RunTxnSoak(cfg TxnSoakConfig) (*SoakReport, error) {
 		Metrics:     cfg.Metrics,
 		Trace:       cfg.Trace,
 		Claims:      SpoolClaims(lat.Universe),
-		MemoCap:     cfg.MemoCap,
 		SampleEvery: cfg.SampleEvery,
 		OnViolation: cfg.OnViolation,
 	})
