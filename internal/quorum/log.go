@@ -69,12 +69,21 @@ func (s byTS) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 // Entries already in strictly increasing timestamp order — a decoded
 // snapshot or shipped log part — are only copied.
 func LogOf(entries ...Entry) Log {
-	sorted := append([]Entry(nil), entries...)
-	if !strictlyIncreasing(sorted) {
-		sort.Stable(byTS(sorted))
-		sorted = dedup(sorted)
+	return Adopt(append([]Entry(nil), entries...))
+}
+
+// Adopt builds a log that takes ownership of entries, the way LogOf
+// builds one from a copy: the caller must not use the slice afterwards.
+// Entries already in strictly increasing timestamp order — a freshly
+// decoded snapshot or shipped log part — become the log as they are;
+// anything else is sorted and deduplicated in place (first occurrence
+// wins).
+func Adopt(entries []Entry) Log {
+	if !strictlyIncreasing(entries) {
+		sort.Stable(byTS(entries))
+		entries = dedup(entries)
 	}
-	return fresh(sorted)
+	return fresh(entries)
 }
 
 // strictlyIncreasing reports whether every timestamp is below the next.
@@ -235,6 +244,14 @@ func (l Log) Entry(i int) Entry { return l.entries[i] }
 
 // Entries returns a copy of the entries in timestamp order.
 func (l Log) Entries() []Entry { return l.Slice(0, len(l.entries)) }
+
+// View returns the entries in timestamp order without copying them. The
+// slice is read-only — callers must not write to it — and capped at its
+// length, so appending to it copies. A reader on another goroutine may
+// keep it while the owner goes on extending the log: an in-place
+// extension writes only past the family's high-water mark, never below
+// any log's length.
+func (l Log) View() []Entry { return l.entries[:len(l.entries):len(l.entries)] }
 
 // Slice returns a copy of entries [from, to) in timestamp order.
 func (l Log) Slice(from, to int) []Entry {

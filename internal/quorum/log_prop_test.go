@@ -62,6 +62,65 @@ func TestLogOfMatchesSortPath(t *testing.T) {
 	}
 }
 
+// Adopt builds the log LogOf and the sort path build on every input
+// shape — presorted, unsorted and duplicate-bearing — and keeps a
+// presorted input's array as the log's own instead of copying it.
+func TestAdoptMatchesLogOf(t *testing.T) {
+	f := func(xs []uint8) bool {
+		var presorted, unsorted, dups []Entry
+		for i, x := range xs {
+			presorted = append(presorted, Entry{TS: Timestamp{Time: i, Site: int(x % 3)}, Op: history.Enq(i)})
+			unsorted = append(unsorted, Entry{TS: Timestamp{Time: len(xs) - i, Site: int(x % 3)}, Op: history.Enq(i)})
+			dups = append(dups, Entry{TS: Timestamp{Time: int(x % 8), Site: 0}, Op: history.Enq(i)})
+		}
+		for _, in := range [][]Entry{presorted, unsorted, dups} {
+			got := Adopt(append([]Entry(nil), in...))
+			if !got.Equal(LogOf(in...)) || !got.Equal(oracleLogOf(in...)) {
+				return false
+			}
+		}
+		if len(presorted) > 0 && &Adopt(presorted).View()[0] != &presorted[0] {
+			return false // a presorted input was copied
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// A View taken before a chain of in-place extensions keeps its entries,
+// and appending to the View copies instead of writing into the array
+// the extensions share.
+func TestViewSurvivesInPlaceExtension(t *testing.T) {
+	entry := func(time, v int) Entry {
+		return Entry{TS: Timestamp{Time: time, Site: 1}, Op: history.Enq(v)}
+	}
+	var l Log
+	for i := 1; i <= 20; i++ {
+		l = l.Append(entry(i, i))
+	}
+	v := l.View()
+	if len(v) != l.Len() || cap(v) != len(v) {
+		t.Fatalf("View has len %d cap %d, want both %d", len(v), cap(v), l.Len())
+	}
+	want := LogOf(l.Entries()...)
+	grown := l
+	for i := 21; i <= 25; i++ {
+		grown = grown.Append(entry(i, i))
+	}
+	if &grown.View()[0] != &v[0] {
+		t.Fatal("the extensions copied: nothing in place left to check")
+	}
+	if !(Log{entries: v}).Equal(want) {
+		t.Fatalf("View changed under in-place extension:\n%s", Log{entries: v})
+	}
+	_ = append(v, entry(21, 999))
+	if got := grown.Entry(20); got.Op.Args[0] != 21 {
+		t.Fatalf("appending to a View wrote into the log: entry 20 is %s", got)
+	}
+}
+
 // Merge is commutative, associative, and idempotent on entry sets
 // (duplicate timestamps collapse), and the empty log is its identity —
 // the algebraic properties that make quorum-consensus log propagation

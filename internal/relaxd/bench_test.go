@@ -147,8 +147,8 @@ func BenchmarkBulkAppend32k(b *testing.B) {
 // BenchmarkJoinFrom32k is one wipe-and-rejoin at relaxbench's recovery
 // size, end to end over Local's wire round trip: fetch the donor's
 // snapshot and WAL suffix, decode them, build the log, certify it with
-// PQCertify and publish it as the joiner's snapshot. The wipe and
-// restart before each join are not timed.
+// PQCertify while it is staged, and publish it as the joiner's snapshot.
+// The wipe and restart before each join are not timed.
 func BenchmarkJoinFrom32k(b *testing.B) {
 	donor, _, err := OpenReplica(0, b.TempDir(), StoreOptions{})
 	if err != nil {

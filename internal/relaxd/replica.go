@@ -219,13 +219,14 @@ func (r *Replica) Handle(req Message) (Message, error) {
 	case MsgFetchState:
 		// Snapshot shipping: the resident log split at the published-
 		// snapshot boundary, so a joiner can account for what came from
-		// the snapshot vs the WAL suffix. Entries() is immutable-shared,
-		// so both slices alias one copy.
+		// the snapshot vs the WAL suffix. Both parts alias the resident
+		// entries, uncopied: the reply is encoded after mu is released,
+		// and appends meanwhile only ever write past the log's length.
 		k := r.snapLen
 		if k > r.log.Len() {
 			k = r.log.Len()
 		}
-		all := r.log.Entries()
+		all := r.log.View()
 		return Message{Type: MsgState, Entries: all[:k], Wal: all[k:]}, nil
 	}
 	return Message{Type: MsgErr, Err: fmt.Sprintf("unexpected message type %d", req.Type)}, nil

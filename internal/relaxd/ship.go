@@ -3,6 +3,7 @@ package relaxd
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"relaxlattice/internal/history"
 	"relaxlattice/internal/quorum"
@@ -11,12 +12,12 @@ import (
 // Snapshot shipping: a recovering or wiped site rebuilds its durable
 // store from a peer instead of waiting for client traffic to replay
 // history at it. The joiner fetches a peer's state (published snapshot
-// plus WAL suffix, MsgFetchState/MsgState), certifies the combined
-// history *before* installing anything, publishes local ⊔ shipped as
-// its own snapshot in one atomic Store.Snapshot, and only then serves.
-// A site's state is a point in the join-semilattice of logs, so the
-// join lands on exactly that least upper bound or not at all: a kill
-// before the snapshot's rename recovers the pre-join store, a kill
+// plus WAL suffix, MsgFetchState/MsgState), writes local ⊔ shipped to
+// snap.tmp while it certifies the shipped history, and only once the
+// history certifies renames it into place — one atomic publish — and
+// serves. A site's state is a point in the join-semilattice of logs, so
+// the join lands on exactly that least upper bound or not at all: a
+// kill before the snapshot's rename recovers the pre-join store, a kill
 // after it recovers the whole certified state, never a prefix of it.
 
 // ErrNoPeer is returned when no peer answered a state fetch.
@@ -26,8 +27,9 @@ var ErrNoPeer = errors.New("relaxd: no peer shipped state")
 // joins leave them nil. Returning an error from any hook crashes the
 // replica at that step.
 type JoinHooks struct {
-	// AfterFetch runs once a peer's state is fetched and certified,
-	// before anything is installed.
+	// AfterFetch runs once a peer's state is fetched and certified and
+	// local ⊔ shipped is staged in snap.tmp, before the seal and the
+	// rename that publish it.
 	AfterFetch func(peer int) error
 	// AfterInstall runs after the joined state is published locally.
 	AfterInstall func() error
@@ -42,6 +44,7 @@ type JoinConfig struct {
 	Transport Transport
 	// Certify, when set, judges the fetched history before install;
 	// a non-nil error refuses the ship. PQCertify is the taxi default.
+	// It runs under the joiner's lock, so it must not call the joiner.
 	Certify func(h history.History) error
 	// Hooks are test-only kill points. Production joins leave them nil.
 	Hooks JoinHooks
@@ -58,51 +61,116 @@ type JoinInfo struct {
 	WALEntries int
 }
 
-// JoinFrom rebuilds this replica's state from the first peer that
-// answers a state fetch. The replica must be up (freshly opened or
-// restarted — typically over a wiped directory) and not yet serving.
-// The shipped history is certified before install; a certification
-// failure refuses the ship and leaves the local store untouched.
+// errUncertified marks a peer whose shipped state did not certify.
+var errUncertified = errors.New("relaxd: shipped state does not certify")
+
+// JoinFrom rebuilds this replica's state from the first peer, in site
+// order, whose state arrives and certifies. The replica must be up
+// (freshly opened or restarted — typically over a wiped directory) and
+// not yet serving. local ⊔ shipped is staged in snap.tmp while the
+// shipped history is certified on the calling goroutine; only a history
+// that certifies is sealed and renamed into place. A refusal discards
+// the staged file and leaves the store and the resident log untouched,
+// and the next peer is asked; when none certifies, the error wraps
+// every refusal (ErrCorrupt, for PQCertify).
 func (r *Replica) JoinFrom(cfg JoinConfig) (JoinInfo, error) {
 	if cfg.Transport == nil {
 		return JoinInfo{}, errors.New("relaxd: JoinFrom requires a transport")
 	}
-	n := cfg.Transport.Sites()
-	peer, resp, err := fetchState(cfg.Transport, r.site, n)
-	if err != nil {
-		return JoinInfo{}, err
-	}
-	snapLog := quorum.LogOf(resp.Entries...)
-	combined := quorum.Merge(snapLog, quorum.LogOf(resp.Wal...))
-	if cfg.Certify != nil {
-		if err := cfg.Certify(combined.History()); err != nil {
-			return JoinInfo{}, fmt.Errorf("relaxd: state shipped by site %d does not certify: %w", peer, err)
+	var refused []error
+	var lastErr error
+	for site := 0; site < cfg.Transport.Sites(); site++ {
+		if site == r.site {
+			continue
 		}
+		resp, err := cfg.Transport.RoundTrip(site, Message{Type: MsgFetchState})
+		if err == nil && resp.Type != MsgState {
+			err = fmt.Errorf("relaxd: site %d answered type %d to a state fetch", site, resp.Type)
+		}
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		// The decoded parts are this join's own: the logs take them over.
+		snap := quorum.Adopt(resp.Entries)
+		info := JoinInfo{Peer: site, SnapshotEntries: snap.Len(), WALEntries: len(resp.Wal)}
+		err = r.install(site, quorum.Merge(snap, quorum.Adopt(resp.Wal)), cfg)
+		if errors.Is(err, errUncertified) {
+			refused = append(refused, err)
+			continue
+		}
+		return info, err
 	}
-	info := JoinInfo{Peer: peer, SnapshotEntries: snapLog.Len(), WALEntries: len(resp.Wal)}
+	if len(refused) > 0 {
+		return JoinInfo{}, errors.Join(refused...)
+	}
+	if lastErr != nil {
+		return JoinInfo{}, fmt.Errorf("%w: %v", ErrNoPeer, lastErr)
+	}
+	return JoinInfo{}, ErrNoPeer
+}
 
+// install joins the state peer shipped into the replica. It holds mu
+// throughout, after the publish in flight, so nothing is written to the
+// store between the capture of local ⊔ shipped and the seal below it. A
+// durable replica stages the join on another goroutine while Certify
+// runs on this one; the stager always finishes before install returns.
+// A certification failure wraps errUncertified.
+func (r *Replica) install(peer int, shipped quorum.Log, cfg JoinConfig) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// The join's publish is in line, through the same writer, so the
-	// publisher finishes first: one snapshot is written at a time.
 	for r.publishing {
 		r.published.Wait()
 	}
 	if r.down {
-		return info, fmt.Errorf("%w: site %d", ErrDown, r.site)
+		return fmt.Errorf("%w: site %d", ErrDown, r.site)
+	}
+	// Whatever this store had acknowledged stays, and the snapshot on
+	// disk is the log in memory.
+	installed := quorum.Merge(r.log, shipped)
+	st := r.store
+	var staging sync.WaitGroup
+	var stageErr error
+	if st != nil {
+		staging.Add(1)
+		go func() {
+			defer staging.Done()
+			stageErr = st.stage(installed)
+		}()
+		// Also on a panicking Certify: nothing touches the store after
+		// install returns.
+		defer staging.Wait()
+	}
+	var certErr error
+	if cfg.Certify != nil {
+		certErr = cfg.Certify(shipped.History())
+	}
+	staging.Wait()
+	if certErr != nil {
+		err := fmt.Errorf("%w: site %d: %w", errUncertified, peer, certErr)
+		if st != nil {
+			err = errors.Join(err, discardStaged(st.dir))
+		}
+		return err
+	}
+	if stageErr != nil {
+		return stageErr
 	}
 	if cfg.Hooks.AfterFetch != nil {
 		if err := cfg.Hooks.AfterFetch(peer); err != nil {
 			r.crashLocked()
-			return info, err
+			return err
 		}
 	}
-	// One atomic publish of local ⊔ shipped: whatever this store had
-	// acknowledged stays, and the snapshot on disk is the log in memory.
-	installed := quorum.Merge(r.log, combined)
-	if r.store != nil {
-		if err := r.store.Snapshot(installed); err != nil {
-			return info, err
+	if st != nil {
+		// The seal comes after certification, so a refused join leaves
+		// no new segment behind.
+		seal, err := st.seal()
+		if err != nil {
+			return err
+		}
+		if err := st.commit(seal); err != nil {
+			return err
 		}
 		r.snapLen = installed.Len()
 		r.pubErr = nil
@@ -115,33 +183,8 @@ func (r *Replica) JoinFrom(cfg JoinConfig) (JoinInfo, error) {
 		}
 		if err := hook(); err != nil {
 			r.crashLocked()
-			return info, err
+			return err
 		}
 	}
-	return info, nil
-}
-
-// fetchState asks each peer in site order for its state and returns
-// the first well-formed answer.
-func fetchState(t Transport, self, n int) (int, Message, error) {
-	var lastErr error
-	for site := 0; site < n; site++ {
-		if site == self {
-			continue
-		}
-		resp, err := t.RoundTrip(site, Message{Type: MsgFetchState})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.Type != MsgState {
-			lastErr = fmt.Errorf("relaxd: site %d answered type %d to a state fetch", site, resp.Type)
-			continue
-		}
-		return site, resp, nil
-	}
-	if lastErr != nil {
-		return 0, Message{}, fmt.Errorf("%w: %v", ErrNoPeer, lastErr)
-	}
-	return 0, Message{}, ErrNoPeer
+	return nil
 }

@@ -3,9 +3,12 @@ package relaxd
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
+	"time"
 
 	"relaxlattice/internal/cluster"
 	"relaxlattice/internal/history"
@@ -158,29 +161,35 @@ func TestShipKillRestartAtEveryTransferStep(t *testing.T) {
 		hooks JoinHooks
 		// recovered is the exact entry count restart must land on.
 		recovered int
+		// staged says the kill finds local ⊔ shipped staged in snap.tmp.
+		staged bool
 	}
-	kill := func(fired *bool) error {
-		if *fired {
+	tmp := filepath.Join(base, fmt.Sprintf("site%d", victim), "snap.tmp")
+	var fired, sawTmp bool
+	kill := func() error {
+		if fired {
 			return nil
 		}
-		*fired = true
+		fired = true
+		_, err := os.Stat(tmp)
+		sawTmp = err == nil
 		return errors.New("kill -9 mid-transfer")
 	}
 	var points []killPoint
-	var fired bool
 	points = append(points, killPoint{
 		name:      "after-fetch",
-		hooks:     JoinHooks{AfterFetch: func(int) error { return kill(&fired) }},
+		hooks:     JoinHooks{AfterFetch: func(int) error { return kill() }},
 		recovered: 0,
+		staged:    true,
 	})
 	points = append(points, killPoint{
 		name:      "after-snapshot-install",
-		hooks:     JoinHooks{AfterInstall: func() error { return kill(&fired) }},
+		hooks:     JoinHooks{AfterInstall: kill},
 		recovered: shape.SnapshotEntries + shape.WALEntries,
 	})
 	points = append(points, killPoint{
 		name:      "before-ready",
-		hooks:     JoinHooks{BeforeReady: func() error { return kill(&fired) }},
+		hooks:     JoinHooks{BeforeReady: kill},
 		recovered: shape.SnapshotEntries + shape.WALEntries,
 	})
 
@@ -195,12 +204,18 @@ func TestShipKillRestartAtEveryTransferStep(t *testing.T) {
 			if !fired {
 				t.Fatal("kill point never fired")
 			}
+			if sawTmp != p.staged {
+				t.Fatalf("snap.tmp present at the kill: %v, want %v", sawTmp, p.staged)
+			}
 			// Restart after the mid-transfer kill: recovery must land on
 			// a certified prefix of the shipped state — or, before any
 			// install, on the empty log.
 			info, err := replicas[victim].Restart()
 			if err != nil {
 				t.Fatalf("restart after %s: %v", p.name, err)
+			}
+			if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+				t.Fatalf("snap.tmp survived the restart: %v", err)
 			}
 			recovered := replicas[victim].Log()
 			if recovered.Len() != p.recovered {
@@ -320,5 +335,270 @@ func TestJoinOverNonEmptyStoreKeepsLocalEntries(t *testing.T) {
 	}
 	if rinfo.SnapshotEntries != installed.Len() || rinfo.WALEntries != 0 {
 		t.Fatalf("recovery info %+v, want a %d-entry snapshot and an empty WAL", rinfo, installed.Len())
+	}
+}
+
+// poisonedDonor is an ephemeral site whose log escapes every taxi
+// constraint set: it dequeues an element never enqueued.
+func poisonedDonor(t *testing.T, site int) *Replica {
+	t.Helper()
+	r, _, err := OpenReplica(site, "", StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.log = quorum.LogOf(
+		quorum.Entry{TS: ts(1, 0), Op: history.Enq(1)},
+		quorum.Entry{TS: ts(2, 0), Op: history.DeqOk(5)},
+	)
+	return r
+}
+
+// honestDonor is an ephemeral site holding entries.
+func honestDonor(t *testing.T, site int, entries []quorum.Entry) *Replica {
+	t.Helper()
+	r, _, err := OpenReplica(site, "", StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.log = quorum.LogOf(entries...)
+	return r
+}
+
+// publishedReplica opens a durable replica in dir holding entries: a
+// published snapshot, sealed segments and a WAL suffix on disk.
+func publishedReplica(t *testing.T, site int, dir string, entries []quorum.Entry) *Replica {
+	t.Helper()
+	r, _, err := OpenReplica(site, dir, StoreOptions{SegmentRecords: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	r.SnapshotEvery = 3
+	for _, e := range entries {
+		if err := ackOne(r, e); err != nil {
+			t.Fatal(err)
+		}
+		r.flush()
+	}
+	return r
+}
+
+// dirImage maps every file in dir to its contents.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := make(map[string]string, len(ents))
+	for _, de := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img[de.Name()] = string(b)
+	}
+	return img
+}
+
+// names lists a directory image's file names in order.
+func names(img map[string]string) []string {
+	out := make([]string, 0, len(img))
+	for name := range img {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// A poisoned donor first in site order does not block the join: the
+// joiner moves on to the next peer, and reports the one it used. When
+// no peer certifies, the refusal still wraps ErrCorrupt.
+func TestJoinSkipsUncertifiedDonor(t *testing.T) {
+	honest := serialPQEntries(6)
+	victim, _, err := OpenReplica(1, t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer victim.Close()
+	tr := NewLocal([]*Replica{poisonedDonor(t, 0), victim, honestDonor(t, 2, honest)})
+	info, err := victim.JoinFrom(JoinConfig{Transport: tr, Certify: PQCertify()})
+	if err != nil {
+		t.Fatalf("join with an honest site 2: %v", err)
+	}
+	if info.Peer != 2 || info.SnapshotEntries+info.WALEntries != len(honest) {
+		t.Fatalf("JoinInfo %+v: want site 2's %d entries", info, len(honest))
+	}
+	if want := quorum.LogOf(honest...); !victim.Log().Equal(want) {
+		t.Fatalf("joined onto %s, want site 2's log %s", victim.Log(), want)
+	}
+
+	alone, _, err := OpenReplica(1, t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alone.Close()
+	tr = NewLocal([]*Replica{poisonedDonor(t, 0), alone, poisonedDonor(t, 2)})
+	if _, err := alone.JoinFrom(JoinConfig{Transport: tr, Certify: PQCertify()}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("join with no certifying peer returned %v, want ErrCorrupt", err)
+	}
+	if alone.Log().Len() != 0 {
+		t.Fatalf("refused joins installed %d entries", alone.Log().Len())
+	}
+}
+
+// The join is staged while it is certified, and published only after:
+// the staging write waits for Certify to start, and while Certify
+// blocks, snap.tmp holds the staged join but the published snapshot and
+// every segment are exactly as before — no seal, no rename. Once
+// Certify returns nil, the snapshot lands.
+func TestJoinStagesWhileCertifying(t *testing.T) {
+	entries := serialPQEntries(7)
+	dir := t.TempDir()
+	victim := publishedReplica(t, 1, dir, entries[:4])
+	before := dirImage(t, dir)
+	if _, ok := before["snap"]; !ok {
+		t.Fatal("no published snapshot to keep")
+	}
+	inCertify, staged, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	victim.store.hooks.afterTmpWrite = func() error {
+		select {
+		case <-inCertify:
+			return nil
+		case <-time.After(10 * time.Second):
+			return errors.New("the staging ran before certification")
+		}
+	}
+	victim.store.hooks.afterTmpSync = func() error {
+		close(staged)
+		return nil
+	}
+	certify := PQCertify()
+	cfg := JoinConfig{
+		Transport: NewLocal([]*Replica{honestDonor(t, 0, entries), victim}),
+		Certify: func(h history.History) error {
+			close(inCertify)
+			<-release
+			return certify(h)
+		},
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := victim.JoinFrom(cfg)
+		done <- err
+	}()
+	<-inCertify
+	select {
+	case <-staged:
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatalf("nothing was staged while certification ran: %v", <-done)
+	}
+	during := dirImage(t, dir)
+	_, tmp := during["snap.tmp"]
+	delete(during, "snap.tmp")
+	if !tmp || !maps.Equal(during, before) {
+		close(release)
+		<-done
+		t.Fatalf("while certifying, the store holds %v (snap.tmp: %v); want %v plus snap.tmp, unchanged", names(during), tmp, names(before))
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("JoinFrom: %v", err)
+	}
+	installed := quorum.LogOf(entries...)
+	requireSnapshot(t, dir, installed, installed)
+	if _, err := os.Stat(filepath.Join(dir, "snap.tmp")); !os.IsNotExist(err) {
+		t.Fatalf("snap.tmp left after the join: %v", err)
+	}
+}
+
+// A refused join stages local ⊔ shipped, then discards it: the
+// directory — every file name and byte — and the resident log are
+// exactly what they were.
+func TestJoinRefusalLeavesStoreUntouched(t *testing.T) {
+	dir := t.TempDir()
+	victim := publishedReplica(t, 1, dir, serialPQEntries(4))
+	before, log := dirImage(t, dir), victim.Log()
+	staged := false
+	victim.store.hooks.afterTmpSync = func() error {
+		staged = true
+		return nil
+	}
+	tr := NewLocal([]*Replica{poisonedDonor(t, 0), victim})
+	if _, err := victim.JoinFrom(JoinConfig{Transport: tr, Certify: PQCertify()}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("join accepted uncertified state: %v", err)
+	}
+	if !staged {
+		t.Fatal("the refused join staged nothing")
+	}
+	if after := dirImage(t, dir); !maps.Equal(after, before) {
+		t.Fatalf("a refused join changed the store: %v, was %v", names(after), names(before))
+	}
+	if !victim.Log().Equal(log) {
+		t.Fatalf("a refused join changed the resident log to %s", victim.Log())
+	}
+}
+
+// MsgFetchState ships the donor's resident entries uncopied, so a state
+// served over a PooledTransport while appends extend the donor in place
+// must still be an exact prefix of the donor's log.
+func TestShipStateRacesAppendsPooled(t *testing.T) {
+	r, _, err := OpenReplica(0, t.TempDir(), StoreOptions{SegmentRecords: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SnapshotEvery = 5
+	srv, err := ListenSite("127.0.0.1:0", r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewPooledTransport([]string{srv.Addr()}, 0)
+	t.Cleanup(func() {
+		tr.Close()
+		srv.Close()
+		r.Close()
+	})
+	entries := serialPQEntries(200)
+	appended := make(chan error, 1)
+	go func() {
+		for _, e := range entries {
+			if err := ackOne(r, e); err != nil {
+				appended <- err
+				return
+			}
+		}
+		appended <- nil
+	}()
+	var shipped [][]quorum.Entry
+	for running := true; running; {
+		select {
+		case err := <-appended:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		resp, err := tr.RoundTrip(0, Message{Type: MsgFetchState})
+		if err != nil || resp.Type != MsgState {
+			t.Fatalf("state fetch: %+v, %v", resp, err)
+		}
+		shipped = append(shipped, append(resp.Entries, resp.Wal...))
+	}
+	final, raced := r.Log(), false
+	for _, s := range shipped {
+		if len(s) > final.Len() {
+			t.Fatalf("shipped %d entries, the donor holds %d", len(s), final.Len())
+		}
+		for i, e := range s {
+			if want := final.Entry(i); e.TS != want.TS || !e.Op.Equal(want.Op) {
+				t.Fatalf("shipped entry %d is %s, the donor's is %s", i, e, want)
+			}
+		}
+		raced = raced || (len(s) > 0 && len(s) < len(entries))
+	}
+	if !raced {
+		t.Fatal("no state fetch raced the appends")
 	}
 }

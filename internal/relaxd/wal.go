@@ -118,8 +118,8 @@ type Store struct {
 	segRecords int // records in the active segment
 
 	// Publisher state, touched only by the one publish in flight (the
-	// owning Replica runs at most one, and a synchronous Snapshot only
-	// while none runs), never by the writer.
+	// owning Replica runs at most one, and a join's stage and commit
+	// only while none runs), never by the writer.
 	firstSeg int          // oldest segment on disk (compaction floor)
 	hooks    publishHooks // test-only kill points; nil in production
 
@@ -188,9 +188,8 @@ func OpenStore(dir string, opts StoreOptions) (*Store, quorum.Log, RecoveryInfo,
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fail(err)
 	}
-	// A leftover snap.tmp is a snapshot that never published; the
-	// WAL+old snapshot still hold everything it held.
-	if err := os.Remove(filepath.Join(dir, "snap.tmp")); err != nil && !os.IsNotExist(err) {
+	// A leftover snap.tmp is a snapshot that never published.
+	if err := discardStaged(dir); err != nil {
 		return fail(err)
 	}
 
@@ -312,7 +311,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, quorum.Log, RecoveryInfo,
 		f.Close()
 		return fail(err)
 	}
-	return s, quorum.Merge(snapLog, quorum.LogOf(entries...)), info, nil
+	return s, quorum.Merge(snapLog, quorum.Adopt(entries)), info, nil
 }
 
 // newIncarnation draws 64 random bits, never 0 (the wire's "none").
@@ -634,13 +633,21 @@ func runHook(h func() error) error {
 }
 
 // publish is the half of a snapshot that needs no writer state, so it
-// can run while appends continue: l is written to snap.tmp, fsynced,
-// renamed over snap and the directory fsynced; only then are the
-// segments below seal deleted, oldest first, and the directory fsynced
-// again. seal must come from a seal made no later than l was captured,
-// so that l holds every record those segments hold. A failed publish
-// compacts nothing it has not already made redundant.
+// can run while appends continue: stage, then commit. seal must come
+// from a seal made no later than l was captured, so that l holds every
+// record the segments below it hold. A failed publish compacts nothing
+// it has not already made redundant.
 func (s *Store) publish(l quorum.Log, seal int) error {
+	if err := s.stage(l); err != nil {
+		return err
+	}
+	return s.commit(seal)
+}
+
+// stage writes l to snap.tmp and fsyncs it. Nothing a reopen reads
+// changes until commit renames it; discardStaged, or the next open,
+// removes an uncommitted one.
+func (s *Store) stage(l quorum.Log) error {
 	b := make([]byte, 0, headerLen+4+l.Len()*32)
 	b = append(b, snapMagic...)
 	b = binary.BigEndian.AppendUint32(b, uint32(l.Len()))
@@ -671,10 +678,24 @@ func (s *Store) publish(l quorum.Log, seal int) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	if err := runHook(s.hooks.afterTmpSync); err != nil {
+	return runHook(s.hooks.afterTmpSync)
+}
+
+// discardStaged removes a snapshot staged in dir that will not be
+// committed; the WAL and the published snapshot still hold everything
+// it held.
+func discardStaged(dir string) error {
+	if err := os.Remove(filepath.Join(dir, "snap.tmp")); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, "snap")); err != nil {
+	return nil
+}
+
+// commit publishes the staged snapshot: snap.tmp is renamed over snap
+// and the directory fsynced; only then are the segments below seal
+// deleted, oldest first, and the directory fsynced again.
+func (s *Store) commit(seal int) error {
+	if err := os.Rename(filepath.Join(s.dir, "snap.tmp"), filepath.Join(s.dir, "snap")); err != nil {
 		return err
 	}
 	if err := runHook(s.hooks.afterRename); err != nil {
@@ -760,7 +781,7 @@ func readSnapshot(path string) (quorum.Log, int, error) {
 	if len(b) != 0 {
 		return quorum.Log{}, 0, fmt.Errorf("%s: %w: %d trailing snapshot bytes", path, ErrCorrupt, len(b))
 	}
-	return quorum.LogOf(entries...), len(entries), nil
+	return quorum.Adopt(entries), len(entries), nil
 }
 
 // syncDir fsyncs a directory so a rename within it is durable.
