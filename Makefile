@@ -14,7 +14,7 @@ test: vet
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/value/ ./internal/quorum/ ./internal/automaton/ ./internal/experiments/ ./internal/txn/ ./internal/cluster/ ./internal/sim/ ./internal/resilience/ ./internal/relaxcheck/ ./internal/integration/ ./internal/conc/ ./internal/relaxd/ ./internal/obs/... ./cmd/...
+	$(GO) test -race ./internal/value/ ./internal/quorum/ ./internal/automaton/ ./internal/experiments/ ./internal/txn/ ./internal/cluster/ ./internal/sim/ ./internal/resilience/ ./internal/relaxcheck/ ./internal/integration/ ./internal/relaxd/ ./examples/relaxedqueues/ ./internal/obs/... ./cmd/...
 
 # Short native-fuzzing smoke: each target gets a bounded budget on top
 # of its checked-in seed corpus (testdata/fuzz). CI runs this; longer
@@ -76,6 +76,7 @@ examples:
 	$(GO) run ./examples/bankatm
 	$(GO) run ./examples/printspool
 	$(GO) run ./examples/gridstore
+	$(GO) run ./examples/relaxedqueues
 
 clean:
 	$(GO) clean ./...

@@ -159,6 +159,18 @@ func configFlags(fs *flag.FlagSet) *experiments.Config {
 	return &cfg
 }
 
+// checkBound rejects a model-checking bound that explores nothing:
+// below length or domain 1 every claim holds vacuously.
+func checkBound(cfg *experiments.Config) error {
+	switch {
+	case cfg.Bound.MaxLen < 1:
+		return fmt.Errorf("-maxlen %d: need a history length of at least 1", cfg.Bound.MaxLen)
+	case cfg.Bound.MaxElem < 1:
+		return fmt.Errorf("-maxelem %d: need at least 1 element", cfg.Bound.MaxElem)
+	}
+	return nil
+}
+
 func runExperiments(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	cfg := configFlags(fs)
@@ -168,6 +180,9 @@ func runExperiments(args []string, w io.Writer) error {
 	workers := fs.Int("workers", 0, "worker count for -parallel (0 = GOMAXPROCS)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and expvar runtime metrics on this address")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkBound(cfg); err != nil {
 		return err
 	}
 	if cfg.Sites < 3 {
@@ -311,6 +326,9 @@ func verify(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
 	cfg := configFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkBound(cfg); err != nil {
 		return err
 	}
 	failed := false

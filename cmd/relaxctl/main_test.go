@@ -70,6 +70,27 @@ func TestRunRejectsTooFewSites(t *testing.T) {
 	}
 }
 
+// TestZeroBoundRejected: a -maxlen or -maxelem below 1 explores no
+// history, so verify and run must fail naming the flag instead of
+// reporting a vacuous HOLDS.
+func TestZeroBoundRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"verify", "-maxlen", "0"},
+		{"verify", "-maxelem", "0"},
+		{"run", "-maxlen", "0", "e04"},
+		{"run", "-maxelem", "-1", "e04"},
+	} {
+		flag := args[1]
+		out, err := runCmd(t, args...)
+		if err == nil || !strings.Contains(err.Error(), flag) {
+			t.Fatalf("%v: err = %v, want one naming %s", args, err, flag)
+		}
+		if out != "" {
+			t.Fatalf("%v printed output: %q", args, out)
+		}
+	}
+}
+
 func TestLatticeCommand(t *testing.T) {
 	out, err := runCmd(t, "lattice", "account")
 	if err != nil {

@@ -11,20 +11,13 @@
 // repetitions and across GOMAXPROCS settings (the whole workload runs
 // on a single-threaded discrete-event engine).
 //
-// A third mode, conc, soaks the lock-free relaxed structures of
-// internal/conc: real goroutines on real shared memory, each recorded
-// run certified against the structure's claimed lattice element. The
-// schedule there is genuinely nondeterministic, so the verdict line is
-// the deterministic artifact — it names the structure, its claim, and
-// the certification outcome, never schedule-dependent counts.
-//
-// A fourth mode, audit, is the audit sidecar: it replays an exported
+// A third mode, audit, is the audit sidecar: it replays an exported
 // observed history (-history, written by a cluster, txn, longhaul or
 // relaxcli run) through the online checker alone and prints the
 // verdict. The verdict is a function of the history, so an audit that
 // is killed is simply run again (DESIGN.md §14).
 //
-// A fifth mode, longhaul, is the kill-9 soak battery: a real networked
+// A fourth mode, longhaul, is the kill-9 soak battery: a real networked
 // relaxd service (TCP listeners, durable segmented WALs, pooled
 // multiplexed transport) under sustained client load while sites are
 // hard-killed continuously and periodically wiped — rejoining via
@@ -35,9 +28,9 @@
 //
 // Usage:
 //
-//	relaxsoak [-mode cluster|txn|both|conc|audit|longhaul] [-workload uniform|bursty|skewed|fault-correlated|all]
+//	relaxsoak [-mode cluster|txn|both|audit|longhaul] [-workload uniform|bursty|skewed|fault-correlated|all]
 //	          [-seed N] [-clients N] [-ops N] [-sites N] [-dequeuers N]
-//	          [-workers N] [-calm] [-metrics F] [-trace F]
+//	          [-calm] [-metrics F] [-trace F]
 //	          [-spans F] [-flight F] [-history F] [-lattice taxi|spool]
 //	          [-kill-every D] [-wipe-every N] [-dir P]
 package main
@@ -51,7 +44,6 @@ import (
 	"time"
 
 	"relaxlattice/internal/cluster"
-	"relaxlattice/internal/conc"
 	"relaxlattice/internal/core"
 	"relaxlattice/internal/history"
 	"relaxlattice/internal/lattice"
@@ -69,14 +61,13 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("relaxsoak", flag.ContinueOnError)
-	mode := fs.String("mode", "both", "what to soak: cluster, txn, both, conc, audit (replay a -history export), or longhaul (kill -9 battery over TCP)")
+	mode := fs.String("mode", "both", "what to soak: cluster, txn, both, audit (replay a -history export), or longhaul (kill -9 battery over TCP)")
 	workload := fs.String("workload", "uniform", "workload kind (uniform, bursty, skewed, fault-correlated, or all)")
 	seed := fs.Int64("seed", 1987, "root seed for the deterministic run")
 	clients := fs.Int("clients", 200, "concurrent clients")
 	ops := fs.Int("ops", 10000, "operations per run")
 	sites := fs.Int("sites", 5, "cluster sites")
 	dequeuers := fs.Int("dequeuers", 3, "txn-mode concurrent dequeuer bound (spool universe size)")
-	workers := fs.Int("workers", 4, "conc-mode goroutines per structure")
 	calm := fs.Bool("calm", false, "disable the stochastic background fault process (cluster mode)")
 	metricsPath := fs.String("metrics", "", "write the deterministic metrics snapshot (JSON) to this file")
 	tracePath := fs.String("trace", "", "write the logical-clock event journal (JSON Lines) to this file")
@@ -92,17 +83,17 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	switch *mode {
-	case "cluster", "txn", "both", "conc", "audit", "longhaul":
+	case "cluster", "txn", "both", "audit", "longhaul":
 	default:
-		return fmt.Errorf("unknown -mode %q (want cluster, txn, both, conc, audit or longhaul)", *mode)
+		return fmt.Errorf("unknown -mode %q (want cluster, txn, both, audit or longhaul)", *mode)
 	}
 	switch {
 	case *ops < 1:
 		return fmt.Errorf("-ops %d: need at least 1 operation", *ops)
 	case *clients < 1:
 		return fmt.Errorf("-clients %d: need at least 1 client", *clients)
-	case *workers < 1:
-		return fmt.Errorf("-workers %d: need at least 1 worker", *workers)
+	case *dequeuers < 1:
+		return fmt.Errorf("-dequeuers %d: need at least 1 dequeuer", *dequeuers)
 	case *sites < 3 && (*mode == "cluster" || *mode == "both" || *mode == "longhaul"):
 		return fmt.Errorf("-sites %d: taxi assignments need ≥ 3 sites", *sites)
 	}
@@ -133,14 +124,6 @@ func run(args []string, w io.Writer) error {
 
 	if *mode == "audit" {
 		return runAudit(w, *historyPath, *auditLattice, *dequeuers)
-	}
-
-	if *mode == "conc" {
-		if runConc(w, *workers, *ops) {
-			return fmt.Errorf("lattice-level violations detected")
-		}
-		fmt.Fprintln(w, "all conc runs landed inside their claimed lattice levels")
-		return nil
 	}
 
 	var kinds []relaxcheck.Kind
@@ -242,43 +225,6 @@ func run(args []string, w io.Writer) error {
 	}
 	fmt.Fprintln(w, "all soak runs landed inside their claimed lattice levels")
 	return nil
-}
-
-// runConc soaks every internal/conc structure with `workers`
-// goroutines sharing `ops` operations, then certifies each recorded
-// history at the structure's claimed rung. Output lines carry only
-// schedule-independent facts so the report text stays deterministic
-// even though the interleavings are not.
-func runConc(w io.Writer, workers, ops int) (failed bool) {
-	per := ops / workers
-	if per < 1 {
-		per = 1
-	}
-	structures := []func(j *conc.Journal) conc.RelaxedQueue{
-		func(j *conc.Journal) conc.RelaxedQueue { return conc.NewStrict(j) },
-		func(j *conc.Journal) conc.RelaxedQueue { return conc.NewSegQueue(16, workers+1, j) },
-		func(j *conc.Journal) conc.RelaxedQueue { return conc.NewSegQueue(64, workers+1, j) },
-		func(j *conc.Journal) conc.RelaxedQueue { return conc.NewDupQueue(j) },
-		func(j *conc.Journal) conc.RelaxedQueue { return conc.NewShardPQ(8, 2, 1, j) },
-		func(j *conc.Journal) conc.RelaxedQueue { return conc.NewLanePQ(workers+1, 8, j) },
-		func(j *conc.Journal) conc.RelaxedQueue { return conc.NewStrictPQ(j) },
-	}
-	for _, mk := range structures {
-		j := conc.NewJournal(workers * per)
-		q := mk(j)
-		conc.RunWorkload(q, workers, per)
-		verdict := "certified"
-		if d := j.Dropped(); d != 0 {
-			verdict = "FAIL (journal overflow)"
-			failed = true
-		} else if v := conc.Certify(q.Claim(), j.History(), workers).Violation(); v != nil {
-			verdict = fmt.Sprintf("FAIL (%v)", v)
-			failed = true
-		}
-		fmt.Fprintf(w, "conc     %-16s workers=%d claim=%s verdict=%s\n",
-			q.Name(), workers, q.Claim().Level, verdict)
-	}
-	return failed
 }
 
 func printReport(w io.Writer, mode string, kind relaxcheck.Kind, r *relaxcheck.SoakReport) {

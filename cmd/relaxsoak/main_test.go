@@ -76,7 +76,7 @@ func TestUnknownModeFails(t *testing.T) {
 	if err == nil {
 		t.Fatalf("-mode bogus succeeded:\n%s", out.String())
 	}
-	if !strings.Contains(err.Error(), "cluster, txn, both, conc, audit or longhaul") {
+	if !strings.Contains(err.Error(), "cluster, txn, both, audit or longhaul") {
 		t.Fatalf("error does not name the modes: %v", err)
 	}
 	if out.Len() != 0 {
@@ -96,7 +96,8 @@ func TestBadSizesFail(t *testing.T) {
 		{[]string{"-mode", "longhaul", "-sites", "2"}, "-sites"},
 		{[]string{"-mode", "txn", "-ops", "0"}, "-ops"},
 		{[]string{"-mode", "cluster", "-clients", "0"}, "-clients"},
-		{[]string{"-mode", "conc", "-workers", "0"}, "-workers"},
+		{[]string{"-mode", "txn", "-dequeuers", "0"}, "-dequeuers"},
+		{[]string{"-mode", "audit", "-lattice", "spool", "-dequeuers", "-2"}, "-dequeuers"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

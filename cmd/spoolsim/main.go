@@ -80,6 +80,14 @@ func startPprof(addr string, reg *obs.Registry) error {
 }
 
 func run(w io.Writer, reg *obs.Registry, strategy txn.Strategy, printers, jobs int, seed int64, pAbort float64, hold time.Duration) error {
+	switch {
+	case printers < 1:
+		// No printer would ever drain the spool.
+		return fmt.Errorf("-printers %d: need at least 1 printer", printers)
+	case !(pAbort >= 0 && pAbort < 1):
+		// At 1 every print jams and is retried forever.
+		return fmt.Errorf("-pabort %v: need a probability in [0, 1)", pAbort)
+	}
 	fmt.Fprintf(w, "print spooler: strategy=%s printers=%d jobs=%d\n", strategy, printers, jobs)
 	cq := txn.NewConcurrentQueue(strategy)
 	cq.Observe(reg, nil)

@@ -35,6 +35,32 @@ func TestSpoolsimStrategies(t *testing.T) {
 	}
 }
 
+// TestSpoolsimBadFlagsFail: a spool that could never drain (no
+// printers, or every print jamming) is rejected up front with an error
+// naming the flag, not hung on or reported as a success.
+func TestSpoolsimBadFlagsFail(t *testing.T) {
+	for _, tc := range []struct {
+		printers int
+		pAbort   float64
+		flag     string
+	}{
+		{0, 0.1, "-printers"},
+		{-1, 0.1, "-printers"},
+		{3, 1, "-pabort"},
+		{3, 1.5, "-pabort"},
+		{3, -0.1, "-pabort"},
+	} {
+		var buf bytes.Buffer
+		err := run(&buf, obs.NewRegistry(), txn.Optimistic, tc.printers, 9, 1987, tc.pAbort, time.Millisecond)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Fatalf("printers=%d pabort=%v: err = %v, want one naming %s", tc.printers, tc.pAbort, err, tc.flag)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("printers=%d pabort=%v printed a report:\n%s", tc.printers, tc.pAbort, buf.String())
+		}
+	}
+}
+
 func TestSpoolsimBlockingIsFIFO(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, obs.NewRegistry(), txn.Blocking, 4, 12, 3, 0.0, time.Millisecond); err != nil {

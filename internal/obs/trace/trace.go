@@ -2,8 +2,7 @@
 // layer: deterministic spans — intervals of logical time with
 // parent/child nesting and explicit happens-before links — recorded by
 // the cluster's three-step quorum protocol, the adaptive degradation
-// ladder, the transactional runtime, and internal/conc's
-// linearization-point journal.
+// ladder and the transactional runtime.
 //
 // Everything is deterministic by construction, like the rest of
 // internal/obs: span timestamps come from injected logical clocks

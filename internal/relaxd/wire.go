@@ -16,9 +16,9 @@
 // checker (internal/relaxcheck) certifies. DESIGN.md §15 documents the
 // transport/protocol/store boundaries and the recovery invariant.
 //
-// Like internal/conc, relaxd is a runtime layer: it does real I/O on
-// real clocks, so its determinism is certified against the simulation
-// by differential tests rather than built in.
+// Like examples/relaxedqueues, relaxd is a runtime layer: it does real
+// I/O on real clocks, so its determinism is certified against the
+// simulation by differential tests rather than built in.
 package relaxd
 
 import (
