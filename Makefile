@@ -1,15 +1,16 @@
 # relaxlattice — reproduction of Herlihy & Wing, PODC 1987.
 GO ?= go
 
-.PHONY: all build test race fuzz bench bench-e2e longhaul vet fmt lint experiments verify examples clean
+.PHONY: all build test race fuzz bench bench-e2e longhaul vet fmt experiments verify examples clean
 
-all: build vet lint test
+all: build vet test
 
 build:
 	$(GO) build ./...
 
-# Tier-1 includes go vet: it is cheap, and relaxlint assumes a
-# vet-clean tree (misuses vet already catches are out of its scope).
+# Tier-1 includes go vet: it is cheap, and the err-drop pass (run by
+# internal/lint's tests, see DESIGN.md §8) assumes a vet-clean tree
+# (misuses vet already catches are out of its scope).
 test: vet
 	$(GO) test ./...
 
@@ -54,17 +55,14 @@ longhaul:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: the err-drop pass (see internal/lint and DESIGN.md §8).
-lint:
-	$(GO) run ./cmd/relaxlint ./...
-
 fmt:
 	gofmt -w .
 
 # Regenerate every paper artifact (the body of EXPERIMENTS.md). The
-# parallel runner's output is byte-identical to the serial one.
+# output is byte-identical at any -workers count; a FAILS verdict
+# fails the target.
 experiments:
-	$(GO) run ./cmd/relaxctl run -parallel all
+	$(GO) run ./cmd/relaxctl run all
 
 # Bounded model checking of Theorem 4 and the companion claims.
 verify:

@@ -77,6 +77,12 @@ func run(args []string, w io.Writer) error {
 	if *clients < 1 {
 		return fmt.Errorf("-clients %d: need at least 1 client", *clients)
 	}
+	if *ops < 0 {
+		return fmt.Errorf("-ops %d: need a non-negative operation count", *ops)
+	}
+	if *deqRatio < 0 || *deqRatio > 1 {
+		return fmt.Errorf("-deq-ratio %g: need a fraction in [0, 1]", *deqRatio)
+	}
 	addrs := strings.Split(*peers, ",")
 	n := len(addrs)
 	if n < 3 {

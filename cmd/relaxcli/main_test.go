@@ -134,6 +134,9 @@ func TestFlagAndOpValidation(t *testing.T) {
 		{[]string{"-peers", "a", "-op", "Deq"}, "-peers"},
 		{[]string{"-peers", "a,b,c", "-clients", "0", "-ops", "3"}, "-clients"},
 		{[]string{"-peers", "a,b,c", "-clients", "0", "-op", "Deq"}, "-clients"},
+		{[]string{"-peers", "a,b,c", "-ops", "-3"}, "-ops"},
+		{[]string{"-peers", "a,b,c", "-ops", "3", "-deq-ratio", "7"}, "-deq-ratio"},
+		{[]string{"-peers", "a,b,c", "-ops", "3", "-deq-ratio", "-0.1"}, "-deq-ratio"},
 	} {
 		err := run(tc.args, &out)
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	relaxctl list
-//	relaxctl run [-seed N] [-trials N] [-maxlen N] [-maxelem N] [-sites N] [-parallel] [ID|all]
+//	relaxctl run [-seed N] [-trials N] [-maxlen N] [-maxelem N] [-sites N] [-workers N] [ID|all]
 //	relaxctl lattice [taxi|taxi-prime|fifo|account|account-full|semiqueue|stuttering|combined]
 //	relaxctl dot (lattice|automaton) [name]
 //	relaxctl verify [-maxlen N] [-maxelem N]
@@ -95,9 +95,8 @@ flags for run/verify:
   -maxlen N    history length bound
   -maxelem N   element domain bound
   -sites N     replica sites for cluster simulations
-  -parallel    (run all) run experiments concurrently; output is
-               byte-identical to the serial run
-  -workers N   (run) worker count for -parallel (0 = GOMAXPROCS)
+  -workers N   (run) experiments run concurrently (0 = GOMAXPROCS,
+               1 = serial); output is byte-identical at any count
 
 observability flags (run):
   -metrics F   write the deterministic metrics snapshot (JSON) to F;
@@ -105,7 +104,7 @@ observability flags (run):
   -trace F     write the logical-clock event journal (JSON Lines) to F;
                same byte-determinism guarantee
   -pprof ADDR  serve net/http/pprof on ADDR; scheduling-dependent
-               runtime metrics (view-cache hit rates, shard shapes) appear
+               runtime metrics (view-cache hit rates) appear
                at /debug/vars under "relaxlattice"
   (trace also accepts -trace F to journal its degradation episodes)`)
 	return nil
@@ -143,10 +142,9 @@ func checkBound(cfg *experiments.Config) error {
 func runExperiments(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	cfg := configFlags(fs)
-	parallel := fs.Bool("parallel", false, "run experiments concurrently (output identical to serial)")
 	metricsPath := fs.String("metrics", "", "write the deterministic metrics snapshot (JSON) to this file")
 	tracePath := fs.String("trace", "", "write the logical-clock event journal (JSON Lines) to this file")
-	workers := fs.Int("workers", 0, "worker count for -parallel (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "experiments run concurrently (0 = GOMAXPROCS, 1 = serial)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and expvar runtime metrics on this address")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -175,35 +173,19 @@ func runExperiments(args []string, w io.Writer) error {
 		automaton.ObserveEngine(cfg.Metrics)
 		defer automaton.ObserveEngine(nil)
 	}
-	target := "all"
-	if fs.NArg() > 0 {
-		target = fs.Arg(0)
-	}
-	if target == "all" {
-		var err error
-		if *parallel {
-			err = experiments.RunAllParallel(w, *cfg, *workers)
-		} else {
-			err = experiments.RunAll(w, *cfg)
+	exps := experiments.All()
+	if target := fs.Arg(0); target != "" && target != "all" {
+		e, ok := experiments.Find(strings.ToUpper(target))
+		if !ok {
+			return fmt.Errorf("unknown experiment %q (try: relaxctl list)", target)
 		}
-		if err != nil {
-			return err
-		}
-		if observing {
-			return writeObsFiles(*metricsPath, *tracePath, cfg.Metrics, cfg.Trace)
-		}
-		return nil
+		exps = []experiments.Experiment{e}
 	}
-	e, ok := experiments.Find(strings.ToUpper(target))
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (try: relaxctl list)", target)
-	}
-	fmt.Fprintf(w, "== %s: %s (%s) ==\n", e.ID, e.Title, e.Paper)
-	if err := e.Run(w, *cfg); err != nil {
+	if err := experiments.Run(w, *cfg, exps, *workers); err != nil {
 		return err
 	}
 	if observing {
-		return writeObsFiles(*metricsPath, *tracePath, cfg.Metrics, cfg.Trace)
+		return obs.WriteFiles(*metricsPath, *tracePath, cfg.Metrics, cfg.Trace)
 	}
 	return nil
 }
@@ -405,7 +387,7 @@ func trace(args []string, w io.Writer) error {
 	if *tracePath != "" {
 		rec := obs.NewRecorder()
 		env.RecordEpisodes(rec, u, lat, steps)
-		return writeObsFiles("", *tracePath, nil, rec)
+		return obs.WriteFiles("", *tracePath, nil, rec)
 	}
 	return nil
 }

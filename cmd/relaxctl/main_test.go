@@ -58,6 +58,19 @@ func TestRunSingleExperiment(t *testing.T) {
 	}
 }
 
+// TestRunFailsOnRefutedClaim: a FAILS verdict fails the run. At one
+// element E07's minimality rows are both false, so run exits non-zero
+// naming E07 after printing its table.
+func TestRunFailsOnRefutedClaim(t *testing.T) {
+	out, err := runCmd(t, "run", "-maxelem", "1", "-maxlen", "4", "e07")
+	if err == nil || !strings.Contains(err.Error(), "E07") {
+		t.Fatalf("run -maxelem 1 e07: err = %v", err)
+	}
+	if !strings.Contains(out, "FAILS") {
+		t.Errorf("failing experiment's output missing:\n%s", out)
+	}
+}
+
 // TestRunRejectsTooFewSites: fewer than 3 sites is an error naming the
 // flag, not a panic inside quorum.TaxiAssignments.
 func TestRunRejectsTooFewSites(t *testing.T) {
@@ -200,18 +213,14 @@ func TestTraceCommand(t *testing.T) {
 
 // TestRunObservabilityFiles pins the byte-determinism the -metrics and
 // -trace flags promise: two runs at the same seed produce identical
-// files, serial or parallel.
+// files, at 1 worker or 4.
 func TestRunObservabilityFiles(t *testing.T) {
 	dir := t.TempDir()
-	render := func(name string, parallel bool) (string, string) {
+	render := func(name, workers string) (string, string) {
 		t.Helper()
 		m := filepath.Join(dir, name+".json")
 		j := filepath.Join(dir, name+".jsonl")
-		args := []string{"run", "-trials", "2000", "-maxlen", "4", "-metrics", m, "-trace", j}
-		if parallel {
-			args = append(args, "-parallel", "-workers", "4")
-		}
-		args = append(args, "all")
+		args := []string{"run", "-trials", "2000", "-maxlen", "4", "-metrics", m, "-trace", j, "-workers", workers, "all"}
 		if _, err := runCmd(t, args...); err != nil {
 			t.Fatalf("run %s: %v", name, err)
 		}
@@ -225,9 +234,9 @@ func TestRunObservabilityFiles(t *testing.T) {
 		}
 		return string(mb), string(jb)
 	}
-	m1, j1 := render("serial1", false)
-	m2, j2 := render("serial2", false)
-	mp, jp := render("parallel", true)
+	m1, j1 := render("serial1", "1")
+	m2, j2 := render("serial2", "1")
+	mp, jp := render("parallel", "4")
 	if m1 != m2 || m1 != mp {
 		t.Errorf("metrics snapshots differ across runs/modes")
 	}

@@ -9,7 +9,6 @@ import (
 	"os"
 	"sync"
 
-	"relaxlattice/internal/automaton"
 	"relaxlattice/internal/obs"
 	"relaxlattice/internal/quorum"
 )
@@ -20,11 +19,11 @@ var pprofOnce sync.Once
 
 // startPprof serves net/http/pprof and expvar on addr, and installs the
 // runtime observability registry: scheduling-dependent metrics (view-
-// cache hit rates, shard shapes) are published live at
-// /debug/vars under "relaxlattice" — deliberately kept out of the
-// deterministic -metrics snapshot, whose bytes must not depend on the
-// scheduler. Listening starts synchronously so a bad address fails the
-// command; serving happens in the background for the process lifetime.
+// cache hit rates) are published live at /debug/vars under
+// "relaxlattice" — deliberately kept out of the deterministic -metrics
+// snapshot, whose bytes must not depend on the scheduler. Listening
+// starts synchronously so a bad address fails the command; serving
+// happens in the background for the process lifetime.
 func startPprof(addr string) error {
 	var rt *obs.Registry
 	pprofOnce.Do(func() {
@@ -32,7 +31,6 @@ func startPprof(addr string) error {
 		expvar.Publish("relaxlattice", expvar.Func(func() any { return rt.Snapshot() }))
 	})
 	if rt != nil {
-		automaton.ObserveEngineRuntime(rt)
 		quorum.ObserveRuntime(rt)
 	}
 	ln, err := net.Listen("tcp", addr)
@@ -45,38 +43,5 @@ func startPprof(addr string) error {
 			fmt.Fprintln(os.Stderr, "relaxctl: pprof server:", err)
 		}
 	}()
-	return nil
-}
-
-// writeObsFiles writes the deterministic snapshot and journal the run
-// accumulated. Both formats are byte-stable: same seed and bounds, same
-// bytes, at any GOMAXPROCS — CI diffs them across worker counts.
-func writeObsFiles(metricsPath, tracePath string, reg *obs.Registry, rec *obs.Recorder) error {
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := reg.Snapshot().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := rec.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
 	return nil
 }

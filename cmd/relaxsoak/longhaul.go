@@ -27,6 +27,7 @@ import (
 	"relaxlattice/internal/cluster"
 	"relaxlattice/internal/core"
 	"relaxlattice/internal/history"
+	"relaxlattice/internal/obs"
 	"relaxlattice/internal/quorum"
 	"relaxlattice/internal/relaxcheck"
 	"relaxlattice/internal/relaxd"
@@ -220,7 +221,7 @@ func runLonghaul(w io.Writer, cfg longhaulConfig) error {
 		kills, wipes)
 
 	if cfg.historyPath != "" {
-		if err := writeFile(cfg.historyPath, func(f io.Writer) error {
+		if err := obs.WriteFile(cfg.historyPath, func(f io.Writer) error {
 			return history.WriteLines(f, observed)
 		}); err != nil {
 			return err

@@ -209,16 +209,16 @@ func run(args []string, w io.Writer) error {
 			}
 		}
 	}
-	if err := writeObs(*metricsPath, *tracePath, reg, rec); err != nil {
+	if err := obs.WriteFiles(*metricsPath, *tracePath, reg, rec); err != nil {
 		return err
 	}
 	if *spansPath != "" {
-		if err := writeFile(*spansPath, spans.WriteJSONL); err != nil {
+		if err := obs.WriteFile(*spansPath, spans.WriteJSONL); err != nil {
 			return err
 		}
 	}
 	if *historyPath != "" {
-		if err := writeFile(*historyPath, func(f io.Writer) error {
+		if err := obs.WriteFile(*historyPath, func(f io.Writer) error {
 			return history.WriteLines(f, audited)
 		}); err != nil {
 			return err
@@ -284,54 +284,11 @@ func dumpFlight(path string, fr *trace.FlightRecorder, v relaxcheck.Violation) e
 	if path == "" || fr == nil {
 		return nil
 	}
-	return writeFile(path, func(f io.Writer) error {
+	return obs.WriteFile(path, func(f io.Writer) error {
 		return fr.WriteDump(f,
 			obs.KV{K: "kind", V: v.Kind},
 			obs.KV{K: "step", V: fmt.Sprint(v.Step)},
 			obs.KV{K: "op", V: v.Op.String()},
 			obs.KV{K: "claim", V: v.Claim})
 	})
-}
-
-// writeFile creates path and writes through fn, closing cleanly.
-func writeFile(path string, fn func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeObs(metricsPath, tracePath string, reg *obs.Registry, rec *obs.Recorder) error {
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := reg.Snapshot().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := rec.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -20,8 +20,8 @@ import (
 // possible successor states of s on operation execution op; an empty
 // result means op is not accepted from s. Implementations must be
 // deterministic functions of (s, op), must not mutate s, and must be
-// safe for concurrent Step calls: the exploration engine (engine.go)
-// shards its frontier across a worker pool.
+// safe for concurrent Step calls: one automaton value may be shared by
+// goroutines, such as experiments the runner executes in parallel.
 type Automaton interface {
 	// Name identifies the automaton (used in lattice and experiment output).
 	Name() string

@@ -2,9 +2,7 @@ package automaton
 
 import (
 	"math"
-	"runtime"
 	"strings"
-	"sync"
 
 	"relaxlattice/internal/history"
 	"relaxlattice/internal/value"
@@ -37,12 +35,10 @@ import (
 // whose membership differs between the two automata yields the same
 // counterexample history the per-history BFS would have found.
 //
-// Parallelism is deterministic by construction: each depth's frontier is
-// split into contiguous chunks, one per worker; workers emit child
-// updates in (parent, op) order; and the merge concatenates the chunks
-// in worker order, which reproduces the serial discovery order exactly.
-// No map iteration order ever escapes, so any GOMAXPROCS yields
-// byte-identical results (TestParallelMatchesSerial checks it).
+// Each depth is expanded serially, in (parent, op) order, and no map
+// iteration order ever escapes, so results are byte-identical at any
+// GOMAXPROCS. Concurrency lives above the engine: independent claims
+// and whole experiments run in parallel.
 
 // langClass is one equivalence class of same-length histories: all
 // histories h with identical (δ*_A(h), δ*_B(h)) state-set pairs.
@@ -60,7 +56,6 @@ const (
 	setKeySep   = '\x1e'
 	sideKeySep  = "\x1f"
 	maxAlphabet = 256
-	minParFront = 64 // below this, sharding costs more than it saves
 	overflowMsg = "automaton: bounded history count overflows uint64"
 	alphabetMsg = "automaton: alphabet too large for the exploration engine"
 )
@@ -98,23 +93,15 @@ func repHistory(rep []byte, alphabet []history.Op) history.History {
 	return h
 }
 
-// childUpdate is one live child emitted during depth expansion, before
-// merging into classes.
-type childUpdate struct {
-	key              string
-	statesA, statesB []value.Value
-	parent           int // frontier index of the parent class
-	op               int // alphabet index of the appended operation
-	mult             uint64
-}
-
-// expandRange expands frontier[lo:hi] by every alphabet operation,
-// emitting live children in (parent, op) order. b may be nil
-// (single-automaton mode).
-func expandRange(a, b Automaton, frontier []langClass, alphabet []history.Op, lo, hi int) []childUpdate {
-	out := make([]childUpdate, 0, (hi-lo)*len(alphabet))
-	for i := lo; i < hi; i++ {
-		c := frontier[i]
+// expandClasses computes the next depth's frontier: every class is
+// expanded by every alphabet operation in (parent, op) order, and live
+// children are merged by class key in first-discovery order,
+// accumulating multiplicities. b may be nil (single-automaton mode).
+func expandClasses(a, b Automaton, frontier []langClass, alphabet []history.Op) []langClass {
+	index := make(map[string]int, len(frontier)*len(alphabet))
+	next := make([]langClass, 0, len(frontier)*len(alphabet))
+	updates := 0
+	for _, c := range frontier {
 		for op := range alphabet {
 			var sa, sb []value.Value
 			if c.statesA != nil {
@@ -126,70 +113,23 @@ func expandRange(a, b Automaton, frontier []langClass, alphabet []history.Op, lo
 			if sa == nil && sb == nil {
 				continue // dead for both; prefix closure prunes the subtree
 			}
+			updates++
 			key := setKey(sa)
 			if b != nil {
 				key += sideKeySep + setKey(sb)
 			}
-			out = append(out, childUpdate{key: key, statesA: sa, statesB: sb, parent: i, op: op, mult: c.mult})
+			if i, ok := index[key]; ok {
+				next[i].mult = addMult(next[i].mult, c.mult)
+				continue
+			}
+			rep := make([]byte, len(c.rep)+1)
+			copy(rep, c.rep)
+			rep[len(c.rep)] = byte(op)
+			index[key] = len(next)
+			next = append(next, langClass{statesA: sa, statesB: sb, mult: c.mult, rep: rep})
 		}
 	}
-	return out
-}
-
-// expandChunks shards the frontier across a GOMAXPROCS worker pool and
-// concatenates the per-worker results in worker order, which equals the
-// serial emission order because the chunks are contiguous.
-func expandChunks(a, b Automaton, frontier []langClass, alphabet []history.Op) []childUpdate {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(frontier) {
-		workers = len(frontier)
-	}
-	if workers <= 1 || len(frontier) < minParFront {
-		return expandRange(a, b, frontier, alphabet, 0, len(frontier))
-	}
-	parts := make([][]childUpdate, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * len(frontier) / workers
-		hi := (w + 1) * len(frontier) / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			parts[w] = expandRange(a, b, frontier, alphabet, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	observeShards(parts)
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]childUpdate, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// expandClasses computes the next depth's frontier: children are merged
-// by class key in first-discovery order, accumulating multiplicities.
-func expandClasses(a, b Automaton, frontier []langClass, alphabet []history.Op) []langClass {
-	updates := expandChunks(a, b, frontier, alphabet)
-	index := make(map[string]int, len(updates))
-	next := make([]langClass, 0, len(updates))
-	for _, u := range updates {
-		if i, ok := index[u.key]; ok {
-			next[i].mult = addMult(next[i].mult, u.mult)
-			continue
-		}
-		parentRep := frontier[u.parent].rep
-		rep := make([]byte, len(parentRep)+1)
-		copy(rep, parentRep)
-		rep[len(parentRep)] = byte(u.op)
-		index[u.key] = len(next)
-		next = append(next, langClass{statesA: u.statesA, statesB: u.statesB, mult: u.mult, rep: rep})
-	}
-	observeExpand(len(updates), len(next))
+	observeExpand(updates, len(next))
 	return next
 }
 

@@ -55,6 +55,30 @@ func TestCheckAllTaxiEquivalences(t *testing.T) {
 	}
 }
 
+// TestCheckConcurrentlyOrderAndPanic: results come back in argument
+// order whatever the schedule, and a check's panic reaches the caller's
+// goroutine, where the experiment runner recovers it.
+func TestCheckConcurrentlyOrderAndPanic(t *testing.T) {
+	got := checkConcurrently(
+		func() ClaimResult { return ClaimResult{Name: "a"} },
+		func() ClaimResult { return ClaimResult{Name: "b"} },
+		func() ClaimResult { return ClaimResult{Name: "c"} },
+	)
+	if len(got) != 3 || got[0].Name != "a" || got[1].Name != "b" || got[2].Name != "c" {
+		t.Fatalf("results out of order: %+v", got)
+	}
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want boom", r)
+		}
+	}()
+	checkConcurrently(
+		func() ClaimResult { return ClaimResult{} },
+		func() ClaimResult { panic("boom") },
+	)
+	t.Fatal("no panic reached the caller")
+}
+
 func TestTaxiLatticeStructure(t *testing.T) {
 	lat := TaxiLattice()
 	if len(lat.Domain()) != 4 {

@@ -71,16 +71,18 @@ func CheckFIFOTheorem(b Bound) ClaimResult {
 func CheckFIFOFamily(b Bound) []ClaimResult {
 	u := TaxiUniverse()
 	lat := FIFOLattice()
-	var out []ClaimResult
+	var checks []func() ClaimResult
 	for _, s := range u.SubsetsBySize() {
-		qca, _ := lat.Phi(s)
-		simple := FIFOEquivalent(u, s)
-		out = append(out, ClaimResult{
-			Name:    "FIFO family at " + u.Format(s),
-			LHS:     qca.Name(),
-			RHS:     simple.Name(),
-			Compare: automaton.Compare(qca, simple, b.alphabet(), b.MaxLen),
+		checks = append(checks, func() ClaimResult {
+			qca, _ := lat.Phi(s)
+			simple := FIFOEquivalent(u, s)
+			return ClaimResult{
+				Name:    "FIFO family at " + u.Format(s),
+				LHS:     qca.Name(),
+				RHS:     simple.Name(),
+				Compare: automaton.Compare(qca, simple, b.alphabet(), b.MaxLen),
+			}
 		})
 	}
-	return out
+	return checkConcurrently(checks...)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"relaxlattice/internal/automaton"
 	"relaxlattice/internal/history"
 	"relaxlattice/internal/quorum"
@@ -95,29 +97,60 @@ func CheckAccountClaims(b Bound) []ClaimResult {
 	alphabet := history.AccountAlphabet(b.MaxElem)
 	full := quorum.NewQCA("QCA(Acct,{A1,A2},η)", specs.BankAccount(), quorum.A1().Union(quorum.A2()), quorum.AccountFold())
 	relaxed := quorum.NewQCA("QCA(Acct,{A2},η)", specs.BankAccount(), quorum.A2(), quorum.AccountFold())
-	return []ClaimResult{
-		{
-			Name:    "Account one-copy serializability",
-			LHS:     full.Name(),
-			RHS:     "Account",
-			Compare: automaton.Compare(full.Compiled(), specs.BankAccount(), alphabet, b.MaxLen),
+	return checkConcurrently(
+		func() ClaimResult {
+			return ClaimResult{
+				Name:    "Account one-copy serializability",
+				LHS:     full.Name(),
+				RHS:     "Account",
+				Compare: automaton.Compare(full.Compiled(), specs.BankAccount(), alphabet, b.MaxLen),
+			}
 		},
-		{
-			Name:    "Premature-debit degradation",
-			LHS:     relaxed.Name(),
-			RHS:     "SpuriousAccount",
-			Compare: automaton.Compare(relaxed.Compiled(), specs.SpuriousAccount(), alphabet, b.MaxLen),
+		func() ClaimResult {
+			return ClaimResult{
+				Name:    "Premature-debit degradation",
+				LHS:     relaxed.Name(),
+				RHS:     "SpuriousAccount",
+				Compare: automaton.Compare(relaxed.Compiled(), specs.SpuriousAccount(), alphabet, b.MaxLen),
+			}
 		},
-	}
+	)
 }
 
 // CheckAllTaxiEquivalences runs the four lattice-element equivalences
 // of Section 3.3 (one per subset of {Q₁, Q₂}).
 func CheckAllTaxiEquivalences(b Bound) []ClaimResult {
-	return []ClaimResult{
-		CheckOneCopySerializability(b),
-		CheckTheorem4(b),
-		CheckOutOfOrderClaim(b),
-		CheckDegenerateClaim(b),
+	return checkConcurrently(
+		func() ClaimResult { return CheckOneCopySerializability(b) },
+		func() ClaimResult { return CheckTheorem4(b) },
+		func() ClaimResult { return CheckOutOfOrderClaim(b) },
+		func() ClaimResult { return CheckDegenerateClaim(b) },
+	)
+}
+
+// checkConcurrently runs independent claim checks, one goroutine each,
+// and returns their results in argument order. The exploration engine
+// is serial, so this is where a group of claims gets its parallelism;
+// results do not depend on the schedule. A check's panic (the engine
+// panics on count overflow) is re-raised on the caller's goroutine, the
+// first in argument order, so callers that recover still can.
+func checkConcurrently(checks ...func() ClaimResult) []ClaimResult {
+	out := make([]ClaimResult, len(checks))
+	panics := make([]any, len(checks))
+	var wg sync.WaitGroup
+	for i, check := range checks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[i] = recover() }()
+			out[i] = check()
+		}()
 	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	return out
 }

@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -32,12 +33,12 @@ type Config struct {
 	Sites int
 	// Metrics, when set, collects the observability counters of every
 	// substrate an experiment touches (cluster, txn runtime). The runner
-	// hands each experiment a scratch registry and absorbs them in ID
-	// order, so the final snapshot is identical for serial and parallel
-	// runs at any worker count.
+	// hands each experiment a scratch registry and absorbs them in list
+	// order, so the final snapshot is identical at any worker count.
 	Metrics *obs.Registry
 	// Trace, when set, receives each experiment's event journal,
-	// appended strictly in ID order behind an "experiment" marker event.
+	// appended strictly in list order behind an "experiment" marker
+	// event.
 	Trace *obs.Recorder
 }
 
@@ -101,24 +102,57 @@ func Find(id string) (Experiment, bool) {
 	return e, ok
 }
 
-// RunAll runs every experiment serially in ID order, writing a header
-// per experiment and stopping at the first failure.
-func RunAll(w io.Writer, cfg Config) error {
-	return runList(w, cfg, All(), 1)
-}
+// errClaimFails is the error of an experiment that returned normally
+// but printed a FAILS verdict: a refuted claim fails the run.
+var errClaimFails = errors.New("a claim " + verdict(false))
 
-// RunAllParallel runs every experiment concurrently on up to workers
-// goroutines (GOMAXPROCS when workers <= 0), with output byte-identical
-// to RunAll: each experiment writes into its own buffer, and buffers are
-// emitted strictly in ID order. On failure it emits the failing
-// experiment's partial output, reports its ID in the error, and
-// discards the output of everything after it — exactly what the serial
-// run would have shown.
-func RunAllParallel(w io.Writer, cfg Config, workers int) error {
+// Run runs exps concurrently on up to workers goroutines (GOMAXPROCS
+// when workers <= 0; 1 is the serial schedule). Each experiment writes
+// into its own buffer behind a header line, and buffers are emitted
+// strictly in list order, so the output is byte-identical at any
+// worker count. An experiment fails when it returns an error, panics,
+// or prints a FAILS verdict; Run then emits that experiment's output,
+// reports its ID in the error, and discards the output of everything
+// after it.
+func Run(w io.Writer, cfg Config, exps []Experiment, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return runList(w, cfg, All(), workers)
+	results := make([]*expResult, len(exps))
+	for i := range results {
+		results[i] = &expResult{done: make(chan struct{})}
+	}
+	sem := make(chan struct{}, workers)
+	for i, e := range exps {
+		results[i].scratch = scratchConfig(cfg)
+		go func(r *expResult, e Experiment) {
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			defer close(r.done)
+			fmt.Fprintf(&r.buf, "== %s: %s (%s) ==\n", e.ID, e.Title, e.Paper)
+			r.err = runExperiment(&r.buf, r.scratch, e)
+			if r.err == nil && bytes.Contains(r.buf.Bytes(), []byte(verdict(false))) {
+				r.err = errClaimFails
+			}
+			if r.err == nil {
+				fmt.Fprintln(&r.buf)
+			}
+		}(results[i], e)
+	}
+	for i, e := range exps {
+		r := results[i]
+		<-r.done
+		if _, err := w.Write(r.buf.Bytes()); err != nil {
+			return err
+		}
+		// Merge before the error check: the failing experiment's metrics
+		// are part of its output.
+		absorbScratch(cfg, r.scratch, i, e)
+		if r.err != nil {
+			return fmt.Errorf("experiments: %s: %w", e.ID, r.err)
+		}
+	}
+	return nil
 }
 
 // expResult is one experiment's buffered output. done is closed when
@@ -145,8 +179,8 @@ func scratchConfig(cfg Config) Config {
 }
 
 // absorbScratch merges one experiment's scratch sinks into the parent
-// config. Called strictly in ID order (serial and parallel alike), so
-// metric totals and journal bytes are identical at any worker count.
+// config. Called strictly in list order, so metric totals and journal
+// bytes are identical at any worker count.
 func absorbScratch(cfg, scratch Config, idx int, e Experiment) {
 	if cfg.Metrics != nil {
 		cfg.Metrics.Absorb(scratch.Metrics)
@@ -155,54 +189,6 @@ func absorbScratch(cfg, scratch Config, idx int, e Experiment) {
 		cfg.Trace.Record(int64(idx), "experiment", obs.KV{K: "id", V: e.ID})
 		cfg.Trace.Append(scratch.Trace)
 	}
-}
-
-func runList(w io.Writer, cfg Config, exps []Experiment, workers int) error {
-	if workers <= 1 {
-		for i, e := range exps {
-			fmt.Fprintf(w, "== %s: %s (%s) ==\n", e.ID, e.Title, e.Paper)
-			scratch := scratchConfig(cfg)
-			err := runExperiment(w, scratch, e)
-			absorbScratch(cfg, scratch, i, e)
-			if err != nil {
-				return fmt.Errorf("experiments: %s: %w", e.ID, err)
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
-	}
-	results := make([]*expResult, len(exps))
-	for i := range results {
-		results[i] = &expResult{done: make(chan struct{})}
-	}
-	sem := make(chan struct{}, workers)
-	for i, e := range exps {
-		results[i].scratch = scratchConfig(cfg)
-		go func(r *expResult, e Experiment) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			defer close(r.done)
-			fmt.Fprintf(&r.buf, "== %s: %s (%s) ==\n", e.ID, e.Title, e.Paper)
-			r.err = runExperiment(&r.buf, r.scratch, e)
-			if r.err == nil {
-				fmt.Fprintln(&r.buf)
-			}
-		}(results[i], e)
-	}
-	for i, e := range exps {
-		r := results[i]
-		<-r.done
-		if _, err := w.Write(r.buf.Bytes()); err != nil {
-			return err
-		}
-		// Merge before the error check: the failing experiment's metrics
-		// are part of its partial output, exactly as in a serial run.
-		absorbScratch(cfg, r.scratch, i, e)
-		if r.err != nil {
-			return fmt.Errorf("experiments: %s: %w", e.ID, r.err)
-		}
-	}
-	return nil
 }
 
 // runExperiment runs one experiment, converting panics into errors so a

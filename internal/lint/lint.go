@@ -1,7 +1,9 @@
-// Package lint implements relaxlint, a stdlib-only static analyzer
-// with one pass, err-drop: an error result must not be discarded with
+// Package lint is the repository's stdlib-only static analyzer, with
+// one pass, err-drop: an error result must not be discarded with
 // a blank identifier outside _test.go files. A discarded error hides
 // exactly the degraded-mode failures this codebase exists to study.
+// The pass runs over the whole module in `go test ./...`
+// (TestRepairedTreeIsClean), so a finding fails the tier-1 tests.
 //
 // Determinism and lock discipline are not checked here. The replay
 // tests and CI's GOMAXPROCS 2-vs-8 cmp of every artifact check that
@@ -22,16 +24,15 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
-	"strings"
 )
 
 // Diagnostic is one finding, positioned relative to the module root.
 type Diagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
+	File    string
+	Line    int
+	Col     int
+	Rule    string
+	Message string
 }
 
 // String renders the finding in the canonical file:line:col: [rule]
@@ -58,34 +59,14 @@ func KnownRules() []string {
 // reportFunc receives raw findings from the rule implementations.
 type reportFunc func(pos token.Pos, rule, msg string)
 
-// Run loads every package of the module rooted at root, applies the
-// pass to packages matched by patterns ("./..." style, relative to
-// root), filters suppressed findings, and returns the remainder
-// sorted by position.
-func Run(root string, patterns []string) ([]Diagnostic, error) {
-	pkgs, err := Load(root)
-	if err != nil {
-		return nil, err
+// RunPackages applies the pass to already-loaded packages (see Load),
+// filters suppressed findings, and returns the remainder sorted by
+// position.
+func RunPackages(pkgs []*Package) []Diagnostic {
+	if len(pkgs) == 0 {
+		return nil
 	}
-	return RunPackages(pkgs, patterns)
-}
-
-// RunPackages applies the rules to already-loaded packages (see Load).
-// Splitting loading from analysis lets the test suite typecheck a
-// module once and run many analyses over it.
-func RunPackages(pkgs []*Package, patterns []string) ([]Diagnostic, error) {
-	var matched []*Package
-	for _, p := range pkgs {
-		if matchPattern(p.RelDir, patterns) {
-			matched = append(matched, p)
-		}
-	}
-	// A pattern that selects nothing is almost always a typo; failing
-	// loudly keeps a mistyped CI invocation from passing vacuously.
-	if len(matched) == 0 {
-		return nil, fmt.Errorf("no packages match %s", strings.Join(patterns, " "))
-	}
-	fset := matched[0].Fset
+	fset := pkgs[0].Fset
 	var diags []Diagnostic
 	report := func(pos token.Pos, rule, msg string) {
 		position := fset.Position(pos)
@@ -97,11 +78,11 @@ func RunPackages(pkgs []*Package, patterns []string) ([]Diagnostic, error) {
 			Message: msg,
 		})
 	}
-	for _, p := range matched {
+	for _, p := range pkgs {
 		checkErrDiscipline(p, report)
 	}
 
-	idx := collectIgnores(matched, report)
+	idx := collectIgnores(pkgs, report)
 	diags = filterIgnored(diags, idx)
 	diags = append(diags, unusedIgnores(idx)...)
 	sort.Slice(diags, func(i, j int) bool {
@@ -120,28 +101,5 @@ func RunPackages(pkgs []*Package, patterns []string) ([]Diagnostic, error) {
 		}
 		return a.Message < b.Message
 	})
-	return diags, nil
-}
-
-// matchPattern reports whether a package directory (relative to the
-// module root, "." for the root package) is selected by any pattern.
-// Supported forms: "./...", "dir/...", "dir", and "." — with or
-// without a leading "./".
-func matchPattern(rel string, patterns []string) bool {
-	for _, pat := range patterns {
-		pat = strings.TrimPrefix(pat, "./")
-		pat = strings.TrimSuffix(pat, "/")
-		switch {
-		case pat == "..." || pat == "":
-			return true
-		case strings.HasSuffix(pat, "/..."):
-			prefix := strings.TrimSuffix(pat, "/...")
-			if rel == prefix || strings.HasPrefix(rel, prefix+"/") {
-				return true
-			}
-		case rel == pat:
-			return true
-		}
-	}
-	return false
+	return diags
 }

@@ -18,20 +18,16 @@ import (
 // analysis. File positions are relative to the module root.
 type Package struct {
 	// Path is the import path (module path + relative directory).
-	Path string
-	// RelDir is the directory relative to the module root, "/"-separated
-	// ("." for the root package).
-	RelDir string
-	Fset   *token.FileSet
-	Files  []*ast.File
-	Types  *types.Package
-	Info   *types.Info
+	Path  string
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
 }
 
 // rawPkg is a parsed-but-unchecked package during loading.
 type rawPkg struct {
 	path    string
-	relDir  string
 	files   []*ast.File
 	imports []string // intra-module imports only
 }
@@ -77,12 +73,11 @@ func Load(root string) ([]*Package, error) {
 		}
 		checked[path] = tpkg
 		pkgs = append(pkgs, &Package{
-			Path:   path,
-			RelDir: raw.relDir,
-			Fset:   fset,
-			Files:  raw.files,
-			Types:  tpkg,
-			Info:   info,
+			Path:  path,
+			Fset:  fset,
+			Files: raw.files,
+			Types: tpkg,
+			Info:  info,
 		})
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
@@ -171,7 +166,7 @@ func parseModule(root, modPath string) (map[string]*rawPkg, *token.FileSet, erro
 		if relDir != "." {
 			pkgPath = modPath + "/" + relDir
 		}
-		raws[pkgPath] = &rawPkg{path: pkgPath, relDir: relDir, files: files, imports: imports}
+		raws[pkgPath] = &rawPkg{path: pkgPath, files: files, imports: imports}
 		return nil
 	})
 	if walkErr != nil {

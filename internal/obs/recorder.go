@@ -44,8 +44,8 @@ func AppendJSONString(dst []byte, s string) []byte {
 
 // appendJSONString appends s as a JSON string literal. Hand-rolled so
 // the journal encoder has no error path (encoding/json cannot fail on
-// strings, but its API still returns an error relaxlint would make us
-// handle at every call site).
+// strings, but its API still returns an error the err-drop pass would
+// make us handle at every call site).
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	for _, r := range s {

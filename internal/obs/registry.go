@@ -14,8 +14,7 @@
 //     histogram bucket increments), so a final Snapshot is identical
 //     for every interleaving of concurrent writers — any GOMAXPROCS,
 //     any schedule. Scheduling-dependent quantities (cache hit rates
-//     under racy lookups, shard sizes that depend on worker count)
-//     must go to a separate "runtime" registry that is published via
+//     under racy lookups) must go to a separate "runtime" registry that is published via
 //     expvar/pprof but never written to the deterministic snapshot.
 //   - Journal events are ordered, so they are recorded only at
 //     deterministic points under a component's own lock, with logical

@@ -8,7 +8,8 @@ import (
 
 // viewRT is the runtime-only registry for the compiled automaton's
 // transposition cache. Hit/miss splits are scheduling-dependent (two
-// exploration workers can race to compute the same transition), so
+// goroutines sharing an automaton can race to compute the same
+// transition), so
 // they are published via expvar under -pprof and never written to the
 // deterministic snapshot.
 var viewRT atomic.Pointer[obs.Registry]

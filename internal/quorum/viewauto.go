@@ -123,7 +123,7 @@ func sortFamily(m map[string]value.Value) []famMember {
 
 // viewAutomaton is the compiled form of a QCA. The configuration is
 // immutable after construction; the transposition cache is guarded, so
-// concurrent Step calls from the exploration engine are safe.
+// concurrent Step calls are safe.
 type viewAutomaton struct {
 	q    *QCA
 	left []string // sorted distinct invocation names with outgoing Q-pairs

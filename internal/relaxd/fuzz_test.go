@@ -103,7 +103,7 @@ func FuzzWALOpen(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "wal"), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, segName(0)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, log, info, err := OpenStore(dir, StoreOptions{})

@@ -42,9 +42,6 @@ import (
 // zero-length record is invalid by construction, which keeps a
 // zero-filled tail (CRC32("")==0) from decoding as a valid empty
 // record.
-//
-// Stores created before segmentation used a single file named "wal";
-// OpenStore migrates it by renaming it to wal-000000.
 const (
 	walMagic  = "rlxwal1\n"
 	snapMagic = "rlxsnp1\n"
@@ -155,7 +152,9 @@ func parseSegName(name string) (int, bool) {
 	return n, true
 }
 
-// listSegments returns the sorted segment indexes present in dir.
+// listSegments returns the sorted segment indexes present in dir. A
+// file named "wal" is the pre-segmentation layout, which is refused
+// rather than ignored: ignoring it would open an empty log.
 func listSegments(dir string) ([]int, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -163,6 +162,10 @@ func listSegments(dir string) ([]int, error) {
 	}
 	var segs []int
 	for _, de := range ents {
+		if de.Name() == "wal" {
+			return nil, fmt.Errorf("%s: %w: pre-segmentation wal layout is not supported",
+				filepath.Join(dir, "wal"), ErrCorrupt)
+		}
 		if i, ok := parseSegName(de.Name()); ok {
 			segs = append(segs, i)
 		}
@@ -202,24 +205,6 @@ func OpenStore(dir string, opts StoreOptions) (*Store, quorum.Log, RecoveryInfo,
 	segs, err := listSegments(dir)
 	if err != nil {
 		return fail(err)
-	}
-	// Pre-segmentation stores kept a single file named "wal"; adopt it
-	// as segment 0. A legacy file next to segment files is two
-	// interleaved layouts — no write path produces that.
-	legacy := filepath.Join(dir, "wal")
-	if _, lerr := os.Stat(legacy); lerr == nil {
-		if len(segs) > 0 {
-			return fail(fmt.Errorf("%s: %w: legacy wal alongside %d segment(s)", legacy, ErrCorrupt, len(segs)))
-		}
-		if err := os.Rename(legacy, filepath.Join(dir, segName(0))); err != nil {
-			return fail(err)
-		}
-		if err := syncDir(dir); err != nil {
-			return fail(err)
-		}
-		segs = []int{0}
-	} else if !os.IsNotExist(lerr) {
-		return fail(lerr)
 	}
 	if len(segs) == 0 {
 		segs = []int{0}

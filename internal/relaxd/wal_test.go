@@ -187,9 +187,25 @@ func TestOpenStoreRefusesDamagedSnapshot(t *testing.T) {
 	}
 }
 
+// TestOpenStoreRefusesLegacyWAL: a pre-segmentation store kept its log
+// in one file named "wal". Opening it must refuse, not come back empty.
+func TestOpenStoreRefusesLegacyWAL(t *testing.T) {
+	img, _ := walImage(t, serialPQEntries(4))
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal"), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := OpenStore(dir, StoreOptions{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("legacy wal: got %v, want ErrCorrupt", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, segName(0))); !os.IsNotExist(err) {
+		t.Fatalf("refused open created %s (stat err %v)", segName(0), err)
+	}
+}
+
 func TestOpenStoreRefusesForeignWAL(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "wal"), []byte("not a wal at all"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segName(0)), []byte("not a wal at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := OpenStore(dir, StoreOptions{}); !errors.Is(err, ErrCorrupt) {

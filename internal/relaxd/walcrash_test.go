@@ -55,13 +55,12 @@ func walImage(t *testing.T, entries []quorum.Entry) (img []byte, bounds []int) {
 	return img, bounds
 }
 
-// openImage writes a damaged WAL image into a fresh directory — under
-// the pre-segmentation name "wal", so every torture case also covers
-// the legacy-layout migration — and opens it.
+// openImage writes a damaged WAL image into a fresh directory as
+// segment 0 and opens it.
 func openImage(t *testing.T, img []byte) (*Store, quorum.Log, RecoveryInfo, error) {
 	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "wal"), img, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segName(0)), img, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return OpenStore(dir, StoreOptions{})
