@@ -27,6 +27,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzStepCheckerMatchesOffline -fuzztime=20s ./internal/relaxcheck/
 	$(GO) test -fuzz=FuzzCertifyMatchesReplay -fuzztime=20s ./internal/relaxcheck/
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=20s ./internal/relaxd/
+	$(GO) test -fuzz=FuzzStateStream -fuzztime=20s ./internal/relaxd/
 	$(GO) test -fuzz=FuzzWALOpen -fuzztime=20s ./internal/relaxd/
 	$(GO) test -fuzz=FuzzSegmentedWALOpen -fuzztime=20s ./internal/relaxd/
 

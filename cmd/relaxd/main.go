@@ -79,6 +79,15 @@ func run(args []string, w io.Writer, ready chan<- []string, stop <-chan struct{}
 	if *join && (*site < 0 || *peers == "") {
 		return fmt.Errorf("-join requires -site and -peers")
 	}
+	if n := len(strings.Split(*peers, ",")); *join && *site >= n {
+		return fmt.Errorf("-site %d is outside the %d sites -peers names", *site, n)
+	}
+	if *snapshotEvery < 0 {
+		return fmt.Errorf("-snapshot-every %d is negative", *snapshotEvery)
+	}
+	if *segmentRecords < 0 {
+		return fmt.Errorf("-segment-records %d is negative", *segmentRecords)
+	}
 	opts := relaxd.StoreOptions{SegmentRecords: *segmentRecords}
 
 	var replicas []*relaxd.Replica

@@ -151,16 +151,27 @@ func TestJoinMode(t *testing.T) {
 }
 
 func TestFlagValidation(t *testing.T) {
-	if err := run([]string{"-sites", "3", "-site", "1"}, &bytes.Buffer{}, nil, nil); err == nil {
-		t.Fatal("-sites with -site accepted")
-	}
-	if err := run(nil, &bytes.Buffer{}, nil, nil); err == nil {
-		t.Fatal("neither -sites nor -site accepted")
-	}
-	if err := run([]string{"-site", "1", "-join"}, &bytes.Buffer{}, nil, nil); err == nil {
-		t.Fatal("-join without -peers accepted")
-	}
-	if err := run([]string{"-sites", "3", "-join", "-peers", "x:1"}, &bytes.Buffer{}, nil, nil); err == nil {
-		t.Fatal("-join in -sites mode accepted")
+	// A configuration that got past validation would serve until stop
+	// closes; closed, it returns at once and the row fails.
+	stop := make(chan struct{})
+	close(stop)
+	peers := "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3"
+	for _, tc := range []struct {
+		args []string
+		flag string // the flag the error must name; "" checks only that it fails
+	}{
+		{[]string{"-sites", "3", "-site", "1"}, ""},
+		{nil, ""},
+		{[]string{"-site", "1", "-join"}, "-peers"},
+		{[]string{"-sites", "3", "-join", "-peers", "x:1"}, "-join"},
+		{[]string{"-site", "5", "-join", "-peers", peers}, "-site"},
+		{[]string{"-site", "3", "-join", "-peers", peers}, "-site"},
+		{[]string{"-sites", "1", "-snapshot-every", "-5"}, "-snapshot-every"},
+		{[]string{"-sites", "1", "-segment-records", "-1"}, "-segment-records"},
+	} {
+		err := run(tc.args, &bytes.Buffer{}, nil, stop)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("relaxd %v: got %v, want an error naming %q", tc.args, err, tc.flag)
+		}
 	}
 }

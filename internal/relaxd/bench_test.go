@@ -144,17 +144,14 @@ func BenchmarkBulkAppend32k(b *testing.B) {
 	b.ReportMetric(float64(publishes.Load())/float64(b.N), "publishes/op")
 }
 
-// BenchmarkJoinFrom32k is one wipe-and-rejoin at relaxbench's recovery
-// size, end to end over Local's wire round trip: fetch the donor's
-// snapshot and WAL suffix, decode them, build the log, certify it with
-// PQCertify while it is staged, and publish it as the joiner's snapshot.
-// The wipe and restart before each join are not timed.
-func BenchmarkJoinFrom32k(b *testing.B) {
+// joinDonor32k opens a durable donor at relaxbench's recovery size: a
+// published snapshot of 32 000 entries and a 150-entry WAL suffix.
+func joinDonor32k(b *testing.B) *Replica {
 	donor, _, err := OpenReplica(0, b.TempDir(), StoreOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer donor.Close()
+	b.Cleanup(func() { donor.Close() })
 	donor.SnapshotEvery = 8000
 	entries := pqEntries(recoveryEntries)
 	// Publishes coalesce, so the last one could otherwise take in the
@@ -162,13 +159,12 @@ func BenchmarkJoinFrom32k(b *testing.B) {
 	appendPieces(b, donor, entries[:32000])
 	donor.flush()
 	appendPieces(b, donor, entries[32000:])
-	dir := b.TempDir()
-	joiner, _, err := OpenReplica(1, dir, StoreOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer joiner.Close()
-	tr := NewLocal([]*Replica{donor, joiner})
+	return donor
+}
+
+// benchJoin times joins of a wiped joiner (site 1, storing in dir) over
+// tr; the wipe and restart before each join are not timed.
+func benchJoin(b *testing.B, joiner *Replica, dir string, tr Transport) {
 	cfg := JoinConfig{Transport: tr, Certify: PQCertify()}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -190,6 +186,45 @@ func BenchmarkJoinFrom32k(b *testing.B) {
 			b.Fatalf("join shipped %+v, want %d entries with a WAL suffix", info, recoveryEntries)
 		}
 	}
+}
+
+// BenchmarkJoinFrom32k is one wipe-and-rejoin at relaxbench's recovery
+// size, end to end over Local's wire round trip: fetch the donor's
+// snapshot and WAL suffix, decode them, build the log, certify it with
+// PQCertify while it is staged, and publish it as the joiner's snapshot.
+// Local encodes the whole stream before decoding it, on one goroutine.
+func BenchmarkJoinFrom32k(b *testing.B) {
+	donor := joinDonor32k(b)
+	dir := b.TempDir()
+	joiner, _, err := OpenReplica(1, dir, StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer joiner.Close()
+	benchJoin(b, joiner, dir, NewLocal([]*Replica{donor, joiner}))
+}
+
+// BenchmarkJoinFrom32kPooled is BenchmarkJoinFrom32k over loopback TCP,
+// as relaxbench's recovery rejoins: the donor encodes the stream's
+// frames on its connection's handler while the joiner's reader decodes
+// the ones already sent.
+func BenchmarkJoinFrom32kPooled(b *testing.B) {
+	donor := joinDonor32k(b)
+	srv, err := ListenSite("127.0.0.1:0", donor)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	dir := b.TempDir()
+	joiner, _, err := OpenReplica(1, dir, StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer joiner.Close()
+	// The joiner's own slot is never dialed.
+	tr := NewPooledTransport([]string{srv.Addr(), "unused"}, 0)
+	defer tr.Close()
+	benchJoin(b, joiner, dir, tr)
 }
 
 // BenchmarkRecovery measures a cold OpenStore over a store of 5k
@@ -225,4 +260,32 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "recovery-ms")
+}
+
+// BenchmarkDecodeLog32k decodes one 32 150-entry MsgLog body: once
+// with the priority queue's few repeated op texts, once with every text
+// distinct (Enq of the entry's index), the traffic an op-text table
+// cannot help.
+func BenchmarkDecodeLog32k(b *testing.B) {
+	distinct := make([]quorum.Entry, recoveryEntries)
+	for i := range distinct {
+		distinct[i] = quorum.Entry{TS: ts(i+1, 6), Op: history.Enq(i + 1)}
+	}
+	for _, c := range []struct {
+		name    string
+		entries []quorum.Entry
+	}{{"repeated", pqEntries(recoveryEntries)}, {"distinct", distinct}} {
+		body, err := AppendMessage(nil, Message{Type: MsgLog, Entries: c.entries})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if m, err := DecodeMessage(body); err != nil || len(m.Entries) != recoveryEntries {
+					b.Fatalf("decoded %d entries, %v", len(m.Entries), err)
+				}
+			}
+		})
+	}
 }

@@ -2,6 +2,7 @@ package relaxd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -46,7 +47,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
-		if id2 != id || m2.Type != m.Type || m2.N != m.N || m2.Err != m.Err || len(m2.Entries) != len(m.Entries) ||
+		if id2 != id || m2.Type != m.Type || m2.N != m.N || m2.Err != m.Err || len(m2.Entries) != len(m.Entries) || len(m2.Wal) != len(m.Wal) ||
 			m2.Inc != m.Inc || m2.Have != m.Have || m2.Max != m.Max || m2.Delta != m.Delta || m2.More != m.More {
 			t.Fatalf("codec not stable: %d %+v vs %d %+v", id, m, id2, m2)
 		}
@@ -68,7 +69,8 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // fuzzFrameSeeds is one well-formed message of each kind and shape:
 // the zero and a frontier-bearing GetLog, a whole, a delta and a cut
-// Log, a tagged and an untagged Append, and the stale refusal.
+// Log, a tagged and an untagged Append, the stale refusal, and a state
+// that fits one frame.
 func fuzzFrameSeeds() []Message {
 	const inc = 0x0102030405060708
 	entries := sampleEntries()
@@ -85,6 +87,118 @@ func fuzzFrameSeeds() []Message {
 		{Type: MsgAppend, Entries: entries[:2]},
 		{Type: MsgAppend, Inc: inc, Entries: entries[2:]},
 		{Type: MsgStale},
+		{Type: MsgState, Entries: entries[:3], Wal: entries[3:]},
+	}
+}
+
+// FuzzStateStream hardens the MsgState stream assembler. An input is a
+// sequence of frames under one exchange, each a uvarint length and then
+// that many bytes of a frame body after its type byte, fed in order to
+// one stream. Every sequence either assembles, or is refused with
+// ErrFrame, or stops before its last frame (a stream still arriving).
+// It never panics; the entry array is never sized past statePrealloc
+// (lowered here so every input stays cheap) except as far as the
+// entries delivered so far need; a frame after the last is refused;
+// and an assembled stream holds exactly the counts it declared and
+// streams out again to the same entries.
+func FuzzStateStream(f *testing.F) {
+	for _, seed := range stateStreamSeeds(f) {
+		f.Add(seed)
+	}
+	old := statePrealloc
+	statePrealloc = 64
+	f.Cleanup(func() { statePrealloc = old })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var st stateStream
+		last := false
+		for len(data) > 0 {
+			n, rest, err := readUvarint(data)
+			if err != nil || n > uint64(len(rest)) {
+				break
+			}
+			frame := rest[:n]
+			data = rest[n:]
+			if last {
+				if _, err := st.add(frame); !errors.Is(err, ErrFrame) {
+					t.Fatalf("a frame past the last: got %v, want ErrFrame", err)
+				}
+				break
+			}
+			if last, err = st.add(frame); err != nil {
+				if !errors.Is(err, ErrFrame) {
+					t.Fatalf("refused without ErrFrame: %v", err)
+				}
+				return
+			}
+			if c := cap(st.entries); c > max(statePrealloc, 2*len(st.entries)) {
+				t.Fatalf("array sized for %d entries holding %d", c, len(st.entries))
+			}
+		}
+		if !last {
+			return
+		}
+		m := st.message()
+		if len(m.Entries) != st.snap || len(m.Entries)+len(m.Wal) != st.total {
+			t.Fatalf("assembled %d + %d entries, declared %d of %d", len(m.Entries), len(m.Wal), st.snap, st.total)
+		}
+		again, last, err := assemble(stateFrames(t, m))
+		if err != nil || !last {
+			t.Fatalf("assembled state does not stream again: last=%v, %v", last, err)
+		}
+		got := again.message()
+		for i, e := range append(got.Entries, got.Wal...) {
+			want := st.entries[i]
+			if e.TS != want.TS || !e.Op.Equal(want.Op) {
+				t.Fatalf("entry %d streamed again as %s, was %s", i, e, want)
+			}
+		}
+	})
+}
+
+// stateStreamSeeds are FuzzStateStream inputs: a state streamed one
+// entry a frame, the same state in one frame, the empty state, and
+// the shapes the assembler must refuse.
+func stateStreamSeeds(f *testing.F) [][]byte {
+	seq := func(frames ...[]byte) []byte {
+		var b []byte
+		for _, fr := range frames {
+			b = append(binary.AppendUvarint(b, uint64(len(fr))), fr...)
+		}
+		return b
+	}
+	entries := sampleEntries()
+	state := Message{Type: MsgState, Entries: entries[:2], Wal: entries[2:]}
+	whole := stateFrames(f, state)
+	old := stateFrameBytes
+	stateFrameBytes = 1
+	split := stateFrames(f, state)
+	stateFrameBytes = old
+	return [][]byte{
+		seq(split...),
+		seq(whole...),
+		seq(stateFrames(f, Message{Type: MsgState})...),
+		seq(split[0], []byte{flagMore}, split[1]),
+		seq(append(split, split[len(split)-1])...),
+		seq(split[0], split[len(split)-1]),
+		seq(append([]byte{flagFirst | flagMore, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 0}, split[1][1:]...)),
+	}
+}
+
+// requireReplayed checks a store opened from the WAL segment images
+// segs: WALEntries counts every valid record replayed, and the log is
+// those records as a log, the first of any repeated timestamp kept.
+func requireReplayed(t *testing.T, log quorum.Log, info RecoveryInfo, segs ...[]byte) {
+	t.Helper()
+	var records []quorum.Entry
+	for _, seg := range segs {
+		entries, _, err := recoverWAL(seg, nil)
+		if err != nil {
+			t.Fatalf("an opened segment does not recover: %v", err)
+		}
+		records = append(records, entries...)
+	}
+	if info.WALEntries != len(records) || !log.Equal(quorum.LogOf(records...)) {
+		t.Fatalf("recovered log of %d entries, info says %d; the segments hold %d records", log.Len(), info.WALEntries, len(records))
 	}
 }
 
@@ -113,9 +227,7 @@ func FuzzWALOpen(f *testing.F) {
 			}
 			return
 		}
-		if log.Len() != info.WALEntries {
-			t.Fatalf("recovered log %d entries, info says %d", log.Len(), info.WALEntries)
-		}
+		requireReplayed(t, log, info, data)
 		if err := s.Close(); err != nil {
 			t.Fatalf("close after recovery: %v", err)
 		}
@@ -193,9 +305,7 @@ func FuzzSegmentedWALOpen(f *testing.F) {
 		if info.RepairedBytes > len(seg1) {
 			t.Fatalf("repaired %d bytes, active segment only holds %d", info.RepairedBytes, len(seg1))
 		}
-		if log.Len() != info.WALEntries {
-			t.Fatalf("recovered log %d entries, info says %d", log.Len(), info.WALEntries)
-		}
+		requireReplayed(t, log, info, seg0, seg1)
 		if info.Segments != 2 {
 			t.Fatalf("opened %d segments, want 2", info.Segments)
 		}

@@ -91,10 +91,11 @@ func (r *Replica) JoinFrom(cfg JoinConfig) (JoinInfo, error) {
 			lastErr = err
 			continue
 		}
-		// The decoded parts are this join's own: the logs take them over.
-		snap := quorum.Adopt(resp.Entries)
-		info := JoinInfo{Peer: site, SnapshotEntries: snap.Len(), WALEntries: len(resp.Wal)}
-		err = r.install(site, quorum.Merge(snap, quorum.Adopt(resp.Wal)), cfg)
+		// The reply's parts are this join's own, and the log takes them
+		// over; Adopt keeps the first of any repeated timestamp — the
+		// snapshot's, as a merge of the two parts would.
+		info := JoinInfo{Peer: site, SnapshotEntries: len(resp.Entries), WALEntries: len(resp.Wal)}
+		err = r.install(site, quorum.Adopt(joinParts(resp.Entries, resp.Wal)), cfg)
 		if errors.Is(err, errUncertified) {
 			refused = append(refused, err)
 			continue
@@ -108,6 +109,18 @@ func (r *Replica) JoinFrom(cfg JoinConfig) (JoinInfo, error) {
 		return JoinInfo{}, fmt.Errorf("%w: %v", ErrNoPeer, lastErr)
 	}
 	return JoinInfo{}, ErrNoPeer
+}
+
+// joinParts returns a state reply's snapshot part followed by its WAL
+// part as one array. A decoded reply holds the WAL part right after the
+// snapshot part in one array, which is returned as it is; separate parts
+// are copied into a new array, so nothing is written into whatever lies
+// in the snapshot part's spare capacity.
+func joinParts(snap, wal []quorum.Entry) []quorum.Entry {
+	if n := len(snap); len(wal) == 0 || cap(snap) > n && &snap[:n+1][n] == &wal[0] {
+		return snap[:n+len(wal)]
+	}
+	return append(append(make([]quorum.Entry, 0, len(snap)+len(wal)), snap...), wal...)
 }
 
 // install joins the state peer shipped into the replica. It holds mu

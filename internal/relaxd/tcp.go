@@ -44,17 +44,26 @@ func serveConn(conn net.Conn, r *Replica) {
 
 // serveMux runs the multiplexed request loop: frames are read in
 // order, handled concurrently (bounded by maxInFlight), and replies
-// are written back under a write lock in completion order — the
-// correlation ids let the client pair them up. The pipelined-append
-// path depends on this concurrency: many in-flight MsgAppends on one
-// connection ride a shared group-commit fsync window instead of
-// serializing round trips.
+// are written back in completion order, each frame in one write under
+// a write lock — the correlation ids let the client pair them up. A
+// MsgState reply streams its frames under a second lock, so the other
+// replies go on between them but two streams never interleave. The
+// pipelined-append path depends on this concurrency: many in-flight
+// MsgAppends on one connection ride a shared group-commit fsync window
+// instead of serializing round trips.
 func serveMux(conn net.Conn, br *bufio.Reader, r *Replica) {
 	var (
 		wmu  sync.Mutex
+		smu  sync.Mutex // held for a whole MsgState stream
 		wg   sync.WaitGroup
 		slot = make(chan struct{}, maxInFlight)
 	)
+	write := func(frame []byte) error {
+		wmu.Lock()
+		defer wmu.Unlock()
+		_, err := conn.Write(frame)
+		return err
+	}
 	defer wg.Wait()
 	for {
 		id, req, err := ReadMuxFrame(br)
@@ -71,10 +80,11 @@ func serveMux(conn net.Conn, br *bufio.Reader, r *Replica) {
 				conn.Close() // down / crash hook: vanish like a dead site
 				return
 			}
-			wmu.Lock()
-			err = WriteMuxFrame(conn, id, resp)
-			wmu.Unlock()
-			if err != nil {
+			if resp.Type == MsgState {
+				smu.Lock()
+				defer smu.Unlock()
+			}
+			if err := writeMessage(write, id, resp); err != nil {
 				conn.Close()
 			}
 		}(id, req)
@@ -189,7 +199,8 @@ func (t *PooledTransport) Close() error {
 
 // muxConn is one multiplexed connection: a writer side issuing
 // correlation ids and a reader goroutine pairing replies back to the
-// in-flight requests.
+// in-flight requests. The reader decodes a streamed MsgState frame by
+// frame as it arrives and hands the request its whole reply.
 type muxConn struct {
 	c   net.Conn
 	wmu sync.Mutex // serializes frame writes
@@ -213,9 +224,9 @@ func newMuxConn(c net.Conn) (*muxConn, error) {
 // readLoop dispatches replies to their waiting requests until the
 // connection dies, then fails every in-flight request.
 func (mc *muxConn) readLoop() {
-	br := bufio.NewReader(mc.c)
+	rr := replyReader{r: bufio.NewReader(mc.c)}
 	for {
-		id, m, err := ReadMuxFrame(br)
+		id, m, err := rr.next()
 		if err != nil {
 			mc.fail(err)
 			return

@@ -14,7 +14,8 @@ import (
 type Transport interface {
 	// Sites returns how many sites the transport can reach.
 	Sites() int
-	// RoundTrip sends req to site and returns its reply.
+	// RoundTrip sends req to site and returns its reply, which is the
+	// caller's own: a joining replica adopts a MsgState reply's parts.
 	RoundTrip(site int, req Message) (Message, error)
 }
 
@@ -63,14 +64,19 @@ func (t *Local) RoundTrip(site int, req Message) (Message, error) {
 	return reencode(resp)
 }
 
-// reencode pushes a message through the wire codec (frame out, frame
-// back in), so in-process calls see exactly the bytes — and the
-// MaxFrame bound — TCP would.
+// reencode pushes a message through the wire codec (frames out, frames
+// back in), so in-process calls see exactly the bytes — the MaxFrame
+// bound and a MsgState reply's stream — TCP would.
 func reencode(m Message) (Message, error) {
 	var b bytes.Buffer
-	if err := WriteMuxFrame(&b, 0, m); err != nil {
+	err := writeMessage(func(frame []byte) error {
+		_, err := b.Write(frame)
+		return err
+	}, 0, m)
+	if err != nil {
 		return Message{}, err
 	}
-	_, decoded, err := ReadMuxFrame(&b)
+	rr := replyReader{r: &b}
+	_, decoded, err := rr.next()
 	return decoded, err
 }

@@ -196,7 +196,10 @@ func OpenStore(dir string, opts StoreOptions) (*Store, quorum.Log, RecoveryInfo,
 		return fail(err)
 	}
 
-	snapLog, snapN, err := readSnapshot(filepath.Join(dir, "snap"))
+	// One op table serves the whole open: a log repeats a handful of
+	// op texts, so each is parsed once, not once per record.
+	ops := make(opTable)
+	snapLog, snapN, err := readSnapshot(filepath.Join(dir, "snap"), ops)
 	if err != nil {
 		return fail(err)
 	}
@@ -231,7 +234,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, quorum.Log, RecoveryInfo,
 		if err != nil {
 			return fail(err)
 		}
-		segEntries, goodLen, rerr := recoverWAL(data)
+		segEntries, goodLen, rerr := recoverWAL(data, ops)
 		if rerr != nil {
 			return fail(fmt.Errorf("%s: %w", path, rerr))
 		}
@@ -340,7 +343,7 @@ func createSegment(dir string, idx int) (*os.File, error) {
 // was identified and should be truncated; goodLen < headerLen means
 // the header itself must be rewritten. An inconsistency that a torn
 // final write cannot explain returns an error wrapping ErrCorrupt.
-func recoverWAL(data []byte) (entries []quorum.Entry, goodLen int, err error) {
+func recoverWAL(data []byte, ops opTable) (entries []quorum.Entry, goodLen int, err error) {
 	if len(data) < headerLen {
 		// Nothing, or a torn header write: repairable iff the bytes are
 		// a prefix of the magic (the only thing ever written first).
@@ -354,7 +357,7 @@ func recoverWAL(data []byte) (entries []quorum.Entry, goodLen int, err error) {
 	}
 	o := headerLen
 	for o < len(data) {
-		e, n, ok, err := readRecord(data[o:])
+		e, n, ok, err := readRecord(data[o:], ops)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%w at offset %d", err, o)
 		}
@@ -381,7 +384,7 @@ func recoverWAL(data []byte) (entries []quorum.Entry, goodLen int, err error) {
 // record is structurally incomplete or its header is implausible.
 // A non-nil error is returned only for payload bytes whose CRC passes
 // but which do not decode — that is never a torn write.
-func readRecord(b []byte) (e quorum.Entry, n int, ok bool, err error) {
+func readRecord(b []byte, ops opTable) (e quorum.Entry, n int, ok bool, err error) {
 	if len(b) < recHdrLen {
 		return quorum.Entry{}, 0, false, nil
 	}
@@ -397,7 +400,7 @@ func readRecord(b []byte) (e quorum.Entry, n int, ok bool, err error) {
 	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(b[4:8]) {
 		return quorum.Entry{}, n, false, nil
 	}
-	rest, derr := decodeEntry(&e, payload)
+	rest, derr := decodeEntry(&e, payload, ops)
 	if derr != nil || len(rest) != 0 {
 		return quorum.Entry{}, 0, false,
 			fmt.Errorf("%w: record passes CRC but does not decode", ErrCorrupt)
@@ -738,7 +741,7 @@ func (s *Store) Close() error {
 // readSnapshot loads and validates the published snapshot. A missing
 // snapshot is an empty log; anything structurally wrong is ErrCorrupt
 // (snapshots publish atomically, so damage is never a torn write).
-func readSnapshot(path string) (quorum.Log, int, error) {
+func readSnapshot(path string, ops opTable) (quorum.Log, int, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return quorum.Log{}, 0, nil
@@ -756,7 +759,7 @@ func readSnapshot(path string) (quorum.Log, int, error) {
 	}
 	entries := make([]quorum.Entry, 0, count)
 	for i := uint32(0); i < count; i++ {
-		e, n, ok, err := readRecord(b)
+		e, n, ok, err := readRecord(b, ops)
 		if err != nil || !ok {
 			return quorum.Log{}, 0, fmt.Errorf("%s: %w: bad snapshot record %d", path, ErrCorrupt, i)
 		}

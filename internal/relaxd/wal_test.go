@@ -212,3 +212,60 @@ func TestOpenStoreRefusesForeignWAL(t *testing.T) {
 		t.Fatalf("foreign WAL: got %v, want ErrCorrupt", err)
 	}
 }
+
+// testdata/store-v1 is a store an earlier build wrote: 25 entries of
+// serialPQEntries, a published snapshot of 20 and 5 WAL records over
+// two segments, compacted through segment 6. The store's bytes are a
+// contract, so it opens to the same log and the same RecoveryInfo.
+func TestStoreImageOpensUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	copyStore(t, filepath.Join("testdata", "store-v1"), dir)
+	s, log, info, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := RecoveryInfo{SnapshotEntries: 20, WALEntries: 5, Segments: 2, CompactedThrough: 6}
+	if info != want {
+		t.Fatalf("recovered %+v, want %+v", info, want)
+	}
+	if !log.Equal(quorum.LogOf(serialPQEntries(25)...)) {
+		t.Fatalf("recovered log %s", log)
+	}
+}
+
+// A cold open parses each distinct op text once across the snapshot
+// and every segment, so a 2 000-record store opens in far fewer
+// allocations than it has records.
+func TestOpenStoreParsesEachTextOnce(t *testing.T) {
+	dir := t.TempDir()
+	s, _, _, err := OpenStore(dir, StoreOptions{SegmentRecords: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := serialPQEntries(2000)
+	for _, e := range entries[:1500] {
+		if err := appendDurable(s, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Snapshot(quorum.LogOf(entries[:1500]...)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AppendBatch(entries[1500:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(3, func() {
+		s, log, info, err := OpenStore(dir, StoreOptions{})
+		if err != nil || log.Len() != len(entries) || info.WALEntries != 500 {
+			t.Fatalf("reopened %d entries (%+v): %v", log.Len(), info, err)
+		}
+		s.Close()
+	})
+	if n > float64(len(entries)/4) {
+		t.Fatalf("opening %d records took %v allocations", len(entries), n)
+	}
+}

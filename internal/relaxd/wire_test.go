@@ -203,7 +203,7 @@ func TestDecodeEntryAllocatesOnlyItsIntegers(t *testing.T) {
 		}
 		var e quorum.Entry
 		got := testing.AllocsPerRun(100, func() {
-			if _, err := decodeEntry(&e, b); err != nil {
+			if _, err := decodeEntry(&e, b, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -245,5 +245,28 @@ func TestAppendMessageRejectsUnencodable(t *testing.T) {
 		{TS: ts(1, 1), Op: long},
 	}}); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversized op: got %v, want ErrFrame", err)
+	}
+}
+
+// An entry's op text follows its uvarint length whatever the length:
+// texts on both sides of the one-byte prefix's limit encode to the same
+// layout and decode back.
+func TestAppendEntryPrefixesEveryLength(t *testing.T) {
+	for _, n := range []int{8, 126, 127, 128, 129, 300, maxOpLen} {
+		op := history.Op{Name: strings.Repeat("x", n-len("()/Ok()")), Term: history.Ok}
+		e := quorum.Entry{TS: ts(200, 3), Op: op}
+		got, err := appendEntry([]byte{0xee}, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := binary.AppendUvarint([]byte{0xee, 0xc8, 0x01, 3}, uint64(n))
+		want = append(want, op.String()...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte text encoded as %x, want %x", n, got, want)
+		}
+		var back quorum.Entry
+		if rest, err := decodeEntry(&back, got[1:], nil); err != nil || len(rest) != 0 || back.TS != e.TS || !back.Op.Equal(op) {
+			t.Fatalf("%d-byte text decoded as %v (%d left): %v", n, back, len(rest), err)
+		}
 	}
 }
