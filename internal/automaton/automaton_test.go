@@ -157,6 +157,16 @@ func TestSpecPanics(t *testing.T) {
 	mustPanic("nil succ", func() {
 		NewSpec("nosucc", value.EmptyBag(), OpSpec{Name: "X"})
 	})
+	mustPanic("both succ and apply", func() {
+		NewSpec("both", value.EmptyBag(), OpSpec{Name: "X",
+			Succ:  func(value.Value, history.Op) []value.Value { return nil },
+			Apply: func(value.Value, history.Op) bool { return true },
+		})
+	})
+	mustPanic("apply over a state that cannot be cloned", func() {
+		NewSpec("noclone", value.NewAccount(0),
+			OpSpec{Name: "X", Apply: func(value.Value, history.Op) bool { return true }})
+	})
 }
 
 func TestSpecAccessors(t *testing.T) {

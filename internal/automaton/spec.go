@@ -10,11 +10,15 @@ import (
 
 // OpSpec is the Larch interface (Section 2.4) for one operation: a
 // requires clause over the starting state and an ensures clause realized
-// as a successor enumerator. Succ must return exactly the states s' for
-// which the postcondition p.post(s, s') holds for the *full* operation
-// execution op (invocation and response); returning no states for a
-// response that the postcondition cannot justify is how the automaton
-// rejects ill-responded executions.
+// either as a successor enumerator (Succ) or, when the clause names one
+// successor, as an in-place update (Apply). Exactly one of the two is
+// set. Succ must return exactly the states s' for which the
+// postcondition p.post(s, s') holds for the *full* operation execution
+// op (invocation and response); returning no states for a response that
+// the postcondition cannot justify is how the automaton rejects
+// ill-responded executions. Apply updates s, which its caller owns (a
+// value.Clone), to the one such state and returns true, or returns
+// false when there is none; s is unspecified after a false return.
 type OpSpec struct {
 	// Name is the operation name this spec applies to.
 	Name string
@@ -22,6 +26,8 @@ type OpSpec struct {
 	Pre func(s value.Value, op history.Op) bool
 	// Succ enumerates the postcondition's successor states.
 	Succ func(s value.Value, op history.Op) []value.Value
+	// Apply updates an owned state to the postcondition's one successor.
+	Apply func(s value.Value, op history.Op) bool
 }
 
 // Spec is a simple object automaton assembled from Larch interfaces.
@@ -36,15 +42,20 @@ var _ Automaton = (*Spec)(nil)
 
 // NewSpec builds an automaton named name with initial state init and
 // the given operation interfaces. It panics on duplicate operation
-// names (a programming error in spec construction).
+// names, on an operation that sets neither or both of Succ and Apply,
+// and on an Apply operation over a state value.Clone cannot copy
+// (programming errors in spec construction).
 func NewSpec(name string, init value.Value, ops ...OpSpec) *Spec {
 	m := make(map[string]OpSpec, len(ops))
 	for _, op := range ops {
 		if _, dup := m[op.Name]; dup {
 			panic(fmt.Sprintf("automaton: duplicate operation %q in spec %q", op.Name, name))
 		}
-		if op.Succ == nil {
-			panic(fmt.Sprintf("automaton: operation %q in spec %q has no ensures clause", op.Name, name))
+		if (op.Succ == nil) == (op.Apply == nil) {
+			panic(fmt.Sprintf("automaton: operation %q in spec %q needs exactly one of Succ and Apply", op.Name, name))
+		}
+		if op.Apply != nil {
+			value.Clone(init) // panics on a state it cannot copy
 		}
 		m[op.Name] = op
 	}
@@ -67,7 +78,20 @@ func (sp *Spec) Step(s value.Value, op history.Op) []value.Value {
 	if o.Pre != nil && !o.Pre(s, op) {
 		return nil
 	}
-	return o.Succ(s, op)
+	return o.successors(s, op)
+}
+
+// successors is the ensures clause as a successor set. An Apply
+// operation updates a clone, so s itself is never changed.
+func (o *OpSpec) successors(s value.Value, op history.Op) []value.Value {
+	if o.Succ != nil {
+		return o.Succ(s, op)
+	}
+	next := value.Clone(s)
+	if !o.Apply(next, op) {
+		return nil
+	}
+	return []value.Value{next}
 }
 
 // PreHolds reports whether op's requires clause holds in state s.
@@ -90,7 +114,7 @@ func (sp *Spec) PostHolds(s value.Value, op history.Op, next value.Value) bool {
 		return false
 	}
 	want := next.Key()
-	for _, s2 := range o.Succ(s, op) {
+	for _, s2 := range o.successors(s, op) {
 		if s2.Key() == want {
 			return true
 		}

@@ -26,7 +26,8 @@ type StepChecker struct {
 	fronts []*automaton.Frontier // nil once the element is dead
 	alive  int
 	length int
-	peak   int // largest single-element frontier seen
+	peak   int   // largest single-element frontier seen
+	cur    []Set // maximal viable sets; replaced, never written, when alive changes
 }
 
 // NewStepChecker starts a checker at the empty history (every element
@@ -57,6 +58,7 @@ func NewUpSetChecker(lat *Relaxation, floor Set) *StepChecker {
 		a, _ := lat.Phi(s)
 		c.fronts[i] = automaton.NewFrontier(a)
 	}
+	c.cur = c.maximal()
 	return c
 }
 
@@ -66,6 +68,7 @@ func NewUpSetChecker(lat *Relaxation, floor Set) *StepChecker {
 // (prefix-closed languages never recover).
 func (c *StepChecker) Step(op history.Op) bool {
 	c.length++
+	alive := c.alive
 	for i, f := range c.fronts {
 		if f == nil {
 			continue
@@ -78,6 +81,9 @@ func (c *StepChecker) Step(op history.Op) bool {
 		if f.Size() > c.peak {
 			c.peak = f.Size()
 		}
+	}
+	if c.alive != alive {
+		c.cur = c.maximal()
 	}
 	return c.alive > 0
 }
@@ -112,8 +118,14 @@ func (c *StepChecker) Viable(s Set) bool {
 
 // Current returns the maximal viable constraint sets — identical, on
 // every prefix, to Relaxation.WeakestAccepting of that prefix (nil
-// when nothing in the lattice accepts the history).
-func (c *StepChecker) Current() []Set {
+// when nothing in the lattice accepts the history). The slice is
+// shared and never written after it is returned; callers must not
+// mutate it.
+func (c *StepChecker) Current() []Set { return c.cur }
+
+// maximal computes Current afresh: the sets change only when an
+// element dies.
+func (c *StepChecker) maximal() []Set {
 	var maximal []Set
 	for i, s := range c.sets {
 		if c.fronts[i] == nil {

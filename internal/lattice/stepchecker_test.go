@@ -23,14 +23,25 @@ func sameSets(a, b []lattice.Set) bool {
 }
 
 // checkAllPrefixes feeds h one op at a time and asserts the checker's
-// Current equals WeakestAccepting of every prefix.
+// Current equals WeakestAccepting of every prefix, and that no slice
+// Current returned is written afterwards.
 func checkAllPrefixes(t *testing.T, lat *lattice.Relaxation, h history.History) {
 	t.Helper()
 	sc := lattice.NewStepChecker(lat)
 	if want, ok := lat.WeakestAccepting(nil); !ok || !sameSets(sc.Current(), want) {
 		t.Fatalf("empty history: checker %v, offline %v (ok=%v)", sc.Current(), want, ok)
 	}
+	var returned, copies [][]lattice.Set
+	defer func() {
+		for i, cur := range returned {
+			if !sameSets(cur, copies[i]) {
+				t.Fatalf("%s: a slice Current returned changed from %v to %v", lat.Name, copies[i], cur)
+			}
+		}
+	}()
 	for i, op := range h {
+		cur := sc.Current()
+		returned, copies = append(returned, cur), append(copies, append([]lattice.Set(nil), cur...))
 		alive := sc.Step(op)
 		prefix := h[:i+1]
 		want, ok := lat.WeakestAccepting(prefix)

@@ -49,9 +49,10 @@ func pqHistory(rng *rand.Rand, n int) history.History {
 
 // BenchmarkCertify32k is the certification a snapshot-shipping join
 // pays before install (relaxd.PQCertify): the whole shipped history
-// through every element of the taxi lattice. The degenerate-queue
-// element's bag never shrinks, so this is the benchmark that notices
-// a Bag whose operations cost O(size).
+// through the up-set of the Q1Q2 claim, which in the taxi lattice is
+// the priority queue alone (DESIGN.md §11). Its one state is stepped
+// in place, so allocations per run stay constant in the history's
+// length.
 func BenchmarkCertify32k(b *testing.B) {
 	lat := core.TaxiSimpleLattice()
 	h := pqHistory32k()
@@ -59,6 +60,27 @@ func BenchmarkCertify32k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if v := Certify(lat, nil, "Q1Q2", h); v != nil {
+			b.Fatal(v)
+		}
+	}
+}
+
+// BenchmarkObserve32k is the live audit over the same history: every
+// operation through New's checker on the full taxi lattice. This is
+// the benchmark that steps the degenerate queue's never-shrinking bag
+// and the MPQ, and the one that notices per-operation allocation on
+// the serving path.
+func BenchmarkObserve32k(b *testing.B) {
+	lat := core.TaxiSimpleLattice()
+	h := pqHistory32k()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := New(lat, Options{Claims: TaxiClaims(lat.Universe)})
+		for _, op := range h {
+			c.ObserveOp(op)
+		}
+		if v := c.Violation(); v != nil {
 			b.Fatal(v)
 		}
 	}

@@ -261,7 +261,8 @@ func (c *Checker) Violation() *Violation {
 }
 
 // Current returns the maximal viable constraint sets — equal on every
-// prefix to WeakestAccepting of that prefix.
+// prefix to WeakestAccepting of that prefix. The slice is shared;
+// callers must not mutate it.
 func (c *Checker) Current() []lattice.Set {
 	c.mu.Lock()
 	defer c.mu.Unlock()

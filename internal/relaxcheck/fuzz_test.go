@@ -6,9 +6,22 @@ import (
 	"relaxlattice/internal/history"
 )
 
+// malformedOps are executions no queue automaton accepts: the wrong
+// arity, a termination other than Ok, and an unknown operation.
+var malformedOps = []history.Op{
+	history.MakeOp(history.NameEnq, []int{1, 2}, history.Ok, nil),
+	history.MakeOp(history.NameEnq, []int{1}, history.Ok, []int{1}),
+	history.MakeOp(history.NameEnq, []int{1}, history.Over, nil),
+	history.MakeOp(history.NameDeq, nil, history.Ok, nil),
+	history.MakeOp(history.NameDeq, []int{1}, history.Ok, []int{1}),
+	history.MakeOp(history.NameDeq, nil, history.Over, []int{1}),
+	history.MakeOp("Peek", nil, history.Ok, []int{1}),
+}
+
 // decodeHistory maps fuzzer bytes onto a bounded queue history: each
-// byte selects one operation of the alphabet. The length cap keeps the
-// offline WeakestAccepting replays (exponential in principle) cheap.
+// byte below 0xF0 selects one operation of the alphabet, and each byte
+// from 0xF0 up one of malformedOps. The length cap keeps the offline
+// WeakestAccepting replays (exponential in principle) cheap.
 func decodeHistory(data []byte) history.History {
 	alphabet := history.QueueAlphabet(3)
 	if len(data) > maxDiffLen {
@@ -16,6 +29,10 @@ func decodeHistory(data []byte) history.History {
 	}
 	h := make(history.History, 0, len(data))
 	for _, b := range data {
+		if b >= 0xF0 {
+			h = append(h, malformedOps[int(b-0xF0)%len(malformedOps)])
+			continue
+		}
 		h = append(h, alphabet[int(b)%len(alphabet)])
 	}
 	return h

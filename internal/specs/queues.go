@@ -49,37 +49,31 @@ func deqElem(op history.Op) (value.Elem, bool) {
 	return value.Elem(op.Res[0]), true
 }
 
+// bagEnq is Enq(e)/Ok() ensures b' = ins(b, e), applied in place.
+func bagEnq(s value.Value, op history.Op) bool {
+	e, ok := enqElem(op)
+	if ok {
+		asBag(s).Add(e)
+	}
+	return ok
+}
+
+// bagNonEmpty is the requires clause ¬isEmp(b).
+func bagNonEmpty(s value.Value, _ history.Op) bool { return !asBag(s).IsEmp() }
+
 // BagAutomaton returns the bag automaton of Figures 2-1/2-2:
 //
 //	Enq(e)/Ok()  ensures b' = ins(b, e)
 //	Deq()/Ok(e)  requires ¬isEmp(b)  ensures isIn(b, e) ∧ b' = del(b, e)
 func BagAutomaton() *automaton.Spec {
 	return automaton.NewSpec("Bag", value.EmptyBag(),
-		automaton.OpSpec{
-			Name: history.NameEnq,
-			Succ: func(s value.Value, op history.Op) []value.Value {
-				e, ok := enqElem(op)
-				if !ok {
-					return nil
-				}
-				return []value.Value{asBag(s).Ins(e)}
-			},
-		},
+		automaton.OpSpec{Name: history.NameEnq, Apply: bagEnq},
 		automaton.OpSpec{
 			Name: history.NameDeq,
-			Pre: func(s value.Value, op history.Op) bool {
-				return !asBag(s).IsEmp()
-			},
-			Succ: func(s value.Value, op history.Op) []value.Value {
+			Pre:  bagNonEmpty,
+			Apply: func(s value.Value, op history.Op) bool {
 				e, ok := deqElem(op)
-				if !ok {
-					return nil
-				}
-				b := asBag(s)
-				if !b.IsIn(e) {
-					return nil
-				}
-				return []value.Value{b.Del(e)}
+				return ok && asBag(s).Remove(e)
 			},
 		},
 	)
@@ -128,32 +122,18 @@ func FIFOQueue() *automaton.Spec {
 //	Deq()/Ok(e)  requires ¬isEmp(q)  ensures e = best(q) ∧ q' = del(q, e)
 func PriorityQueue() *automaton.Spec {
 	return automaton.NewSpec("PQueue", value.EmptyBag(),
-		automaton.OpSpec{
-			Name: history.NameEnq,
-			Succ: func(s value.Value, op history.Op) []value.Value {
-				e, ok := enqElem(op)
-				if !ok {
-					return nil
-				}
-				return []value.Value{asBag(s).Ins(e)}
-			},
-		},
+		automaton.OpSpec{Name: history.NameEnq, Apply: bagEnq},
 		automaton.OpSpec{
 			Name: history.NameDeq,
-			Pre: func(s value.Value, op history.Op) bool {
-				return !asBag(s).IsEmp()
-			},
-			Succ: func(s value.Value, op history.Op) []value.Value {
+			Pre:  bagNonEmpty,
+			Apply: func(s value.Value, op history.Op) bool {
 				e, ok := deqElem(op)
 				if !ok {
-					return nil
+					return false
 				}
 				q := asBag(s)
 				best, nonEmpty := q.Best()
-				if !nonEmpty || best != e {
-					return nil
-				}
-				return []value.Value{q.Del(e)}
+				return nonEmpty && best == e && q.Remove(e)
 			},
 		},
 	)
@@ -163,48 +143,45 @@ func PriorityQueue() *automaton.Spec {
 // is a record [present, absent]; Enq inserts into present, and Deq
 // either transfers the best present item to absent and returns it, or
 // re-returns an absent item whose priority exceeds every present item
-// (a request serviced more than once).
+// (a request serviced more than once). The two Deq disjuncts are
+// exclusive (e = best(present) against e > best(present)), so every
+// operation has at most one successor.
 func MultiPriorityQueue() *automaton.Spec {
 	asMPQ := func(s value.Value) value.MPQ { return s.(value.MPQ) }
 	return automaton.NewSpec("MPQueue", value.EmptyMPQ(),
 		automaton.OpSpec{
 			Name: history.NameEnq,
-			Succ: func(s value.Value, op history.Op) []value.Value {
+			Apply: func(s value.Value, op history.Op) bool {
 				e, ok := enqElem(op)
-				if !ok {
-					return nil
+				if ok {
+					asMPQ(s).Present.Add(e)
 				}
-				m := asMPQ(s)
-				return []value.Value{value.MPQ{Present: m.Present.Ins(e), Absent: m.Absent}}
+				return ok
 			},
 		},
 		automaton.OpSpec{
 			Name: history.NameDeq,
 			// Deq.pre_MPQ is true (noted in the proof of Theorem 4); an
 			// unsatisfiable response set rejects instead.
-			Succ: func(s value.Value, op history.Op) []value.Value {
+			Apply: func(s value.Value, op history.Op) bool {
 				e, ok := deqElem(op)
 				if !ok {
-					return nil
+					return false
 				}
 				m := asMPQ(s)
-				var succ []value.Value
-				// Disjunct 1: isIn(absent, e) ∧ e > best(present); the
-				// queue is unchanged (the request is serviced again).
-				if m.Absent.IsIn(e) {
-					best, nonEmpty := m.Present.Best()
-					if !nonEmpty || e > best {
-						succ = append(succ, m)
-					}
+				best, nonEmpty := m.Present.Best()
+				switch {
+				case nonEmpty && e == best:
+					// Disjunct 2: e = best(present); transfer to absent.
+					m.Present.Remove(e)
+					m.Absent.Add(e)
+					return true
+				case !nonEmpty || e > best:
+					// Disjunct 1: isIn(absent, e) ∧ e > best(present); the
+					// queue is unchanged (the request is serviced again).
+					return m.Absent.IsIn(e)
 				}
-				// Disjunct 2: e = best(present); transfer to absent.
-				if best, nonEmpty := m.Present.Best(); nonEmpty && e == best {
-					succ = append(succ, value.MPQ{
-						Present: m.Present.Del(e),
-						Absent:  m.Absent.Ins(e),
-					})
-				}
-				return succ
+				return false
 			},
 		},
 	)
@@ -221,32 +198,14 @@ func OutOfOrderQueue() *automaton.Spec {
 // requests may be serviced multiple times and out of order.
 func DegeneratePriorityQueue() *automaton.Spec {
 	return automaton.NewSpec("DegenPQueue", value.EmptyBag(),
-		automaton.OpSpec{
-			Name: history.NameEnq,
-			Succ: func(s value.Value, op history.Op) []value.Value {
-				e, ok := enqElem(op)
-				if !ok {
-					return nil
-				}
-				return []value.Value{asBag(s).Ins(e)}
-			},
-		},
+		automaton.OpSpec{Name: history.NameEnq, Apply: bagEnq},
 		automaton.OpSpec{
 			Name: history.NameDeq,
-			Pre: func(s value.Value, op history.Op) bool {
-				return !asBag(s).IsEmp()
-			},
-			Succ: func(s value.Value, op history.Op) []value.Value {
-				e, ok := deqElem(op)
-				if !ok {
-					return nil
-				}
-				b := asBag(s)
-				if !b.IsIn(e) {
-					return nil
-				}
+			Pre:  bagNonEmpty,
+			Apply: func(s value.Value, op history.Op) bool {
 				// ensures isIn(q, e) only: the item is not removed.
-				return []value.Value{b}
+				e, ok := deqElem(op)
+				return ok && asBag(s).IsIn(e)
 			},
 		},
 	)

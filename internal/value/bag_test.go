@@ -219,6 +219,7 @@ func TestBagMatchesSortedSliceOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 200; round++ {
 		b, oracle := EmptyBag(), sliceBag(nil)
+		owned := EmptyBag().Clone() // follows b through Add and Remove
 		var prev Bag
 		var prevOracle sliceBag
 		for step := 0; step < 60; step++ {
@@ -227,11 +228,17 @@ func TestBagMatchesSortedSliceOracle(t *testing.T) {
 			switch k := rng.Intn(10); {
 			case k < 5:
 				b, oracle = b.Ins(e), oracle.ins(e)
+				owned.Add(e)
 			case k < 9:
 				b, oracle = b.Del(e), oracle.del(e) // often absent
+				if present := prevOracle.count(e) > 0; owned.Remove(e) != present || (!present && b.d != prev.d) {
+					t.Fatalf("Del/Remove of %d from %v: present %v, Del returned a new bag %v", e, prev, present, b.d != prev.d)
+				}
 			default:
 				b = BagOf(shuffled(rng, oracle)...)
 			}
+			checkBagAgainst(t, owned, oracle)
+			checkCloneSharesNothing(t, b, e)
 			checkBagAgainst(t, b, oracle)
 			checkBagAgainst(t, prev, prevOracle) // the receiver was not mutated
 			if got, want := b.Equal(prev), b.Key() == prev.Key(); got != want {
@@ -242,6 +249,85 @@ func TestBagMatchesSortedSliceOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkCloneSharesNothing updates clones of b in place — one gains e,
+// one is emptied by Remove — and asserts b's Key and Elems are
+// unchanged and the emptied clone is emp.
+func checkCloneSharesNothing(t *testing.T, b Bag, e Elem) {
+	t.Helper()
+	key, elems := b.Key(), b.Elems()
+	grown, emptied := b.Clone(), b.Clone()
+	grown.Add(e)
+	for _, x := range elems {
+		emptied.Remove(x)
+	}
+	if b.Key() != key || !reflect.DeepEqual(b.Elems(), elems) {
+		t.Fatalf("updating clones of %s changed it to %v", key, b)
+	}
+	if grown.Key() != b.Ins(e).Key() {
+		t.Fatalf("clone of %s after Add(%d) = %v", key, e, grown)
+	}
+	if !emptied.Equal(EmptyBag()) || !EmptyBag().Equal(emptied) || emptied.Key() != EmptyBag().Key() || !emptied.IsEmp() {
+		t.Fatalf("clone of %s emptied by Remove = %v, not emp", key, emptied)
+	}
+}
+
+// An update boxed as a Value (as every automaton and fold step boxes
+// it) costs two allocations: the runs and the one-pointer header.
+// Boxing a Bag allocates nothing, so the header takes the place of the
+// box a multi-word bag would need. A Del of an absent element costs
+// none.
+func TestBagInsDelAllocs(t *testing.T) {
+	b := BagOf(1, 2, 2, 3)
+	var sink Value
+	for _, c := range []struct {
+		name string
+		op   func() Bag
+		want float64
+	}{
+		{"Ins present", func() Bag { return b.Ins(2) }, 2},
+		{"Ins absent", func() Bag { return b.Ins(4) }, 2},
+		{"Del of one of two", func() Bag { return b.Del(2) }, 2},
+		{"Del of the last", func() Bag { return b.Del(3) }, 2},
+		{"Del absent", func() Bag { return b.Del(9) }, 0},
+	} {
+		if got := testing.AllocsPerRun(100, func() { sink = c.op() }); got != c.want {
+			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)
+		}
+	}
+	_ = sink
+}
+
+func TestMPQClone(t *testing.T) {
+	m := MPQ{Present: BagOf(1, 2, 2), Absent: BagOf(3)}
+	key := m.Key()
+	c := m.Clone()
+	c.Present.Add(5)
+	c.Present.Remove(2)
+	c.Absent.Add(2)
+	c.Absent.Remove(3)
+	if m.Key() != key {
+		t.Fatalf("updating a clone changed %s to %s", key, m.Key())
+	}
+	if want := (MPQ{Present: BagOf(1, 2, 5), Absent: BagOf(2)}).Key(); c.Key() != want {
+		t.Fatalf("clone = %s, want %s", c.Key(), want)
+	}
+	e := EmptyMPQ().Clone()
+	e.Present.Add(1)
+	e.Present.Remove(1)
+	if e.Key() != EmptyMPQ().Key() || !e.Present.Equal(EmptyBag()) || !e.Absent.Equal(EmptyBag()) {
+		t.Fatalf("emptied clone of EmptyMPQ = %s", e.Key())
+	}
+	if got, ok := Clone(m).(MPQ); !ok || got.Key() != key {
+		t.Fatalf("Clone(%s) = %v", key, Clone(m))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Clone of a Seq did not panic")
+		}
+	}()
+	Clone(EmptySeq())
 }
 
 func shuffled(rng *rand.Rand, s sliceBag) []Elem {

@@ -17,6 +17,10 @@ type MPQ struct {
 // EmptyMPQ returns the initial multi-priority-queue value.
 func EmptyMPQ() MPQ { return MPQ{} }
 
+// Clone returns a copy of m that shares nothing with it: its Present
+// and Absent bags may be updated in place.
+func (m MPQ) Clone() MPQ { return MPQ{Present: m.Present.Clone(), Absent: m.Absent.Clone()} }
+
 // Key returns the canonical encoding.
 func (m MPQ) Key() string { return "MPQ{p:" + m.Present.Key() + ",a:" + m.Absent.Key() + "}" }
 

@@ -9,10 +9,13 @@
 // prefix, ...) is a method, and the trait's equational axioms are
 // verified by property tests in this package. All types are immutable:
 // operations return new values and never mutate the receiver, so values
-// can be shared freely across automata and histories.
+// can be shared freely across automata and histories. The one exception
+// is a Clone of a Bag or MPQ: its owner may update it in place (Bag.Add,
+// Bag.Remove) until it shares it.
 package value
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,6 +37,19 @@ func (e Elem) Less(f Elem) bool { return e < f }
 type Value interface {
 	Key() string
 	String() string
+}
+
+// Clone returns a copy of v that its caller owns and may update in
+// place, for the state types that support it (Bag and MPQ). It panics
+// on any other type.
+func Clone(v Value) Value {
+	switch v := v.(type) {
+	case Bag:
+		return v.Clone()
+	case MPQ:
+		return v.Clone()
+	}
+	panic(fmt.Sprintf("value: %T cannot be cloned for in-place update", v))
 }
 
 func elemsKey(items []Elem) string {
