@@ -15,7 +15,7 @@ test: vet
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/value/ ./internal/quorum/ ./internal/automaton/ ./internal/lattice/ ./internal/specs/ ./internal/experiments/ ./internal/txn/ ./internal/cluster/ ./internal/sim/ ./internal/resilience/ ./internal/relaxcheck/ ./internal/integration/ ./internal/relaxd/ ./examples/relaxedqueues/ ./internal/obs/... ./cmd/...
+	$(GO) test -race ./internal/value/ ./internal/quorum/ ./internal/automaton/ ./internal/lattice/ ./internal/specs/ ./internal/experiments/ ./internal/txn/ ./internal/cluster/ ./internal/sim/ ./internal/resilience/ ./internal/relaxcheck/ ./internal/integration/ ./internal/relaxd/ ./examples/relaxedqueues/ ./internal/obs/... ./cmd/... ./bench/relaxbench/
 
 # Short native-fuzzing smoke: each target gets a bounded budget on top
 # of its checked-in seed corpus (testdata/fuzz). CI runs this; longer

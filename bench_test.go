@@ -103,18 +103,6 @@ func BenchmarkQCAJustified(b *testing.B) {
 	}
 }
 
-func BenchmarkLanguageEnumerationPQ(b *testing.B) {
-	alphabet := history.QueueAlphabet(2)
-	pq := specs.PriorityQueue()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		counts := automaton.CountLanguage(pq, alphabet, 6)
-		if counts[0] != 1 {
-			b.Fatal("bad counts")
-		}
-	}
-}
-
 func BenchmarkCompareFIFOvsSemiqueue(b *testing.B) {
 	alphabet := history.QueueAlphabet(2)
 	for i := 0; i < b.N; i++ {
@@ -156,41 +144,12 @@ func BenchmarkEngineCompareTheoremFour(b *testing.B) {
 	}
 }
 
-// BenchmarkCompiledQCALanguage counts the compiled QCA's language —
-// the view-family automaton (quorum/viewauto.go) driving every
-// language-equivalence experiment.
-func BenchmarkCompiledQCALanguage(b *testing.B) {
-	alphabet := history.QueueAlphabet(2)
-	qca := quorum.NewQCA("bench", specs.PriorityQueue(), quorum.Q1().Union(quorum.Q2()), quorum.PQFold()).Compiled()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		counts := automaton.CountLanguage(qca, alphabet, 8)
-		if counts[0] != 1 {
-			b.Fatal("bad counts")
-		}
-	}
-}
-
 func BenchmarkSerialDependencyCheck(b *testing.B) {
 	alphabet := history.QueueAlphabet(2)
 	rel := quorum.Q1().Union(quorum.Q2())
 	for i := 0; i < b.N; i++ {
 		ok, _ := quorum.IsSerialDependency(specs.PriorityQueue(), rel, alphabet, 3)
 		if !ok {
-			b.Fatal("should hold")
-		}
-	}
-}
-
-func BenchmarkOnlineHybridAtomic(b *testing.B) {
-	s := txn.Schedule{
-		txn.Step(1, history.Enq(1)), txn.Step(1, history.Enq(2)), txn.Commit(1),
-		txn.Step(2, history.DeqOk(1)),
-		txn.Step(3, history.DeqOk(2)),
-	}
-	semi := specs.Semiqueue(2)
-	for i := 0; i < b.N; i++ {
-		if !txn.OnlineHybridAtomic(s, semi) {
 			b.Fatal("should hold")
 		}
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // This file implements the memoized powerset exploration engine behind
-// Compare, CountLanguage, and IsDeterministic.
+// Compare and IsDeterministic.
 //
 // For a simple object automaton, acceptance of every extension of a
 // history h depends only on the reachable state set δ*(h) — not on h
@@ -185,29 +185,14 @@ func Compare(a, b Automaton, alphabet []history.Op, maxLen int) CompareResult {
 	return res
 }
 
-// CountLanguage returns the number of accepted histories of each length
-// 0..maxLen without materializing them, using the memoized powerset
-// engine. Counts are exact and overflow-checked.
-func CountLanguage(a Automaton, alphabet []history.Op, maxLen int) []uint64 {
-	checkAlphabet(alphabet)
-	counts := make([]uint64, maxLen+1)
-	counts[0] = 1
-	frontier := []langClass{{statesA: []value.Value{a.Init()}, mult: 1}}
-	for depth := 1; depth <= maxLen && len(frontier) > 0; depth++ {
-		frontier = expandClasses(a, nil, frontier, alphabet)
-		for _, c := range frontier {
-			counts[depth] = addMult(counts[depth], c.mult)
-		}
-	}
-	return counts
-}
-
 // IsDeterministic reports, by bounded exploration on the powerset
 // engine, whether δ*(H) is a singleton for every accepted history H of
 // length ≤ maxLen — the property the proof of Theorem 4 uses ("the
 // postconditions ... completely determine the new value of the queue").
 // It returns a witness history with multiple reachable states when not;
 // the witness is the first one the per-history BFS would have found.
+//
+//lint:ignore unreached Theorem 4 check: quorum's and integration's tests assert determinism with it
 func IsDeterministic(a Automaton, alphabet []history.Op, maxLen int) (bool, history.History) {
 	checkAlphabet(alphabet)
 	frontier := []langClass{{statesA: []value.Value{a.Init()}, mult: 1}}

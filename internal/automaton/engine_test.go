@@ -46,17 +46,6 @@ func sortedSpecs() []automaton.Automaton {
 	return out
 }
 
-func TestEngineCountsMatchNaiveAllSpecs(t *testing.T) {
-	for _, a := range sortedSpecs() {
-		alphabet := alphabetFor(a)
-		got := automaton.CountLanguage(a, alphabet, 5)
-		want := automaton.NaiveCountLanguage(a, alphabet, 5)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%s: CountLanguage = %v, naive = %v", a.Name(), got, want)
-		}
-	}
-}
-
 func TestEngineDeterminismMatchesNaiveAllSpecs(t *testing.T) {
 	for _, a := range sortedSpecs() {
 		alphabet := alphabetFor(a)
@@ -137,7 +126,7 @@ func TestEngineCompareMatchesNaiveQCA(t *testing.T) {
 func TestLanguageHistogramMatchesEngineCounts(t *testing.T) {
 	for _, a := range sortedSpecs() {
 		alphabet := alphabetFor(a)
-		counts := automaton.CountLanguage(a, alphabet, 4)
+		counts := automaton.Compare(a, a, alphabet, 4).CountA
 		histogram := make([]uint64, 5)
 		for _, h := range automaton.Language(a, alphabet, 4) {
 			histogram[len(h)]++
@@ -171,11 +160,11 @@ func TestEngineCountOverflowPanics(t *testing.T) {
 	}()
 	// 4^32 = 2^64 overflows uint64 at depth 32; the class frontier stays
 	// a single node, so the run is instant.
-	automaton.CountLanguage(chaosAutomaton{}, history.QueueAlphabet(2), 32)
+	automaton.Compare(chaosAutomaton{}, chaosAutomaton{}, history.QueueAlphabet(2), 32)
 }
 
 func TestEngineCountNearOverflowExact(t *testing.T) {
-	counts := automaton.CountLanguage(chaosAutomaton{}, history.QueueAlphabet(2), 31)
+	counts := automaton.Compare(chaosAutomaton{}, chaosAutomaton{}, history.QueueAlphabet(2), 31).CountA
 	want := uint64(1) << 62 // 4^31
 	if counts[31] != want {
 		t.Errorf("counts[31] = %d, want %d", counts[31], want)

@@ -76,11 +76,3 @@ func (f *Frontier) apply(o OpSpec, op history.Op) bool {
 
 // Size returns the number of states in the frontier (0 when dead).
 func (f *Frontier) Size() int { return len(f.states) }
-
-// States returns the frontier's state set in canonical order. The
-// returned slice is shared; callers must not mutate it. The frontier
-// stops updating those states in place: its next Apply step clones.
-func (f *Frontier) States() []value.Value {
-	f.owned = false
-	return f.states
-}

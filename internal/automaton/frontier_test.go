@@ -102,7 +102,7 @@ func fork() *automaton.Spec {
 
 // resetTo is the one state seeded's Reset returns, shared by every
 // frontier that steps through it.
-var resetTo = value.BagOf(7)
+var resetTo = value.EmptyBag().Ins(7)
 
 // reset is a Reset()/Ok() execution.
 var reset = history.MakeOp("Reset", nil, history.Ok, nil)
@@ -112,7 +112,7 @@ var reset = history.MakeOp("Reset", nil, history.Ok, nil)
 // Reset is a Succ operation that returns one shared state, so the
 // frontier that updated a state Succ returned would change resetTo.
 func seeded() *automaton.Spec {
-	return automaton.NewSpec("seeded", value.BagOf(5, 5),
+	return automaton.NewSpec("seeded", value.EmptyBag().Ins(5).Ins(5),
 		automaton.OpSpec{
 			Name: reset.Name,
 			Succ: func(value.Value, history.Op) []value.Value { return []value.Value{resetTo} },

@@ -1,9 +1,6 @@
 package automaton
 
 import (
-	"fmt"
-	"strings"
-
 	"relaxlattice/internal/history"
 	"relaxlattice/internal/value"
 )
@@ -32,20 +29,6 @@ type CompareResult struct {
 // SubsetAB reports L(A) ⊆ L(B) up to the bound.
 func (r CompareResult) SubsetAB() bool { return r.OnlyA == nil }
 
-// SubsetBA reports L(B) ⊆ L(A) up to the bound.
-func (r CompareResult) SubsetBA() bool { return r.OnlyB == nil }
-
-// String renders a per-length table of accepted-history counts.
-func (r CompareResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "len  |L(A)|  |L(B)|\n")
-	for l := 0; l <= r.MaxLen; l++ {
-		fmt.Fprintf(&b, "%3d  %6d  %6d\n", l, r.CountA[l], r.CountB[l])
-	}
-	fmt.Fprintf(&b, "equal=%v explored=%d\n", r.Equal, r.Explored)
-	return b.String()
-}
-
 type exploreNode struct {
 	h       history.History
 	statesA []value.Value // nil = h ∉ L(A)
@@ -56,6 +39,8 @@ type exploreNode struct {
 // node per accepted history. It is kept as the differential-test oracle
 // for the memoized powerset engine behind Compare (see engine.go) and
 // is exponentially slower; production callers should use Compare.
+//
+//lint:ignore unreached differential oracle: the tests compare Compare against it
 func NaiveCompare(a, b Automaton, alphabet []history.Op, maxLen int) CompareResult {
 	res := CompareResult{
 		MaxLen: maxLen,
@@ -139,6 +124,8 @@ func Language(a Automaton, alphabet []history.Op, maxLen int) []history.History 
 
 // NaiveIsDeterministic is the per-history BFS determinism check, kept
 // as the differential-test oracle for IsDeterministic (engine.go).
+//
+//lint:ignore unreached differential oracle: the tests compare IsDeterministic against it
 func NaiveIsDeterministic(a Automaton, alphabet []history.Op, maxLen int) (bool, history.History) {
 	type node struct {
 		h      history.History
@@ -163,30 +150,4 @@ func NaiveIsDeterministic(a Automaton, alphabet []history.Op, maxLen int) (bool,
 		frontier = next
 	}
 	return true, nil
-}
-
-// NaiveCountLanguage is the per-history BFS language counter, kept as
-// the differential-test oracle for CountLanguage (engine.go).
-func NaiveCountLanguage(a Automaton, alphabet []history.Op, maxLen int) []uint64 {
-	type node struct {
-		states []value.Value
-	}
-	counts := make([]uint64, maxLen+1)
-	counts[0] = 1
-	frontier := []node{{states: []value.Value{a.Init()}}}
-	for depth := 1; depth <= maxLen && len(frontier) > 0; depth++ {
-		var next []node
-		for _, n := range frontier {
-			for _, op := range alphabet {
-				states := stepAll(a, n.states, op)
-				if states == nil {
-					continue
-				}
-				counts[depth]++
-				next = append(next, node{states: states})
-			}
-		}
-		frontier = next
-	}
-	return counts
 }

@@ -2,7 +2,6 @@ package automaton
 
 import (
 	"fmt"
-	"sort"
 
 	"relaxlattice/internal/history"
 	"relaxlattice/internal/value"
@@ -120,16 +119,6 @@ func (sp *Spec) PostHolds(s value.Value, op history.Op, next value.Value) bool {
 		}
 	}
 	return false
-}
-
-// OpNames returns the operation names of the spec, sorted.
-func (sp *Spec) OpNames() []string {
-	names := make([]string, 0, len(sp.ops))
-	for n := range sp.ops {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Rename returns a copy of the spec under a new name; the operation

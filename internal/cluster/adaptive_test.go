@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -245,4 +246,20 @@ func TestExecuteUnderGatesByLevel(t *testing.T) {
 		}
 	}()
 	_, _ = cl.ExecuteUnder(history.DeqInv(), quorum.Majority(3, history.NameDeq), "bad")
+}
+
+// ExecuteUnder runs the protocol gated by an alternative quorum
+// assignment — one rung of a degradation ladder. The gate decides
+// availability (and, failing it, the operation is rejected with
+// ErrUnavailable regardless of cl.Degrade); the protocol itself still
+// uses every reachable site, so any superset of a gate quorum serves
+// as that quorum. Episodes record behavior "level:<label>", while the
+// constraint set is still rendered against the cluster's configured
+// assignment, keeping episode streams from adaptive and plain clients
+// comparable.
+func (cl *Client) ExecuteUnder(inv history.Invocation, gate quorum.Assignment, label string) (history.Op, error) {
+	if gate.Sites() != len(cl.c.logs) {
+		panic(fmt.Sprintf("cluster: gate assignment over %d sites, cluster has %d", gate.Sites(), len(cl.c.logs)))
+	}
+	return cl.c.execute(cl, inv, gate, label, nil)
 }

@@ -169,19 +169,6 @@ func (c *Cluster) Heal() {
 	c.recordFault("heal")
 }
 
-// UpSites returns how many sites are currently up.
-func (c *Cluster) UpSites() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, u := range c.up {
-		if u {
-			n++
-		}
-	}
-	return n
-}
-
 // reachableFrom returns the up sites in the same network component as
 // home (including home itself if up). Caller holds mu.
 func (c *Cluster) reachableFrom(home int) []int {
@@ -249,6 +236,8 @@ func (c *Cluster) MergedLog() quorum.Log {
 }
 
 // SiteLog returns a copy of one site's resident log.
+//
+//lint:ignore unreached differential oracle: relaxd's tests compare each replica's log with the model's
 func (c *Cluster) SiteLog(site int) quorum.Log {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -262,6 +251,8 @@ func (c *Cluster) SiteLog(site int) quorum.Log {
 // landed on, so the checker can certify the recovery point and
 // everything after it. The view-evaluation cache is dropped: cached
 // lineages may no longer be prefixes of any resident log.
+//
+//lint:ignore unreached differential oracle: relaxd's crash and ship tests seed the model from recovered state
 func (c *Cluster) LoadSiteLog(site int, l quorum.Log) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -315,22 +306,6 @@ func (c *Cluster) Client(home int) *Client {
 // invocation. On success it returns the completed operation execution.
 func (cl *Client) Execute(inv history.Invocation) (history.Op, error) {
 	return cl.c.execute(cl, inv, cl.c.cfg.Quorums, "", nil)
-}
-
-// ExecuteUnder runs the protocol gated by an alternative quorum
-// assignment — one rung of a degradation ladder. The gate decides
-// availability (and, failing it, the operation is rejected with
-// ErrUnavailable regardless of cl.Degrade); the protocol itself still
-// uses every reachable site, so any superset of a gate quorum serves
-// as that quorum. Episodes record behavior "level:<label>", while the
-// constraint set is still rendered against the cluster's configured
-// assignment, keeping episode streams from adaptive and plain clients
-// comparable.
-func (cl *Client) ExecuteUnder(inv history.Invocation, gate quorum.Assignment, label string) (history.Op, error) {
-	if gate.Sites() != len(cl.c.logs) {
-		panic(fmt.Sprintf("cluster: gate assignment over %d sites, cluster has %d", gate.Sites(), len(cl.c.logs)))
-	}
-	return cl.c.execute(cl, inv, gate, label, nil)
 }
 
 // ExecuteUnderSpan is ExecuteUnder with an explicit parent span: the
@@ -409,22 +384,4 @@ func (c *Cluster) Probe(home int, gate quorum.Assignment) bool {
 		alive[s] = true
 	}
 	return quorum.FullyAvailable(gate, alive)
-}
-
-// View assembles, without executing anything, the merged view a client
-// homed at home would read in step 1 of the protocol, along with the
-// reachable sites it would be built from. A client on a crashed site
-// sees an empty view and no sites.
-func (c *Cluster) View(home int) (quorum.Log, []int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.up[home] {
-		return quorum.Log{}, nil
-	}
-	reachable := c.reachableFrom(home)
-	logs := make([]quorum.Log, 0, len(reachable))
-	for _, s := range reachable {
-		logs = append(logs, c.logs[s])
-	}
-	return quorum.Merge(logs...), reachable
 }

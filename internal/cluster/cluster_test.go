@@ -283,3 +283,16 @@ func TestConfigPanics(t *testing.T) {
 	}()
 	c.Client(9)
 }
+
+// UpSites returns how many sites are currently up.
+func (c *Cluster) UpSites() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, u := range c.up {
+		if u {
+			n++
+		}
+	}
+	return n
+}

@@ -340,3 +340,21 @@ func TestViewCacheMatchesScratchEvaluation(t *testing.T) {
 		}
 	}
 }
+
+// View assembles, without executing anything, the merged view a client
+// homed at home would read in step 1 of the protocol, along with the
+// reachable sites it would be built from. A client on a crashed site
+// sees an empty view and no sites.
+func (c *Cluster) View(home int) (quorum.Log, []int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.up[home] {
+		return quorum.Log{}, nil
+	}
+	reachable := c.reachableFrom(home)
+	logs := make([]quorum.Log, 0, len(reachable))
+	for _, s := range reachable {
+		logs = append(logs, c.logs[s])
+	}
+	return quorum.Merge(logs...), reachable
+}

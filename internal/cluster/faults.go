@@ -127,6 +127,8 @@ func (f *FaultProcess) schedulePartition() {
 }
 
 // String summarizes the injected faults.
+//
+//lint:ignore unreached renders the fault counts in cluster's and integration's soak-test failures
 func (f *FaultProcess) String() string {
 	return fmt.Sprintf("faults(crashes=%d repairs=%d partitions=%d heals=%d)",
 		f.Crashes, f.Repairs, f.Partitions, f.Heals)

@@ -7,6 +7,7 @@ import (
 	"relaxlattice/internal/history"
 	"relaxlattice/internal/quorum"
 	"relaxlattice/internal/specs"
+	"relaxlattice/internal/value"
 )
 
 func fifoCluster(t *testing.T, n int, assignment string) *Cluster {
@@ -74,5 +75,27 @@ func TestFIFOPartitionDuplicatesInOrder(t *testing.T) {
 	}
 	if !automaton.Accepts(specs.MultiFIFOQueue(), obs) {
 		t.Errorf("observed history should be an MFQueue history: %v", obs)
+	}
+}
+
+// FIFOResponder responds to FIFO-queue invocations: Enq echoes Ok, and
+// Deq returns the oldest element of the view — "dequeue the oldest
+// apparently unserved request" under η_fifo.
+func FIFOResponder(s value.Value, inv history.Invocation) (history.Op, bool) {
+	switch inv.Name {
+	case history.NameEnq:
+		return inv.WithResponse(history.Ok, nil), true
+	case history.NameDeq:
+		q, ok := s.(value.Seq)
+		if !ok {
+			return history.Op{}, false
+		}
+		first, nonEmpty := q.First()
+		if !nonEmpty {
+			return history.Op{}, false
+		}
+		return inv.WithResponse(history.Ok, []int{int(first)}), true
+	default:
+		return history.Op{}, false
 	}
 }

@@ -29,28 +29,6 @@ func PQResponder(s value.Value, inv history.Invocation) (history.Op, bool) {
 	}
 }
 
-// FIFOResponder responds to FIFO-queue invocations: Enq echoes Ok, and
-// Deq returns the oldest element of the view — "dequeue the oldest
-// apparently unserved request" under η_fifo.
-func FIFOResponder(s value.Value, inv history.Invocation) (history.Op, bool) {
-	switch inv.Name {
-	case history.NameEnq:
-		return inv.WithResponse(history.Ok, nil), true
-	case history.NameDeq:
-		q, ok := s.(value.Seq)
-		if !ok {
-			return history.Op{}, false
-		}
-		first, nonEmpty := q.First()
-		if !nonEmpty {
-			return history.Op{}, false
-		}
-		return inv.WithResponse(history.Ok, []int{int(first)}), true
-	default:
-		return history.Op{}, false
-	}
-}
-
 // AccountResponder responds to bank-account invocations: Credit echoes
 // Ok, and Debit succeeds exactly when the view's balance covers the
 // amount, bouncing with Over otherwise (Section 3.4). A debit based on

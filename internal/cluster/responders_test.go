@@ -27,17 +27,17 @@ func TestRespondersEdgeCases(t *testing.T) {
 		wantOK  bool
 		wantOp  history.Op
 	}{
-		{"pq/enq", PQResponder, value.BagOf(), history.EnqInv(3), true, history.Enq(3)},
-		{"pq/deq-best", PQResponder, value.BagOf(2, 9, 5), history.DeqInv(), true, history.DeqOk(9)},
+		{"pq/enq", PQResponder, value.EmptyBag(), history.EnqInv(3), true, history.Enq(3)},
+		{"pq/deq-best", PQResponder, value.EmptyBag().Ins(2).Ins(9).Ins(5), history.DeqInv(), true, history.DeqOk(9)},
 		{"pq/deq-empty", PQResponder, value.EmptyBag(), history.DeqInv(), false, history.Op{}},
-		{"pq/wrong-carrier", PQResponder, value.SeqOf(1), history.DeqInv(), false, history.Op{}},
-		{"pq/unknown-op", PQResponder, value.BagOf(1), credit, false, history.Op{}},
+		{"pq/wrong-carrier", PQResponder, value.EmptySeq().Ins(1), history.DeqInv(), false, history.Op{}},
+		{"pq/unknown-op", PQResponder, value.EmptyBag().Ins(1), credit, false, history.Op{}},
 
 		{"fifo/enq", FIFOResponder, value.EmptySeq(), history.EnqInv(7), true, history.Enq(7)},
-		{"fifo/deq-oldest", FIFOResponder, value.SeqOf(3, 1, 2), history.DeqInv(), true, history.DeqOk(3)},
+		{"fifo/deq-oldest", FIFOResponder, value.EmptySeq().Ins(3).Ins(1).Ins(2), history.DeqInv(), true, history.DeqOk(3)},
 		{"fifo/deq-empty", FIFOResponder, value.EmptySeq(), history.DeqInv(), false, history.Op{}},
-		{"fifo/wrong-carrier", FIFOResponder, value.BagOf(1), history.DeqInv(), false, history.Op{}},
-		{"fifo/unknown-op", FIFOResponder, value.SeqOf(1), debit(1), false, history.Op{}},
+		{"fifo/wrong-carrier", FIFOResponder, value.EmptyBag().Ins(1), history.DeqInv(), false, history.Op{}},
+		{"fifo/unknown-op", FIFOResponder, value.EmptySeq().Ins(1), debit(1), false, history.Op{}},
 
 		{"acct/credit", AccountResponder, value.NewAccount(0),
 			history.Invocation{Name: history.NameCredit, Args: []int{5}}, true,
@@ -48,7 +48,7 @@ func TestRespondersEdgeCases(t *testing.T) {
 			debit(10).WithResponse(history.Over, nil)},
 		{"acct/debit-no-args", AccountResponder, value.NewAccount(9), debit(), false, history.Op{}},
 		{"acct/debit-extra-args", AccountResponder, value.NewAccount(9), debit(1, 2), false, history.Op{}},
-		{"acct/wrong-carrier", AccountResponder, value.BagOf(1), debit(1), false, history.Op{}},
+		{"acct/wrong-carrier", AccountResponder, value.EmptyBag().Ins(1), debit(1), false, history.Op{}},
 		{"acct/unknown-op", AccountResponder, value.NewAccount(9), history.DeqInv(), false, history.Op{}},
 	}
 	for _, tc := range tests {

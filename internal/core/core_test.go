@@ -89,7 +89,7 @@ func TestTaxiLatticeStructure(t *testing.T) {
 	}
 	violations := lat.VerifyMonotone(history.QueueAlphabet(2), 4)
 	if len(violations) != 0 {
-		t.Errorf("monotonicity violations: %v", violations[0].Error(lat.Universe))
+		t.Errorf("monotonicity violations: %v", violations[0])
 	}
 }
 
@@ -149,7 +149,7 @@ func TestEtaPrimeAblation(t *testing.T) {
 	}
 	// Both lattices are monotone.
 	if v := primeLat.VerifyMonotone(history.QueueAlphabet(2), 4); len(v) != 0 {
-		t.Errorf("η′ lattice not monotone: %v", v[0].Error(u))
+		t.Errorf("η′ lattice not monotone: %v", v[0])
 	}
 }
 
@@ -173,7 +173,7 @@ func TestAccountLatticeSublattice(t *testing.T) {
 		t.Errorf("relaxed = %v %v", relaxed, ok)
 	}
 	if v := lat.VerifyMonotone(history.AccountAlphabet(2), 4); len(v) != 0 {
-		t.Errorf("not monotone: %v", v[0].Error(lat.Universe))
+		t.Errorf("not monotone: %v", v[0])
 	}
 }
 
@@ -187,7 +187,7 @@ func TestAccountLatticeUnrestricted(t *testing.T) {
 		t.Errorf("bottom = %q", bottom.Name())
 	}
 	if v := lat.VerifyMonotone(history.AccountAlphabet(2), 4); len(v) != 0 {
-		t.Errorf("not monotone: %v", v[0].Error(lat.Universe))
+		t.Errorf("not monotone: %v", v[0])
 	}
 }
 
@@ -224,7 +224,7 @@ func TestSemiqueueLatticeFigure42(t *testing.T) {
 	}
 	// φ is a homomorphism, not an isomorphism (noted in Section 4.2.1).
 	if v := lat.VerifyMonotone(history.QueueAlphabet(2), 4); len(v) != 0 {
-		t.Errorf("not monotone: %v", v[0].Error(u))
+		t.Errorf("not monotone: %v", v[0])
 	}
 }
 

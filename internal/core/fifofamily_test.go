@@ -109,6 +109,6 @@ func TestQ1SerialDependencyForMFQ(t *testing.T) {
 func TestFIFOLatticeMonotone(t *testing.T) {
 	lat := FIFOLattice()
 	if v := lat.VerifyMonotone(history.QueueAlphabet(2), 4); len(v) != 0 {
-		t.Fatalf("FIFO lattice not monotone: %v", v[0].Error(lat.Universe))
+		t.Fatalf("FIFO lattice not monotone: %v", v[0])
 	}
 }

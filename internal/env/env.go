@@ -9,7 +9,6 @@ package env
 import (
 	"fmt"
 
-	"relaxlattice/internal/automaton"
 	"relaxlattice/internal/history"
 	"relaxlattice/internal/lattice"
 	"relaxlattice/internal/value"
@@ -44,20 +43,6 @@ type Environment struct {
 	Delta func(c lattice.Set, e Event) lattice.Set
 }
 
-// Apply runs one event through δ_E.
-func (env *Environment) Apply(c lattice.Set, e Event) lattice.Set {
-	return env.Delta(c, e)
-}
-
-// Run folds a sequence of events from the initial state.
-func (env *Environment) Run(events ...Event) lattice.Set {
-	c := env.Init
-	for _, e := range events {
-		c = env.Delta(c, e)
-	}
-	return c
-}
-
 // CombinedState is the state of the combined automaton of Section 2.3:
 // the environment's constraint set paired with the object state.
 type CombinedState struct {
@@ -68,11 +53,6 @@ type CombinedState struct {
 // Key returns the canonical encoding.
 func (cs CombinedState) Key() string {
 	return fmt.Sprintf("env{%b}+%s", uint64(cs.C), cs.S.Key())
-}
-
-// String renders the pair.
-func (cs CombinedState) String() string {
-	return fmt.Sprintf("(c=%b, s=%s)", uint64(cs.C), cs.S)
 }
 
 // Input is one input to the combined automaton: an environment event,
@@ -86,22 +66,6 @@ type Input struct {
 
 // EventInput wraps a pure environment event.
 func EventInput(e Event) Input { return Input{Event: &e} }
-
-// OpInput wraps a pure object operation, consulting the environment's
-// event list for an overlapping event (δ₁ of Section 2.3: if the input
-// is both an event and an operation, the environment changes before the
-// transition function is selected).
-func (env *Environment) OpInput(op history.Op) Input {
-	in := Input{Op: &op}
-	for i := range env.Events {
-		e := env.Events[i]
-		if e.Matches != nil && e.Matches(op) {
-			in.Event = &e
-			break
-		}
-	}
-	return in
-}
 
 // Combined is the single automaton of Section 2.3 accepting interleaved
 // events and operations: ⟨2^C × STATE, (c₀, s₀), EVENT ∪ OP, δ⟩ with
@@ -143,46 +107,4 @@ func (cm *Combined) Step(cs CombinedState, in Input) []CombinedState {
 		return nil
 	}
 	return out
-}
-
-// Accepts runs a sequence of inputs from the initial state, tracking
-// the nondeterministic state set, and reports whether every operation
-// was accepted. It also returns the final constraint state.
-func (cm *Combined) Accepts(inputs []Input) (bool, lattice.Set) {
-	states := []CombinedState{cm.Init()}
-	c := cm.Env.Init
-	for _, in := range inputs {
-		seen := map[string]CombinedState{}
-		for _, cs := range states {
-			for _, next := range cm.Step(cs, in) {
-				seen[next.Key()] = next
-			}
-		}
-		if len(seen) == 0 {
-			return false, c
-		}
-		states = states[:0]
-		for _, cs := range seen {
-			states = append(states, cs)
-		}
-		c = states[0].C // δ₁ is deterministic: all successors share C
-	}
-	return true, c
-}
-
-// StaticEnvironment returns an environment frozen at constraint set c:
-// no events, δ_E the identity. Useful for exploring a single lattice
-// element with automaton tooling.
-func StaticEnvironment(u *lattice.Universe, c lattice.Set) *Environment {
-	return &Environment{
-		Universe: u,
-		Init:     c,
-		Delta:    func(s lattice.Set, _ Event) lattice.Set { return s },
-	}
-}
-
-// Freeze returns the object automaton the lattice exhibits at a fixed
-// constraint state, or false if φ is undefined there.
-func Freeze(lat *lattice.Relaxation, c lattice.Set) (automaton.Automaton, bool) {
-	return lat.Phi(c)
 }

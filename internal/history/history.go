@@ -127,6 +127,8 @@ func (h History) Append(ops ...Op) History {
 }
 
 // Equal reports whether two histories are the same sequence.
+//
+//lint:ignore unreached equality oracle: cluster's, quorum's and txn's tests compare histories with it
 func (h History) Equal(other History) bool {
 	if len(h) != len(other) {
 		return false
@@ -164,46 +166,9 @@ func (h History) String() string {
 	return strings.Join(parts, " · ")
 }
 
-// Prefix returns the first n operations of h (n clamped to len(h)).
-func (h History) Prefix(n int) History {
-	if n > len(h) {
-		n = len(h)
-	}
-	if n < 0 {
-		n = 0
-	}
-	return h[:n:n]
-}
-
-// Last returns the final operation. It panics on the empty history.
-func (h History) Last() Op {
-	if len(h) == 0 {
-		panic("history: Last of empty history")
-	}
-	return h[len(h)-1]
-}
-
-// Filter returns the subhistory of operations satisfying keep, in order.
-func (h History) Filter(keep func(Op) bool) History {
-	var out History
-	for _, op := range h {
-		if keep(op) {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
-// Select returns the subhistory at the given (sorted, unique) indexes.
-func (h History) Select(indexes []int) History {
-	out := make(History, 0, len(indexes))
-	for _, i := range indexes {
-		out = append(out, h[i])
-	}
-	return out
-}
-
 // Count returns the number of operations with the given name.
+//
+//lint:ignore unreached observer: relaxbench's and integration's tests count operations by name with it
 func (h History) Count(name string) int {
 	n := 0
 	for _, op := range h {
@@ -212,18 +177,6 @@ func (h History) Count(name string) int {
 		}
 	}
 	return n
-}
-
-// IsSubhistoryOf reports whether h is a (not necessarily contiguous)
-// subsequence of g.
-func (h History) IsSubhistoryOf(g History) bool {
-	j := 0
-	for _, op := range g {
-		if j < len(h) && h[j].Equal(op) {
-			j++
-		}
-	}
-	return j == len(h)
 }
 
 // Parse parses the output of History.String (or Key), accepting either

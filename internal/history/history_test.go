@@ -82,67 +82,11 @@ func TestAppendDoesNotAlias(t *testing.T) {
 	}
 }
 
-func TestFilterSelectCount(t *testing.T) {
+func TestCount(t *testing.T) {
 	h := History{Enq(1), DeqOk(1), Enq(2), DeqOk(2)}
-	deqs := h.Filter(func(op Op) bool { return op.Name == NameDeq })
-	if !deqs.Equal(History{DeqOk(1), DeqOk(2)}) {
-		t.Errorf("Filter = %v", deqs)
-	}
 	if h.Count(NameEnq) != 2 || h.Count(NameDeq) != 2 || h.Count("Nope") != 0 {
 		t.Errorf("Count wrong: %d %d", h.Count(NameEnq), h.Count(NameDeq))
 	}
-	sel := h.Select([]int{0, 3})
-	if !sel.Equal(History{Enq(1), DeqOk(2)}) {
-		t.Errorf("Select = %v", sel)
-	}
-}
-
-func TestIsSubhistoryOf(t *testing.T) {
-	g := History{Enq(1), Enq(2), DeqOk(1), Enq(3)}
-	tests := []struct {
-		h    History
-		want bool
-	}{
-		{History{}, true},
-		{History{Enq(1)}, true},
-		{History{Enq(2), Enq(3)}, true},
-		{History{Enq(1), Enq(2), DeqOk(1), Enq(3)}, true},
-		{History{DeqOk(1), Enq(2)}, false}, // order reversed
-		{History{Enq(4)}, false},
-	}
-	for _, tt := range tests {
-		if got := tt.h.IsSubhistoryOf(g); got != tt.want {
-			t.Errorf("%v subhistory of %v = %v, want %v", tt.h, g, got, tt.want)
-		}
-	}
-}
-
-func TestPrefix(t *testing.T) {
-	h := History{Enq(1), Enq(2), Enq(3)}
-	if got := h.Prefix(2); !got.Equal(History{Enq(1), Enq(2)}) {
-		t.Errorf("Prefix(2) = %v", got)
-	}
-	if got := h.Prefix(99); !got.Equal(h) {
-		t.Errorf("Prefix(99) = %v", got)
-	}
-	if got := h.Prefix(-1); len(got) != 0 {
-		t.Errorf("Prefix(-1) = %v", got)
-	}
-	// Prefix must not share writable tail with h.
-	p := h.Prefix(1)
-	_ = p.Append(Enq(9))
-	if !h.Equal(History{Enq(1), Enq(2), Enq(3)}) {
-		t.Errorf("h mutated via prefix append: %v", h)
-	}
-}
-
-func TestLastPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("expected panic")
-		}
-	}()
-	Empty.Last()
 }
 
 func TestInvocation(t *testing.T) {

@@ -333,7 +333,7 @@ func TestObservedHistoryAcceptedByQCA(t *testing.T) {
 	}
 	// And the witness view explains it: the second Deq's justifying
 	// view omits the first Deq.
-	w, ok := qca.Witness(obs.Prefix(len(obs)-1), obs.Last())
+	w, ok := qca.Witness(obs[:len(obs)-1:len(obs)-1], obs[len(obs)-1])
 	if !ok {
 		t.Fatalf("no witness")
 	}

@@ -32,15 +32,6 @@ type Set uint64
 // Empty is the empty constraint set ∅ (the bottom of 2^C).
 const Empty Set = 0
 
-// SetOf builds a Set from constraint indexes.
-func SetOf(indexes ...int) Set {
-	var s Set
-	for _, i := range indexes {
-		s |= 1 << uint(i)
-	}
-	return s
-}
-
 // Has reports whether constraint index i is in the set.
 func (s Set) Has(i int) bool { return s&(1<<uint(i)) != 0 }
 

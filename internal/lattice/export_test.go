@@ -1,0 +1,34 @@
+package lattice
+
+import "relaxlattice/internal/history"
+
+// StepAll feeds a whole history, returning false at the first
+// operation that kills every element (remaining operations are not
+// consumed).
+func (c *StepChecker) StepAll(h history.History) bool {
+	for _, op := range h {
+		if !c.Step(op) {
+			return false
+		}
+	}
+	return true
+}
+
+// Len returns the number of operations fed.
+func (c *StepChecker) Len() int { return c.length }
+
+// Viable reports whether element s still accepts the history.
+func (c *StepChecker) Viable(s Set) bool {
+	for i, t := range c.sets {
+		if t == s {
+			return c.fronts[i] != nil
+		}
+	}
+	return false
+}
+
+// Degraded reports whether the preferred behavior (the lattice top)
+// has been lost.
+func (c *StepChecker) Degraded() bool {
+	return !c.Viable(c.lat.Universe.All())
+}

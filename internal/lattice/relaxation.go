@@ -86,12 +86,6 @@ type MonotonicityViolation struct {
 	Witness          history.History
 }
 
-// Error renders the violation.
-func (v MonotonicityViolation) Error(u *Universe) string {
-	return fmt.Sprintf("φ(%s) rejects %v accepted by φ(%s)",
-		u.Format(v.Weaker), v.Witness, u.Format(v.Stronger))
-}
-
 // VerifyMonotone checks, by bounded language comparison, that φ is
 // order-reversing on its domain: S ⊆ S' implies L(φ(S')) ⊆ L(φ(S)) —
 // relaxing constraints only ever adds behaviors. It returns the

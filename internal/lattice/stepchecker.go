@@ -88,33 +88,8 @@ func (c *StepChecker) Step(op history.Op) bool {
 	return c.alive > 0
 }
 
-// StepAll feeds a whole history, returning false at the first
-// operation that kills every element (remaining operations are not
-// consumed).
-func (c *StepChecker) StepAll(h history.History) bool {
-	for _, op := range h {
-		if !c.Step(op) {
-			return false
-		}
-	}
-	return true
-}
-
-// Len returns the number of operations fed.
-func (c *StepChecker) Len() int { return c.length }
-
 // Alive returns how many lattice elements still accept the history.
 func (c *StepChecker) Alive() int { return c.alive }
-
-// Viable reports whether element s still accepts the history.
-func (c *StepChecker) Viable(s Set) bool {
-	for i, t := range c.sets {
-		if t == s {
-			return c.fronts[i] != nil
-		}
-	}
-	return false
-}
 
 // Current returns the maximal viable constraint sets — identical, on
 // every prefix, to Relaxation.WeakestAccepting of that prefix (nil
@@ -144,12 +119,6 @@ func (c *StepChecker) maximal() []Set {
 	}
 	sort.Slice(maximal, func(i, j int) bool { return maximal[i] < maximal[j] })
 	return maximal
-}
-
-// Degraded reports whether the preferred behavior (the lattice top)
-// has been lost.
-func (c *StepChecker) Degraded() bool {
-	return !c.Viable(c.lat.Universe.All())
 }
 
 // MaxFrontier returns the largest per-element frontier size seen so

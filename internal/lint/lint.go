@@ -1,8 +1,23 @@
 // Package lint is the repository's stdlib-only static analyzer, with
-// one pass, err-drop: an error result must not be discarded with
-// a blank identifier outside _test.go files. A discarded error hides
-// exactly the degraded-mode failures this codebase exists to study.
-// The pass runs over the whole module in `go test ./...`
+// two passes over the module's non-test code:
+//
+//   - err-drop: an error result must not be discarded with a blank
+//     identifier. A discarded error hides exactly the degraded-mode
+//     failures this codebase exists to study.
+//   - unreached: every top-level function and method must be reachable
+//     from a binary. The roots are main of every main package, every
+//     init, every package-level variable initialiser, and every function
+//     kept by a //lint:ignore unreached directive (so a kept entry point
+//     keeps its callees too). A use of a function, a method value or
+//     expression, or a generic instance in a reached body reaches it. A
+//     method is reached dynamically, in the manner of rapid type
+//     analysis, when its type is converted to an interface in reached
+//     code and its name is called through an interface there or by the
+//     standard library (String, Error, sort.Interface, ...). Production
+//     code is what a binary runs; a function only tests call is deleted,
+//     moved into a _test.go file, or kept with a stated reason.
+//
+// Both passes run over the whole module in `go test ./...`
 // (TestRepairedTreeIsClean), so a finding fails the tier-1 tests.
 //
 // Determinism and lock discipline are not checked here. The replay
@@ -37,6 +52,8 @@ type Diagnostic struct {
 
 // String renders the finding in the canonical file:line:col: [rule]
 // message format.
+//
+//lint:ignore unreached entry point: the rendering the lint tests print and compare
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Rule, d.Message)
 }
@@ -44,7 +61,7 @@ func (d Diagnostic) String() string {
 // knownRules is the set of pass names a //lint:ignore directive may
 // suppress. The meta diagnostics bad-ignore and unused-ignore are
 // deliberately absent: suppression machinery cannot suppress itself.
-var knownRules = map[string]bool{"err-drop": true}
+var knownRules = map[string]bool{"err-drop": true, "unreached": true}
 
 // KnownRules returns the suppressible pass names, sorted.
 func KnownRules() []string {
@@ -62,6 +79,8 @@ type reportFunc func(pos token.Pos, rule, msg string)
 // RunPackages applies the pass to already-loaded packages (see Load),
 // filters suppressed findings, and returns the remainder sorted by
 // position.
+//
+//lint:ignore unreached entry point: the lint tests run the passes, and no CLI does
 func RunPackages(pkgs []*Package) []Diagnostic {
 	if len(pkgs) == 0 {
 		return nil
@@ -78,11 +97,12 @@ func RunPackages(pkgs []*Package) []Diagnostic {
 			Message: msg,
 		})
 	}
+	idx := collectIgnores(pkgs, report)
 	for _, p := range pkgs {
 		checkErrDiscipline(p, report)
 	}
+	checkUnreached(pkgs, idx, report)
 
-	idx := collectIgnores(pkgs, report)
 	diags = filterIgnored(diags, idx)
 	diags = append(diags, unusedIgnores(idx)...)
 	sort.Slice(diags, func(i, j int) bool {

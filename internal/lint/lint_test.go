@@ -50,18 +50,31 @@ func repoPackages(t *testing.T) []*Package {
 	return loadCached(t, filepath.Join("..", ".."))
 }
 
-// golden is the exact finding set over the fixture tree: the pass and
-// both meta diagnostics fire, suppressed sites stay silent, and the
-// clean package contributes nothing.
+// golden is the exact finding set over the fixture tree: both passes
+// and both meta diagnostics fire, suppressed sites stay silent, and the
+// clean package contributes nothing. The fixture's one binary, app,
+// reaches every function of errs and clean, and the unreached fixture's
+// functions that must stay silent: Dog.Name through an interface call,
+// Dog.String through fmt, viaVar through a package-level variable,
+// keptCallee through the suppressed Kept, and the generic Map and
+// Box.Get through their instances.
 var golden = []string{
 	"errs/errs.go:16:2: [err-drop] error result discarded; handle it or annotate //lint:ignore err-drop <reason>",
 	"errs/errs.go:17:5: [err-drop] error result discarded; handle it or annotate //lint:ignore err-drop <reason>",
 	"errs/errs.go:18:5: [err-drop] error result discarded; handle it or annotate //lint:ignore err-drop <reason>",
 	`errs/errs.go:46:2: [bad-ignore] malformed suppression: want "//lint:ignore <pass> <reason>"`,
 	"errs/errs.go:47:2: [err-drop] error result discarded; handle it or annotate //lint:ignore err-drop <reason>",
-	`errs/errs.go:53:2: [bad-ignore] unknown pass "err-dropp" in suppression; known passes: err-drop`,
+	`errs/errs.go:53:2: [bad-ignore] unknown pass "err-dropp" in suppression; known passes: err-drop, unreached`,
 	"errs/errs.go:54:2: [err-drop] error result discarded; handle it or annotate //lint:ignore err-drop <reason>",
 	"errs/errs.go:60:2: [unused-ignore] //lint:ignore err-drop suppresses no finding; delete the directive or fix the pass name",
+	"unreached/unreached.go:8:1: [unreached] Exported is reached from no main, init or package variable; delete it or annotate //lint:ignore unreached <reason>",
+	"unreached/unreached.go:11:1: [unreached] unexported is reached from no main, init or package variable; delete it or annotate //lint:ignore unreached <reason>",
+	"unreached/unreached.go:17:1: [unreached] Widget.Dead is reached from no main, init or package variable; delete it or annotate //lint:ignore unreached <reason>",
+	"unreached/unreached.go:37:1: [unreached] Cat.Name is reached from no main, init or package variable; delete it or annotate //lint:ignore unreached <reason>",
+	"unreached/unreached.go:74:1: [unreached] Last is reached from no main, init or package variable; delete it or annotate //lint:ignore unreached <reason>",
+	`unreached/unreached.go:79:1: [bad-ignore] malformed suppression: want "//lint:ignore <pass> <reason>"`,
+	"unreached/unreached.go:80:1: [unreached] NoReason is reached from no main, init or package variable; delete it or annotate //lint:ignore unreached <reason>",
+	"unreached/unreached.go:84:1: [unused-ignore] //lint:ignore unreached suppresses no finding; delete the directive or fix the pass name",
 }
 
 func runFixtures(t *testing.T) []Diagnostic {

@@ -37,6 +37,8 @@ type rawPkg struct {
 // with the source importer for semantics. _test.go files, testdata
 // trees, vendored code, and nested modules are skipped. Packages are
 // returned in deterministic (import-path) order.
+//
+//lint:ignore unreached entry point: the lint tests load the module, and no CLI does
 func Load(root string) ([]*Package, error) {
 	modPath, err := readModulePath(root)
 	if err != nil {
@@ -65,6 +67,7 @@ func Load(root string) ([]*Package, error) {
 			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Instances:  map[*ast.Ident]types.Instance{},
 		}
 		conf := types.Config{Importer: imp}
 		tpkg, err := conf.Check(path, fset, raw.files, info)

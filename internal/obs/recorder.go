@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -26,6 +25,8 @@ type Event struct {
 
 // Attr returns the value of the named attribute and whether it is
 // present. Linear scan: events carry a handful of attributes.
+//
+//lint:ignore unreached observer: cluster's and relaxcheck's tests read episode attributes with it
 func (e Event) Attr(key string) (string, bool) {
 	for _, kv := range e.Attrs {
 		if kv.K == key {
@@ -96,16 +97,6 @@ func (e Event) appendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// String renders the event for logs and tests.
-func (e Event) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "[%d] %s", e.T, e.Name)
-	for _, kv := range e.Attrs {
-		fmt.Fprintf(&b, " %s=%s", kv.K, kv.V)
-	}
-	return b.String()
-}
-
 // Recorder is an append-only journal of logical-clock events. It is
 // safe for concurrent use, but ordering across goroutines is whatever
 // the lock admits — deterministic journals come from recording at
@@ -174,17 +165,9 @@ func (r *Recorder) Append(src *Recorder) {
 	r.events = append(r.events, moved...)
 }
 
-// Len returns the number of recorded events (0 on nil).
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
 // Events returns a copy of the journal (nil on a nil receiver).
+//
+//lint:ignore unreached observer: cluster's and relaxcheck's tests read the episode journal with it
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil

@@ -68,13 +68,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 }
 
-func TestEventString(t *testing.T) {
-	e := Event{T: 3, Name: "cluster.episode", Attrs: []KV{{K: "behavior", V: "reject"}}}
-	if got := e.String(); got != "[3] cluster.episode behavior=reject" {
-		t.Fatalf("String() = %q", got)
-	}
-}
-
 func TestLogicalClock(t *testing.T) {
 	var l Logical
 	if l.Now() != 0 {
@@ -91,4 +84,14 @@ func TestLogicalClock(t *testing.T) {
 	if l.Now() != 10 {
 		t.Fatalf("Witness must not lower the clock, got %d", l.Now())
 	}
+}
+
+// Len returns the number of recorded events (0 on nil).
+func (r *Recorder) Len() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.events)
 }

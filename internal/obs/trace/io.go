@@ -60,9 +60,6 @@ func appendSpanJSON(dst []byte, sp Span) []byte {
 	return append(dst, '}')
 }
 
-// AppendJSON exposes the span encoding for flight-recorder dumps.
-func AppendJSON(dst []byte, sp Span) []byte { return appendSpanJSON(dst, sp) }
-
 // ParseSpan decodes one JSONL span line, preserving attribute order
 // (encoding/json's map decoding would lose it, so the object is walked
 // token by token).

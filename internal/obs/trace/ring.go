@@ -74,16 +74,6 @@ func (f *FlightRecorder) ObserveEvent(e obs.Event) {
 	f.nevents++
 }
 
-// Spans returns the retained spans, oldest first.
-func (f *FlightRecorder) Spans() []Span {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.orderedSpans()
-}
-
 // orderedSpans unrolls the ring. Caller holds mu.
 func (f *FlightRecorder) orderedSpans() []Span {
 	if f.nspans <= uint64(len(f.spans)) {
@@ -95,16 +85,6 @@ func (f *FlightRecorder) orderedSpans() []Span {
 	return append(out, f.spans[:head]...)
 }
 
-// Events returns the retained events, oldest first.
-func (f *FlightRecorder) Events() []obs.Event {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.orderedEvents()
-}
-
 // orderedEvents unrolls the ring. Caller holds mu.
 func (f *FlightRecorder) orderedEvents() []obs.Event {
 	if f.nevents <= uint64(len(f.events)) {
@@ -114,17 +94,6 @@ func (f *FlightRecorder) orderedEvents() []obs.Event {
 	out := make([]obs.Event, 0, len(f.events))
 	out = append(out, f.events[head:]...)
 	return append(out, f.events[:head]...)
-}
-
-// Seen returns the total numbers of spans and events ever observed
-// (retained or evicted).
-func (f *FlightRecorder) Seen() (spans, events uint64) {
-	if f == nil {
-		return 0, 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.nspans, f.nevents
 }
 
 // WriteDump writes the flight-recorder contents as JSONL: one header

@@ -323,18 +323,10 @@ func (t *Tracer) record(sp Span) {
 	}
 }
 
-// Len returns the number of completed spans (0 on nil).
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
 // Spans returns a copy of the completed spans in recorded order (nil
 // on a nil tracer).
+//
+//lint:ignore unreached observer: relaxd's engine tests read the span tree with it
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil

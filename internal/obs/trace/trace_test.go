@@ -299,3 +299,44 @@ func TestChromeExportSchema(t *testing.T) {
 		t.Fatalf("chrome export not deterministic")
 	}
 }
+
+// Spans returns the retained spans, oldest first.
+func (f *FlightRecorder) Spans() []Span {
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.orderedSpans()
+}
+
+// Events returns the retained events, oldest first.
+func (f *FlightRecorder) Events() []obs.Event {
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.orderedEvents()
+}
+
+// Seen returns the total numbers of spans and events ever observed
+// (retained or evicted).
+func (f *FlightRecorder) Seen() (spans, events uint64) {
+	if f == nil {
+		return 0, 0
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.nspans, f.nevents
+}
+
+// Len returns the number of completed spans (0 on nil).
+func (t *Tracer) Len() int {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.spans)
+}

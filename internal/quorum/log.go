@@ -323,6 +323,8 @@ func (l Log) Equal(other Log) bool {
 }
 
 // String renders the log one entry per line.
+//
+//lint:ignore unreached renders logs: relaxd's stream test compares a joined log's rendering with the donor's
 func (l Log) String() string {
 	var b strings.Builder
 	for i, e := range l.entries {

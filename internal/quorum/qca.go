@@ -47,15 +47,6 @@ func NewQCA(name string, base *automaton.Spec, rel Relation, eta *FoldEval) *QCA
 // Name returns the automaton's name.
 func (q *QCA) Name() string { return q.name }
 
-// Base returns the underlying simple object automaton A.
-func (q *QCA) Base() *automaton.Spec { return q.base }
-
-// Relation returns the quorum intersection relation Q.
-func (q *QCA) Relation() Relation { return q.rel }
-
-// Fold returns the evaluation function η in fold form.
-func (q *QCA) Fold() *FoldEval { return q.fold }
-
 // Init returns the empty-history state.
 func (q *QCA) Init() value.Value { return HistState{H: history.Empty} }
 
@@ -104,6 +95,8 @@ func (q *QCA) Justified(h history.History, op history.Op) bool {
 
 // Witness returns a Q-view of h justifying op, if one exists. It is
 // useful for explaining why a weakly consistent execution was accepted.
+//
+//lint:ignore unreached Section 3.2 justification: integration's tests check the witness view of a partitioned run
 func (q *QCA) Witness(h history.History, op history.Op) (history.History, bool) {
 	var witness history.History
 	found := false

@@ -1,8 +1,6 @@
 package quorum
 
 import (
-	"fmt"
-
 	"relaxlattice/internal/automaton"
 	"relaxlattice/internal/history"
 )
@@ -13,11 +11,6 @@ import (
 type DependencyViolation struct {
 	H, G history.History
 	P    history.Op
-}
-
-// String renders the counterexample.
-func (v DependencyViolation) String() string {
-	return fmt.Sprintf("H=%v, Q-view G=%v, p=%v: G·p ∈ L(A) but H·p ∉ L(A)", v.H, v.G, v.P)
 }
 
 // acceptOracle is a bounded acceptance set for one automaton: the
@@ -102,15 +95,6 @@ func (o *acceptOracle) check(rel Relation, alphabet []history.Op) (bool, *Depend
 // relation (Section 3.2).
 func IsSerialDependency(a automaton.Automaton, rel Relation, alphabet []history.Op, maxLen int) (bool, *DependencyViolation) {
 	return newAcceptOracle(a, alphabet, maxLen).check(rel, alphabet)
-}
-
-// IsOneCopySerializable checks, by bounded language comparison, the
-// extension of one-copy serializability to typed objects
-// (Section 3.2): L(QCA(A, Q, η)) = L(A). The QCA is compiled to its
-// view-family form (see viewauto.go) so the comparison runs on the
-// memoized engine.
-func IsOneCopySerializable(q *QCA, alphabet []history.Op, maxLen int) automaton.CompareResult {
-	return automaton.Compare(q.Compiled(), q.Base(), alphabet, maxLen)
 }
 
 // PairVerdict is one row of a minimality check: whether the relation

@@ -77,6 +77,8 @@ func (v *Voting) Ops() []string {
 }
 
 // TotalWeight returns the sum of all vote weights.
+//
+//lint:ignore unreached quorum arithmetic: relaxcheck's claim-table tests check intersection against it
 func (v *Voting) TotalWeight() int { return v.total }
 
 // Quorums returns the thresholds for an operation; ok is false for

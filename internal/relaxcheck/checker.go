@@ -276,13 +276,6 @@ func (c *Checker) Level() string {
 	return formatSets(c.sc.Lattice().Universe, c.sc.Current())
 }
 
-// Degraded reports whether the preferred behavior has been lost.
-func (c *Checker) Degraded() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sc.Degraded()
-}
-
 // MaxFrontier returns the largest per-element automaton frontier seen.
 func (c *Checker) MaxFrontier() int {
 	c.mu.Lock()

@@ -266,9 +266,6 @@ func TestCheckerMetricsAndSamples(t *testing.T) {
 	if c.Steps() != 4 {
 		t.Fatalf("Steps = %d", c.Steps())
 	}
-	if c.Degraded() {
-		t.Fatal("PQ-legal history degraded")
-	}
 	if c.Level() == "" || c.Level() == "⊥" {
 		t.Fatalf("Level = %q", c.Level())
 	}

@@ -91,12 +91,6 @@ func NewClient(cfg ClientConfig, clockSite int) *Client {
 	return &Client{cfg: cfg, eng: eng, sites: sites, clock: quorum.NewClock(clockSite)}
 }
 
-// Observed returns the client's history of completed operations in
-// completion order.
-func (c *Client) Observed() history.History {
-	return c.eng.Observed()
-}
-
 // Execute runs the protocol for one invocation under the base quorum
 // assignment.
 func (c *Client) Execute(inv history.Invocation) (history.Op, error) {

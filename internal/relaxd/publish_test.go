@@ -356,6 +356,29 @@ func TestPublishFailureCompactsNothing(t *testing.T) {
 	}
 }
 
+// TestSealKeepsEmptyActiveSegment runs the benchmark's store settings
+// (SegmentRecords 100, SnapshotEvery 200): the append that reaches the
+// 200-record mark rotates once, in AppendBatch, and the snapshot's seal
+// reuses that fresh, empty segment instead of rotating again.
+func TestSealKeepsEmptyActiveSegment(t *testing.T) {
+	dir := t.TempDir()
+	r, _, err := OpenReplica(0, dir, StoreOptions{SegmentRecords: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.SnapshotEvery = 200
+	for _, e := range serialPQEntries(200) {
+		if err := ackOne(r, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.flush()
+	if segs := segmentsOnDisk(t, dir); len(segs) != 1 || segs[0] != 2 {
+		t.Fatalf("segments %v after 200 appends, want wal-000002 alone", segs)
+	}
+}
+
 // TestPublishCoalescesWhileOneRuns holds a publish between its steps
 // while appends go on past two more due points: the appends are served
 // (the publish holds no replica lock), nothing is queued, and when the

@@ -99,6 +99,11 @@ func TestSnapshotShippingRebuildsWipedSite(t *testing.T) {
 		t.Fatalf("joined site log diverges:\n got %s\nwant %s", got, want)
 	}
 	certifyQ1Q2(t, "shipped state", replicas[victim].Log().History())
+	// The wiped store's one segment holds no record, so the join's seal
+	// keeps it instead of rotating to a fresh one.
+	if segs := segmentsOnDisk(t, filepath.Join(base, fmt.Sprintf("site%d", victim))); len(segs) != 1 || segs[0] != 0 {
+		t.Fatalf("joined store holds segments %v, want wal-000000 alone", segs)
+	}
 
 	// The transfer must be durable: a crash right after the join
 	// recovers the full shipped state from the victim's own store.

@@ -595,7 +595,15 @@ func (s *Store) Snapshot(l quorum.Log) error {
 // active segment and rotates to a fresh one, and returns the fresh
 // segment's index. Every record in a segment below it is then durable,
 // so a log captured under the same lock as the seal holds all of them.
+// An active segment that holds no record is already that fresh
+// segment: createSegment synced its file and directory entry (or
+// OpenStore found it on disk), and the rotation that created it synced
+// every record below it. Rotating again would only add an empty
+// segment and its fsyncs.
 func (s *Store) seal() (int, error) {
+	if s.segRecords == 0 {
+		return s.segIndex, nil
+	}
 	if err := s.rotate(); err != nil {
 		return 0, err
 	}

@@ -90,9 +90,6 @@ func NewController(cfg ControllerConfig) *Controller {
 	return &Controller{cfg: cfg}
 }
 
-// Config returns the effective (default-filled) configuration.
-func (c *Controller) Config() ControllerConfig { return c.cfg }
-
 // Level returns the current ladder level (0 = preferred behavior).
 func (c *Controller) Level() int { return c.level }
 

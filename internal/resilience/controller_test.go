@@ -193,3 +193,6 @@ func TestControllerConfigDefaultsAndPanics(t *testing.T) {
 	}()
 	NewController(ControllerConfig{})
 }
+
+// Config returns the effective (default-filled) configuration.
+func (c *Controller) Config() ControllerConfig { return c.cfg }

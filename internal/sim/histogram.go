@@ -20,9 +20,6 @@ func (h *Histogram) Observe(x float64) {
 	h.sorted = false
 }
 
-// N returns the sample count.
-func (h *Histogram) N() int { return len(h.samples) }
-
 // Mean returns the sample mean (0 when empty).
 func (h *Histogram) Mean() float64 {
 	if len(h.samples) == 0 {
@@ -56,10 +53,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		idx = len(h.samples) - 1
 	}
 	return h.samples[idx]
-}
-
-// Summary renders count, mean, and the 50th/95th/99th percentiles.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%.3f p50=%.3f p95=%.3f p99=%.3f",
-		h.N(), h.Mean(), h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99))
 }

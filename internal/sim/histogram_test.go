@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -25,9 +24,6 @@ func TestHistogramBasics(t *testing.T) {
 	}
 	if got := h.Quantile(0.0); got != 1 {
 		t.Errorf("p0 = %v", got)
-	}
-	if !strings.Contains(h.Summary(), "n=5") {
-		t.Errorf("Summary = %q", h.Summary())
 	}
 	// Observing after a quantile query re-sorts lazily.
 	h.Observe(0)
@@ -57,3 +53,6 @@ func TestHistogramQuantilePanics(t *testing.T) {
 	}()
 	h.Quantile(1.5)
 }
+
+// N returns the sample count.
+func (h *Histogram) N() int { return len(h.samples) }

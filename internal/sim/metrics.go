@@ -90,13 +90,6 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
-// String renders the table to a string.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.Render(&b)
-	return b.String()
-}
-
 func pad(s string, width int) string {
 	n := width - len([]rune(s))
 	if n <= 0 {

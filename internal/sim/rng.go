@@ -62,27 +62,3 @@ func (g *RNG) Jitter(d, frac float64) float64 {
 
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Pick returns a uniformly chosen index weighted by weights (all
-// non-negative, not all zero; it panics otherwise — a workload
-// configuration error).
-func (g *RNG) Pick(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("sim: negative weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("sim: weights sum to zero")
-	}
-	x := g.r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

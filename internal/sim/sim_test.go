@@ -65,31 +65,6 @@ func TestRNGExpMean(t *testing.T) {
 	}
 }
 
-func TestRNGPick(t *testing.T) {
-	g := NewRNG(11)
-	counts := [3]int{}
-	const trials = 30000
-	for i := 0; i < trials; i++ {
-		counts[g.Pick([]float64{1, 2, 1})]++
-	}
-	if f := float64(counts[1]) / trials; math.Abs(f-0.5) > 0.02 {
-		t.Errorf("Pick weighted frequency = %v", f)
-	}
-	for name, fn := range map[string]func(){
-		"negative": func() { g.Pick([]float64{-1, 1}) },
-		"zero":     func() { g.Pick([]float64{0, 0}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestEngineOrdersEvents(t *testing.T) {
 	var e Engine
 	var order []int
@@ -181,4 +156,11 @@ func TestTableRendering(t *testing.T) {
 	if strings.Contains(s, "0.250000") {
 		t.Errorf("unclean float: %q", s)
 	}
+}
+
+// String renders the table to a string.
+func (t *Table) String() string {
+	var b strings.Builder
+	t.Render(&b)
+	return b.String()
 }

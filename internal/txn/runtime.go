@@ -169,9 +169,6 @@ func NewQueue(strategy Strategy) *Queue {
 	}
 }
 
-// Strategy returns the configured strategy.
-func (q *Queue) Strategy() Strategy { return q.strategy }
-
 // Begin starts a transaction.
 func (q *Queue) Begin() ID {
 	q.nextID++
@@ -365,14 +362,3 @@ func (q *Queue) ScheduleLen() int { return len(q.schedule) }
 // q.schedule unaliased, which is what lets the runtime extend it in
 // place (appending a copy per step would cost O(n²) over a run).
 func (q *Queue) Schedule() Schedule { return q.schedule.Append() }
-
-// Items returns the committed, unconsumed elements in queue order.
-func (q *Queue) Items() []value.Elem {
-	var out []value.Elem
-	for _, en := range q.committed {
-		if !en.consumed {
-			out = append(out, en.elem)
-		}
-	}
-	return out
-}

@@ -375,3 +375,14 @@ func TestStrategiesMatchLatticePrediction(t *testing.T) {
 		}
 	}
 }
+
+// Items returns the committed, unconsumed elements in queue order.
+func (q *Queue) Items() []value.Elem {
+	var out []value.Elem
+	for _, en := range q.committed {
+		if !en.consumed {
+			out = append(out, en.elem)
+		}
+	}
+	return out
+}

@@ -24,9 +24,6 @@ func TestScheduleBasics(t *testing.T) {
 	if status[1] != StatusCommitted || status[2] != StatusAborted {
 		t.Errorf("status = %v", status)
 	}
-	if len(s.Active()) != 0 {
-		t.Errorf("Active = %v", s.Active())
-	}
 	committed := s.Committed()
 	if len(committed) != 1 || committed[0] != 1 {
 		t.Errorf("Committed = %v", committed)
@@ -150,54 +147,7 @@ func TestAbortedTransactionsVanish(t *testing.T) {
 	}
 }
 
-func TestOnlineAtomic(t *testing.T) {
-	fifo := specs.FIFOQueue()
-	// T1 committed its enqueue; T2 and T3 have both dequeued item 1
-	// tentatively (a pessimistic runtime could produce this); if both
-	// commit, the duplicate dequeue is not FIFO-serializable.
-	s := Schedule{
-		Step(1, history.Enq(1)), Commit(1),
-		Step(2, history.DeqOk(1)),
-		Step(3, history.DeqOk(1)),
-	}
-	if OnlineAtomic(s, fifo) {
-		t.Errorf("double tentative dequeue cannot be online atomic for FIFO")
-	}
-	// Against Stuttering_2, the same schedule is fine.
-	if !OnlineAtomic(s, specs.StutteringQueue(2)) {
-		t.Errorf("should be online atomic for Stuttering_2")
-	}
-	// A non-well-formed schedule is never online atomic.
-	if OnlineAtomic(Schedule{Commit(1), Commit(1)}, fifo) {
-		t.Errorf("ill-formed schedule accepted")
-	}
-}
-
-func TestOnlineHybridAtomic(t *testing.T) {
-	semi2 := specs.Semiqueue(2)
-	fifo := specs.FIFOQueue()
-	// Optimistic collision: T2 dequeues 1, T3 skips to 2. Whatever
-	// commit order follows, semiqueue_2 accepts; FIFO does not (commit
-	// order T3 before T2 dequeues out of order).
-	s := Schedule{
-		Step(1, history.Enq(1)),
-		Step(1, history.Enq(2)),
-		Commit(1),
-		Step(2, history.DeqOk(1)),
-		Step(3, history.DeqOk(2)),
-	}
-	if !OnlineHybridAtomic(s, semi2) {
-		t.Errorf("optimistic collision should be online hybrid atomic for Semiqueue_2")
-	}
-	if OnlineHybridAtomic(s, fifo) {
-		t.Errorf("optimistic collision is not FIFO under commit order T3<T2")
-	}
-	if OnlineHybridAtomic(Schedule{Commit(1), Commit(1)}, fifo) {
-		t.Errorf("ill-formed schedule accepted")
-	}
-}
-
-func TestPermuteSubsetsHelpers(t *testing.T) {
+func TestPermuteHelper(t *testing.T) {
 	var perms [][]ID
 	permute([]ID{1, 2, 3}, func(p []ID) bool {
 		perms = append(perms, append([]ID(nil), p...))
@@ -205,17 +155,6 @@ func TestPermuteSubsetsHelpers(t *testing.T) {
 	})
 	if len(perms) != 6 {
 		t.Errorf("permutations = %d", len(perms))
-	}
-	count := 0
-	subsets([]ID{1, 2}, func(s []ID) bool { count++; return true })
-	if count != 4 {
-		t.Errorf("subsets = %d", count)
-	}
-	// Early stop.
-	count = 0
-	subsets([]ID{1, 2, 3}, func(s []ID) bool { count++; return count < 2 })
-	if count != 2 {
-		t.Errorf("early stop failed: %d", count)
 	}
 }
 

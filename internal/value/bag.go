@@ -37,19 +37,6 @@ type bagRun struct {
 // EmptyBag returns emp, the empty bag.
 func EmptyBag() Bag { return Bag{} }
 
-// BagOf builds a bag containing the given elements.
-func BagOf(elems ...Elem) Bag {
-	var runs []bagRun
-	for _, e := range sortedCopy(elems) {
-		if k := len(runs); k > 0 && runs[k-1].elem == e {
-			runs[k-1].n++
-		} else {
-			runs = append(runs, bagRun{elem: e, n: 1})
-		}
-	}
-	return Bag{&bagData{runs: runs, size: len(elems)}}
-}
-
 // runs returns b's runs (nil for emp).
 func (b Bag) runs() []bagRun {
 	if b.d == nil {
@@ -143,14 +130,6 @@ func (b Bag) IsEmp() bool { return b.Size() == 0 }
 func (b Bag) IsIn(e Elem) bool {
 	_, found := b.search(e)
 	return found
-}
-
-// Count returns the multiplicity of e in b.
-func (b Bag) Count(e Elem) int {
-	if i, found := b.search(e); found {
-		return b.d.runs[i].n
-	}
-	return 0
 }
 
 // Size returns the total number of elements (with multiplicity).

@@ -3,10 +3,38 @@ package value
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// BagOf builds a bag containing the given elements.
+func BagOf(elems ...Elem) Bag {
+	var runs []bagRun
+	for _, e := range sortedCopy(elems) {
+		if k := len(runs); k > 0 && runs[k-1].elem == e {
+			runs[k-1].n++
+		} else {
+			runs = append(runs, bagRun{elem: e, n: 1})
+		}
+	}
+	return Bag{&bagData{runs: runs, size: len(elems)}}
+}
+
+func sortedCopy(items []Elem) []Elem {
+	out := copyElems(items)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Count returns the multiplicity of e in b.
+func (b Bag) Count(e Elem) int {
+	if i, found := b.search(e); found {
+		return b.d.runs[i].n
+	}
+	return 0
+}
 
 // bagFrom interprets a byte string as a sequence of ins operations.
 func bagFrom(xs []uint8) Bag {

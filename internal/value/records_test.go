@@ -3,50 +3,7 @@ package value
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestSetBasics(t *testing.T) {
-	s := SetOf(3, 1, 3, 2)
-	if s.Size() != 3 {
-		t.Fatalf("Size = %d", s.Size())
-	}
-	if !s.Contains(1) || !s.Contains(3) || s.Contains(4) {
-		t.Errorf("Contains wrong: %v", s)
-	}
-	if got := s.Add(4); got.Size() != 4 || !got.Contains(4) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := s.Add(1); !got.Equal(s) {
-		t.Errorf("Add of existing changed set: %v", got)
-	}
-	if !s.Union(SetOf(4, 5)).Equal(SetOf(1, 2, 3, 4, 5)) {
-		t.Errorf("Union wrong")
-	}
-	if !EmptySet().Equal(SetOf()) {
-		t.Errorf("empty sets differ")
-	}
-}
-
-// Set laws: union is commutative, associative, idempotent.
-func TestSetUnionLaws(t *testing.T) {
-	setFrom := func(xs []uint8) Set {
-		s := EmptySet()
-		for _, x := range xs {
-			s = s.Add(Elem(x % 8))
-		}
-		return s
-	}
-	f := func(a, b, c []uint8) bool {
-		A, B, C := setFrom(a), setFrom(b), setFrom(c)
-		return A.Union(B).Equal(B.Union(A)) &&
-			A.Union(B.Union(C)).Equal(A.Union(B).Union(C)) &&
-			A.Union(A).Equal(A)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestMPQKeyDistinguishesComponents(t *testing.T) {
 	a := MPQ{Present: BagOf(1), Absent: BagOf(2)}
@@ -114,7 +71,7 @@ func TestAccount(t *testing.T) {
 // equality; spot-check the interface is satisfied.
 func TestValueInterfaceCompliance(t *testing.T) {
 	values := []Value{
-		EmptyBag(), EmptySeq(), EmptySet(), EmptyMPQ(), EmptyStutQ(),
+		EmptyBag(), EmptySeq(), EmptyMPQ(), EmptyStutQ(),
 		EmptySSQ(), NewAccount(0),
 	}
 	seen := map[string]string{}

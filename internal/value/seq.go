@@ -12,12 +12,6 @@ type Seq struct {
 // EmptySeq returns emp, the empty sequence.
 func EmptySeq() Seq { return Seq{} }
 
-// SeqOf builds a sequence with the given insertion order (first argument
-// oldest).
-func SeqOf(elems ...Elem) Seq {
-	return Seq{items: copyElems(elems)}
-}
-
 // Ins returns ins(q, e): q with e appended at the back.
 func (q Seq) Ins(e Elem) Seq {
 	out := make([]Elem, 0, len(q.items)+1)
@@ -43,22 +37,6 @@ func (q Seq) Rest() Seq {
 	return Seq{items: copyElems(q.items[1:])}
 }
 
-// Del returns del(q, e) per the Bag axioms inherited by FifoQ:
-// del(ins(q, e), e1) = if e = e1 then q else ins(del(q, e1), e). Unrolled
-// over the generated term, this removes the most recent occurrence of e
-// (the axiom peels insertions from the back). del(emp, e) = emp.
-func (q Seq) Del(e Elem) Seq {
-	for i := len(q.items) - 1; i >= 0; i-- {
-		if q.items[i] == e {
-			out := make([]Elem, 0, len(q.items)-1)
-			out = append(out, q.items[:i]...)
-			out = append(out, q.items[i+1:]...)
-			return Seq{items: out}
-		}
-	}
-	return q
-}
-
 // DelAt returns q with the element at position i (0 = front) removed.
 // It is used by operational queue runtimes where a specific occurrence
 // is dequeued; it panics when i is out of range.
@@ -72,40 +50,12 @@ func (q Seq) DelAt(i int) Seq {
 // IsEmp reports isEmp(q).
 func (q Seq) IsEmp() bool { return len(q.items) == 0 }
 
-// IsIn reports isIn(q, e).
-func (q Seq) IsIn(e Elem) bool {
-	for _, x := range q.items {
-		if x == e {
-			return true
-		}
-	}
-	return false
-}
-
 // Size returns the number of elements.
 func (q Seq) Size() int { return len(q.items) }
 
 // Get returns the element at position i (0 = front). It panics when i
 // is out of range.
 func (q Seq) Get(i int) Elem { return q.items[i] }
-
-// Prefix returns prefix(q, i) from the semiqueue trait of Figure 4-1:
-// the set of the first min(i, size) elements.
-func (q Seq) Prefix(i int) Set {
-	if i > len(q.items) {
-		i = len(q.items)
-	}
-	if i < 0 {
-		i = 0
-	}
-	return SetOf(q.items[:i]...)
-}
-
-// Bag returns the multiset of q's elements (forgetting order).
-func (q Seq) Bag() Bag { return BagOf(q.items...) }
-
-// Elems returns the elements front-to-back (a copy).
-func (q Seq) Elems() []Elem { return copyElems(q.items) }
 
 // Equal reports whether two sequences are identical.
 func (q Seq) Equal(other Seq) bool { return q.Key() == other.Key() }

@@ -5,6 +5,12 @@ import (
 	"testing/quick"
 )
 
+// SeqOf builds a sequence with the given insertion order (first argument
+// oldest).
+func SeqOf(elems ...Elem) Seq {
+	return Seq{items: copyElems(elems)}
+}
+
 func seqFrom(xs []uint8) Seq {
 	q := EmptySeq()
 	for _, x := range xs {
@@ -78,83 +84,6 @@ func TestSeqFIFOOrder(t *testing.T) {
 	}
 }
 
-// Inherited Bag axiom on sequences: del removes the most recent
-// occurrence (the axiom peels ins from the back).
-func TestSeqDelRemovesLatestOccurrence(t *testing.T) {
-	q := SeqOf(1, 2, 1, 3)
-	got := q.Del(1)
-	if !got.Equal(SeqOf(1, 2, 3)) {
-		t.Errorf("Del(1) = %v, want <1 2 3>", got)
-	}
-	if !q.Del(9).Equal(q) {
-		t.Errorf("Del of absent element changed seq")
-	}
-	if !EmptySeq().Del(1).Equal(EmptySeq()) {
-		t.Errorf("del(emp,e) != emp")
-	}
-}
-
-// Del axiom, exactly as inherited:
-// del(ins(q,e), e1) = if e = e1 then q else ins(del(q,e1), e).
-func TestSeqAxiomDelIns(t *testing.T) {
-	f := func(xs []uint8, e0, e10 uint8) bool {
-		q := seqFrom(xs)
-		e, e1 := Elem(e0%8), Elem(e10%8)
-		lhs := q.Ins(e).Del(e1)
-		var rhs Seq
-		if e == e1 {
-			rhs = q
-		} else {
-			rhs = q.Del(e1).Ins(e)
-		}
-		return lhs.Equal(rhs)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Semiqueue trait (Figure 4-1) axiom:
-// prefix(q,i) = if i = 0 ∨ isEmp(q) then {} else prefix(rest(q), i-1) ∪ {first(q)}.
-func TestSeqAxiomPrefix(t *testing.T) {
-	f := func(xs []uint8, i0 uint8) bool {
-		q := seqFrom(xs)
-		i := int(i0 % 10)
-		lhs := q.Prefix(i)
-		var rhs Set
-		if i == 0 || q.IsEmp() {
-			rhs = EmptySet()
-		} else {
-			first, _ := q.First()
-			rhs = q.Rest().Prefix(i - 1).Union(SetOf(first))
-		}
-		return lhs.Equal(rhs)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSeqPrefixExplicit(t *testing.T) {
-	q := SeqOf(5, 1, 4, 2)
-	tests := []struct {
-		i    int
-		want Set
-	}{
-		{0, EmptySet()},
-		{1, SetOf(5)},
-		{2, SetOf(1, 5)},
-		{4, SetOf(1, 2, 4, 5)},
-		{99, SetOf(1, 2, 4, 5)},
-		{-1, EmptySet()},
-	}
-	for _, tt := range tests {
-		if got := q.Prefix(tt.i); !got.Equal(tt.want) {
-			t.Errorf("Prefix(%d) = %v, want %v", tt.i, got, tt.want)
-		}
-	}
-}
-
 func TestSeqDelAt(t *testing.T) {
 	q := SeqOf(1, 2, 3)
 	if got := q.DelAt(1); !got.Equal(SeqOf(1, 3)) {
@@ -168,16 +97,10 @@ func TestSeqDelAt(t *testing.T) {
 	}
 }
 
-func TestSeqGetAndBag(t *testing.T) {
+func TestSeqGet(t *testing.T) {
 	q := SeqOf(3, 1, 2)
 	if q.Get(0) != 3 || q.Get(2) != 2 {
 		t.Errorf("Get wrong")
-	}
-	if !q.Bag().Equal(BagOf(1, 2, 3)) {
-		t.Errorf("Bag = %v", q.Bag())
-	}
-	if !q.IsIn(1) || q.IsIn(9) {
-		t.Errorf("IsIn wrong")
 	}
 }
 
@@ -199,7 +122,6 @@ func TestSeqImmutability(t *testing.T) {
 	q := SeqOf(1, 2)
 	_ = q.Ins(3)
 	_ = q.Rest()
-	_ = q.Del(1)
 	if !q.Equal(SeqOf(1, 2)) {
 		t.Errorf("seq mutated: %v", q)
 	}

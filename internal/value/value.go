@@ -16,7 +16,6 @@ package value
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -67,10 +66,4 @@ func elemsKey(items []Elem) string {
 
 func copyElems(items []Elem) []Elem {
 	return append([]Elem(nil), items...)
-}
-
-func sortedCopy(items []Elem) []Elem {
-	out := copyElems(items)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
