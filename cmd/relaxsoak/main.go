@@ -31,7 +31,7 @@
 //	relaxsoak [-mode cluster|txn|both|audit|longhaul] [-workload uniform|bursty|skewed|fault-correlated|all]
 //	          [-seed N] [-clients N] [-ops N] [-sites N] [-dequeuers N]
 //	          [-calm] [-metrics F] [-trace F]
-//	          [-spans F] [-flight F] [-history F] [-lattice taxi|spool]
+//	          [-spans F] [-history F] [-lattice taxi|spool]
 //	          [-kill-every D] [-wipe-every N] [-dir P]
 package main
 
@@ -72,8 +72,7 @@ func run(args []string, w io.Writer) error {
 	metricsPath := fs.String("metrics", "", "write the deterministic metrics snapshot (JSON) to this file")
 	tracePath := fs.String("trace", "", "write the logical-clock event journal (JSON Lines) to this file")
 	spansPath := fs.String("spans", "", "write the causal span stream (JSON Lines) to this file")
-	flightPath := fs.String("flight", "", "on the first violation, dump the degradation flight recorder (JSON Lines) to this file")
-	historyPath := fs.String("history", "", "cluster/txn: write the audited history to this file; audit: read it")
+	historyPath := fs.String("history", "", "cluster/txn with one -workload: write the audited history to this file; audit: read it")
 	auditLattice := fs.String("lattice", "taxi", "audit-mode lattice: taxi (cluster histories) or spool (txn histories)")
 	killEvery := fs.Duration("kill-every", 100*time.Millisecond, "longhaul mode: dwell between hard kill cycles")
 	wipeEvery := fs.Int("wipe-every", 3, "longhaul mode: every Nth kill cycle wipes the victim's store (rejoin via snapshot shipping)")
@@ -100,6 +99,8 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("-kill-every %v: need a positive dwell between kills", *killEvery)
 	case *wipeEvery < 1:
 		return fmt.Errorf("-wipe-every %d: need at least 1 (every kill wipes)", *wipeEvery)
+	case *historyPath != "" && (*mode == "both" || (*mode == "cluster" || *mode == "txn") && *workload == "all"):
+		return fmt.Errorf("-history exports one object's history: select one run with -mode cluster or txn and a single -workload")
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -147,24 +148,6 @@ func run(args []string, w io.Writer) error {
 	if *spansPath != "" {
 		spans = trace.NewTracer("soak", nil)
 	}
-	var flight *trace.FlightRecorder
-	flightDumped := false
-	onViolation := func(v relaxcheck.Violation) {
-		if flightDumped {
-			return
-		}
-		flightDumped = true
-		if err := dumpFlight(*flightPath, flight, v); err != nil {
-			fmt.Fprintln(os.Stderr, "relaxsoak: flight dump:", err)
-		}
-	}
-	if *flightPath != "" {
-		flight = trace.NewFlightRecorder(512, 512)
-		spans.SetMirror(flight)
-		rec.SetObserver(flight.ObserveEvent)
-	} else {
-		onViolation = nil
-	}
 	var audited history.History
 
 	failed := false
@@ -172,13 +155,12 @@ func run(args []string, w io.Writer) error {
 		w0 := relaxcheck.Workload{Kind: kind, Clients: *clients, Ops: *ops}
 		if *mode == "cluster" || *mode == "both" {
 			cfg := relaxcheck.ClusterSoakConfig{
-				Workload:    w0,
-				Seed:        *seed,
-				Sites:       *sites,
-				Metrics:     reg,
-				Trace:       rec,
-				Spans:       spans,
-				OnViolation: onViolation,
+				Workload: w0,
+				Seed:     *seed,
+				Sites:    *sites,
+				Metrics:  reg,
+				Trace:    rec,
+				Spans:    spans,
 			}
 			if !*calm && kind != relaxcheck.FaultCorrelated {
 				cfg.Faults = cluster.FaultConfig{MTTF: 60, MTTR: 8, MTBP: 150, PartitionDwell: 12}
@@ -193,13 +175,12 @@ func run(args []string, w io.Writer) error {
 		}
 		if *mode == "txn" || *mode == "both" {
 			report, err := relaxcheck.RunTxnSoak(relaxcheck.TxnSoakConfig{
-				Workload:    w0,
-				Seed:        *seed,
-				Dequeuers:   *dequeuers,
-				Metrics:     reg,
-				Trace:       rec,
-				Spans:       spans,
-				OnViolation: onViolation,
+				Workload:  w0,
+				Seed:      *seed,
+				Dequeuers: *dequeuers,
+				Metrics:   reg,
+				Trace:     rec,
+				Spans:     spans,
 			})
 			printReport(w, "txn", kind, report)
 			audited = append(audited, report.Observed...)
@@ -277,18 +258,4 @@ func runAudit(w io.Writer, historyPath, latName string, dequeuers int) error {
 	}
 	fmt.Fprintln(w, "audited history stays inside its relaxation lattice")
 	return nil
-}
-
-// dumpFlight writes the flight-recorder artifact for a violation.
-func dumpFlight(path string, fr *trace.FlightRecorder, v relaxcheck.Violation) error {
-	if path == "" || fr == nil {
-		return nil
-	}
-	return obs.WriteFile(path, func(f io.Writer) error {
-		return fr.WriteDump(f,
-			obs.KV{K: "kind", V: v.Kind},
-			obs.KV{K: "step", V: fmt.Sprint(v.Step)},
-			obs.KV{K: "op", V: v.Op.String()},
-			obs.KV{K: "claim", V: v.Claim})
-	})
 }

@@ -100,6 +100,12 @@ func TestBadSizesFail(t *testing.T) {
 		{[]string{"-mode", "audit", "-lattice", "spool", "-dequeuers", "-2"}, "-dequeuers"},
 		{[]string{"-mode", "longhaul", "-ops", "1", "-wipe-every", "0"}, "-wipe-every"},
 		{[]string{"-mode", "longhaul", "-ops", "1", "-kill-every", "0s"}, "-kill-every"},
+		// One export holds one object's history: several independent
+		// runs appended into one file do not replay as any object.
+		{[]string{"-history", "h.txt"}, "-history"},
+		{[]string{"-mode", "both", "-workload", "bursty", "-history", "h.txt"}, "-history"},
+		{[]string{"-mode", "cluster", "-workload", "all", "-history", "h.txt"}, "-history"},
+		{[]string{"-mode", "txn", "-workload", "all", "-history", "h.txt"}, "-history"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)
@@ -112,9 +118,9 @@ func TestBadSizesFail(t *testing.T) {
 	}
 }
 
-// TestSoakSpansAndFlightFlags: -spans writes a non-empty span stream
+// TestSoakSpansFlag: -spans writes a non-empty span stream
 // deterministic across invocations.
-func TestSoakSpansAndFlightFlags(t *testing.T) {
+func TestSoakSpansFlag(t *testing.T) {
 	dir := t.TempDir()
 	runOnce := func(name string) []byte {
 		p := filepath.Join(dir, name)

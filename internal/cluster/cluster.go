@@ -54,12 +54,10 @@ type Config struct {
 	Metrics *obs.Registry
 	// Trace, when set, receives degradation-episode events: one event
 	// each time the cluster's (mode, constraint set) pair changes, i.e.
-	// each time the system moves in the relaxation lattice.
+	// each time the system moves in the relaxation lattice. Events are
+	// stamped by a cluster-owned logical clock that ticks once per
+	// recorded event.
 	Trace *obs.Recorder
-	// Clock supplies logical time for trace events. Nil defaults to a
-	// cluster-owned Lamport clock that witnesses every log timestamp and
-	// ticks once per recorded transition.
-	Clock obs.Clock
 	// Audit, when set, receives every completed operation on the
 	// observation path (and, if it implements ClaimObserver, every
 	// adaptive degradation claim) — the attachment point for online
@@ -71,8 +69,8 @@ type Config struct {
 	// links from each step-1 view to the spans that last wrote the site
 	// logs it merged, and — for adaptive clients — submit, attempt,
 	// backoff, descend, probe, and ascend spans nested under the
-	// operation that triggered them. The tracer's clock should share a
-	// domain with Clock; nil disables span tracing entirely.
+	// operation that triggered them. Nil disables span tracing
+	// entirely.
 	Spans *trace.Tracer
 }
 
@@ -85,7 +83,7 @@ type Cluster struct {
 	up     []bool       // guarded by mu
 	comp   []int        // guarded by mu; network component per site; equal = mutually reachable
 	nextID int          // guarded by mu
-	ltime  obs.Logical  // default trace clock; ticked only under mu
+	ltime  obs.Logical  // trace clock; ticked only under mu
 	// lastWrite is, per site, the step-3 span that last recorded an
 	// entry on that site's log — the happens-before link targets of the
 	// next step-1 view that merges the log. All zeros when Spans is nil.

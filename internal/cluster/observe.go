@@ -39,16 +39,6 @@ var reachableBounds = []int64{0, 1, 2, 3, 4, 6, 8, 16, 32}
 // attemptBounds buckets per-submission retry attempts.
 var attemptBounds = []int64{1, 2, 3, 4, 6, 8, 12, 16}
 
-// now returns the next logical timestamp for a trace event. Caller
-// holds mu (the default clock is a plain logical counter ticked only
-// here, and per-client episode state is mu-protected too).
-func (c *Cluster) now() int64 {
-	if c.cfg.Clock != nil {
-		return c.cfg.Clock.Now()
-	}
-	return c.ltime.Tick()
-}
-
 // constraintSet renders the currently satisfiable constraint set C:
 // the sorted operation names whose quorums the reachable sites can
 // assemble. An empty set renders as "∅". Caller holds mu.
@@ -77,7 +67,7 @@ func (c *Cluster) observeEpisode(cl *Client, opName string, reachable []int, beh
 		return
 	}
 	cl.lastEpisode = key
-	c.cfg.Trace.Record(c.now(), "cluster.episode",
+	c.cfg.Trace.Record(c.ltime.Tick(), "cluster.episode",
 		obs.KV{K: "client", V: strconv.Itoa(cl.id)},
 		obs.KV{K: "home", V: strconv.Itoa(cl.home)},
 		obs.KV{K: "constraints", V: cset},
@@ -103,7 +93,7 @@ func (c *Cluster) recordAdaptiveTransition(cl *Client, opName, behavior string) 
 	if !c.up[cl.home] {
 		reachable = nil
 	}
-	c.cfg.Trace.Record(c.now(), "cluster.episode",
+	c.cfg.Trace.Record(c.ltime.Tick(), "cluster.episode",
 		obs.KV{K: "client", V: strconv.Itoa(cl.id)},
 		obs.KV{K: "home", V: strconv.Itoa(cl.home)},
 		obs.KV{K: "constraints", V: c.constraintSet(reachable)},
@@ -118,6 +108,6 @@ func (c *Cluster) recordAdaptiveTransition(cl *Client, opName, behavior string) 
 func (c *Cluster) recordFault(name string, attrs ...obs.KV) {
 	c.cfg.Metrics.Counter("cluster.fault." + name).Add(1)
 	if c.cfg.Trace != nil {
-		c.cfg.Trace.Record(c.now(), "cluster."+name, attrs...)
+		c.cfg.Trace.Record(c.ltime.Tick(), "cluster."+name, attrs...)
 	}
 }

@@ -14,9 +14,6 @@ func (c *StepChecker) StepAll(h history.History) bool {
 	return true
 }
 
-// Len returns the number of operations fed.
-func (c *StepChecker) Len() int { return c.length }
-
 // Viable reports whether element s still accepts the history.
 func (c *StepChecker) Viable(s Set) bool {
 	for i, t := range c.sets {

@@ -25,7 +25,6 @@ type StepChecker struct {
 	sets   []Set                 // φ's domain, strongest first; parallel to fronts
 	fronts []*automaton.Frontier // nil once the element is dead
 	alive  int
-	length int
 	peak   int   // largest single-element frontier seen
 	cur    []Set // maximal viable sets; replaced, never written, when alive changes
 }
@@ -67,7 +66,6 @@ func NewUpSetChecker(lat *Relaxation, floor Set) *StepChecker {
 // the history; elements that reject are discarded permanently
 // (prefix-closed languages never recover).
 func (c *StepChecker) Step(op history.Op) bool {
-	c.length++
 	alive := c.alive
 	for i, f := range c.fronts {
 		if f == nil {

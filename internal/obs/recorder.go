@@ -77,9 +77,6 @@ func utf8AppendRune(dst []byte, r rune) []byte {
 	return append(dst, string(r)...)
 }
 
-// AppendJSON exposes the event encoding for flight-recorder dumps.
-func (e Event) AppendJSON(dst []byte) []byte { return e.appendJSON(dst) }
-
 // appendJSON appends the event as one JSON object with fixed field
 // order: {"t":…,"name":…,"k1":"v1",…}. Attribute keys are emitted in
 // the order recorded; components keep that order fixed per event name.
@@ -105,9 +102,8 @@ func (e Event) appendJSON(dst []byte) []byte {
 // order (see Append). A nil *Recorder no-ops everywhere, so callers
 // instrument unconditionally.
 type Recorder struct {
-	mu       sync.Mutex
-	events   []Event     // guarded by mu
-	observer func(Event) // guarded by mu
+	mu     sync.Mutex
+	events []Event // guarded by mu
 }
 
 // NewRecorder returns an empty journal.
@@ -123,26 +119,8 @@ func (r *Recorder) Record(t int64, name string, attrs ...KV) {
 	}
 	e := Event{T: t, Name: name, Attrs: append([]KV(nil), attrs...)}
 	r.mu.Lock()
-	r.events = append(r.events, e)
-	obsv := r.observer
-	r.mu.Unlock()
-	if obsv != nil {
-		obsv(e)
-	}
-}
-
-// SetObserver installs a callback invoked (outside the journal lock)
-// for every subsequently recorded event — the hook the degradation
-// flight recorder uses to mirror recent events into its bounded ring.
-// nil detaches. Appended batches (Append) are not observed: they were
-// already observed at their original Record site, if one was attached.
-func (r *Recorder) SetObserver(fn func(Event)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.observer = fn
+	r.events = append(r.events, e)
 }
 
 // Append moves every event of src onto r in src's recorded order —

@@ -112,13 +112,6 @@ func (s Span) Attr(key string) (string, bool) {
 	return "", false
 }
 
-// Mirror observes completed spans as they are recorded — the hook the
-// degradation flight recorder uses to keep a bounded window of recent
-// spans without retaining the whole stream.
-type Mirror interface {
-	ObserveSpan(Span)
-}
-
 // Tracer records completed spans. It is safe for concurrent use, but —
 // exactly like obs.Recorder — deterministic streams come from
 // recording at deterministic points (under a component's own mutex or
@@ -131,7 +124,6 @@ type Tracer struct {
 	track  uint64    // immutable after construction; root-ID seed
 	spans  []Span    // guarded by mu; completed spans in End order
 	nroots uint64    // guarded by mu
-	mirror Mirror    // guarded by mu
 	ltime  obs.Logical
 }
 
@@ -153,17 +145,6 @@ func (t *Tracer) SetClock(c obs.Clock) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.clock = c
-}
-
-// SetMirror installs a span observer (the flight recorder); nil
-// detaches. No-op on a nil tracer.
-func (t *Tracer) SetMirror(m Mirror) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.mirror = m
 }
 
 // now reads the tracer's clock. The fallback logical clock ticks on
@@ -311,16 +292,11 @@ func (s *SpanRef) End(attrs ...obs.KV) int64 {
 	return end
 }
 
-// record appends a completed span and notifies the mirror (outside the
-// lock, like obs.Recorder's observer).
+// record appends a completed span.
 func (t *Tracer) record(sp Span) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.spans = append(t.spans, sp)
-	m := t.mirror
-	t.mu.Unlock()
-	if m != nil {
-		m.ObserveSpan(sp)
-	}
 }
 
 // Spans returns a copy of the completed spans in recorded order (nil

@@ -113,77 +113,6 @@ func TestSimClockStrictlyIncreasing(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderWraparound(t *testing.T) {
-	fr := NewFlightRecorder(4, 3)
-	tr := NewTracer("fr", nil)
-	tr.SetMirror(fr)
-	rec := obs.NewRecorder()
-	rec.SetObserver(fr.ObserveEvent)
-
-	for i := 0; i < 10; i++ {
-		s := tr.Begin("op")
-		s.End()
-		rec.Record(int64(i), "ev")
-	}
-	spans, events := fr.Seen()
-	if spans != 10 || events != 10 {
-		t.Fatalf("seen = (%d,%d), want (10,10)", spans, events)
-	}
-	got := fr.Spans()
-	if len(got) != 4 {
-		t.Fatalf("retained %d spans, want 4", len(got))
-	}
-	all := tr.Spans()
-	for i, sp := range got {
-		if sp.ID != all[6+i].ID {
-			t.Fatalf("span ring not oldest-first after wrap: slot %d = %v, want %v", i, sp.ID, all[6+i].ID)
-		}
-	}
-	evs := fr.Events()
-	if len(evs) != 3 {
-		t.Fatalf("retained %d events, want 3", len(evs))
-	}
-	for i, e := range evs {
-		if e.T != int64(7+i) {
-			t.Fatalf("event ring not oldest-first after wrap: slot %d T=%d, want %d", i, e.T, 7+i)
-		}
-	}
-
-	var dump bytes.Buffer
-	if err := fr.WriteDump(&dump, obs.KV{K: "kind", V: "claim"}); err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimSpace(dump.Bytes()), []byte("\n"))
-	if len(lines) != 1+3+4 {
-		t.Fatalf("dump has %d lines, want 8:\n%s", len(lines), dump.Bytes())
-	}
-	var hdr map[string]any
-	if err := json.Unmarshal(lines[0], &hdr); err != nil {
-		t.Fatalf("header not JSON: %v", err)
-	}
-	if hdr["kind"] != "claim" || hdr["spans_seen"] != float64(10) || hdr["spans_kept"] != float64(4) {
-		t.Fatalf("bad header: %v", hdr)
-	}
-	for _, line := range lines[1:] {
-		var obj map[string]any
-		if err := json.Unmarshal(line, &obj); err != nil {
-			t.Fatalf("dump line not JSON: %v\n%s", err, line)
-		}
-	}
-}
-
-func TestFlightRecorderUnderfilled(t *testing.T) {
-	fr := NewFlightRecorder(8, 8)
-	tr := NewTracer("uf", nil)
-	tr.SetMirror(fr)
-	for i := 0; i < 3; i++ {
-		tr.Begin("op").End()
-	}
-	if got := fr.Spans(); len(got) != 3 {
-		t.Fatalf("retained %d spans, want 3", len(got))
-	}
-}
-
 func TestAnalyzeCriticalPath(t *testing.T) {
 	// op [0,100] with rung Q1; children step1 [10,30], step2 [40,90].
 	// Critical path: op self = (100-90)+(40-30)+(10-0) = 30,
@@ -298,37 +227,6 @@ func TestChromeExportSchema(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatalf("chrome export not deterministic")
 	}
-}
-
-// Spans returns the retained spans, oldest first.
-func (f *FlightRecorder) Spans() []Span {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.orderedSpans()
-}
-
-// Events returns the retained events, oldest first.
-func (f *FlightRecorder) Events() []obs.Event {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.orderedEvents()
-}
-
-// Seen returns the total numbers of spans and events ever observed
-// (retained or evicted).
-func (f *FlightRecorder) Seen() (spans, events uint64) {
-	if f == nil {
-		return 0, 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.nspans, f.nevents
 }
 
 // Len returns the number of completed spans (0 on nil).

@@ -50,8 +50,6 @@ type Violation struct {
 	Op history.Op
 	// Claim renders the violated claim set (empty for KindExhausted).
 	Claim string
-	// Level is the lattice position immediately before the violation.
-	Level []lattice.Set
 }
 
 // Error renders the violation as one line.
@@ -76,11 +74,9 @@ type Options struct {
 	Metrics *obs.Registry
 	// Trace receives relaxcheck.level events (one per change of the
 	// maximal viable sets), relaxcheck.claim events, and the
-	// relaxcheck.violation event.
+	// relaxcheck.violation event, each stamped with the number of
+	// operations observed.
 	Trace *obs.Recorder
-	// Clock supplies logical time for trace events; nil defaults to
-	// the number of operations observed.
-	Clock obs.Clock
 	// Claims maps degradation-level names (ladder rung names) to the
 	// constraint sets they claim. ObserveClaim panics on a name not in
 	// the map — an unmapped rung is a configuration error.
@@ -88,9 +84,6 @@ type Options struct {
 	// SampleEvery, when positive, records the checker's verdict every
 	// SampleEvery operations (see Samples).
 	SampleEvery int
-	// OnViolation, when set, is called once, synchronously, at the
-	// first violation. It must not call back into the checker.
-	OnViolation func(Violation)
 }
 
 // Checker is the live audit. It serializes all observations behind its
@@ -101,7 +94,6 @@ type Checker struct {
 	mu        sync.Mutex
 	sc        *lattice.StepChecker
 	opts      Options
-	ltime     obs.Logical
 	steps     int
 	prevAlive int
 	lastLevel string
@@ -129,16 +121,15 @@ func (c *Checker) ObserveOp(op history.Op) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.steps++
-	before := c.sc.Current()
 	alive := c.sc.Step(op)
 	c.opts.Metrics.Counter("relaxcheck.step").Add(1)
 	c.opts.Metrics.Gauge("relaxcheck.frontier.max").Max(int64(c.sc.MaxFrontier()))
 	switch {
 	case !alive:
-		c.violate(Violation{Kind: KindExhausted, Step: c.steps, Op: op, Level: before})
+		c.violate(Violation{Kind: KindExhausted, Step: c.steps, Op: op})
 	case c.haveClaim && !c.covered(c.minClaim):
 		c.violate(Violation{Kind: KindClaim, Step: c.steps, Op: op,
-			Claim: c.formatClaim(), Level: before})
+			Claim: c.formatClaim()})
 	}
 	if c.sc.Alive() != c.prevAlive {
 		c.prevAlive = c.sc.Alive()
@@ -172,14 +163,14 @@ func (c *Checker) ObserveClaim(client int, level string) {
 	}
 	c.haveClaim = true
 	if c.opts.Trace != nil {
-		c.opts.Trace.Record(c.now(), "relaxcheck.claim",
+		c.opts.Trace.Record(int64(c.steps), "relaxcheck.claim",
 			obs.KV{K: "client", V: strconv.Itoa(client)},
 			obs.KV{K: "level", V: level},
 			obs.KV{K: "floor", V: c.formatClaim()})
 	}
 	if !c.covered(c.minClaim) {
 		c.violate(Violation{Kind: KindClaim, Step: c.steps,
-			Claim: c.formatClaim(), Level: c.sc.Current()})
+			Claim: c.formatClaim()})
 	}
 }
 
@@ -206,14 +197,11 @@ func (c *Checker) violate(v Violation) {
 	}
 	c.violation = &v
 	if c.opts.Trace != nil {
-		c.opts.Trace.Record(c.now(), "relaxcheck.violation",
+		c.opts.Trace.Record(int64(c.steps), "relaxcheck.violation",
 			obs.KV{K: "kind", V: v.Kind},
 			obs.KV{K: "step", V: strconv.Itoa(v.Step)},
 			obs.KV{K: "op", V: v.Op.String()},
 			obs.KV{K: "claim", V: v.Claim})
-	}
-	if c.opts.OnViolation != nil {
-		c.opts.OnViolation(v)
 	}
 }
 
@@ -225,17 +213,10 @@ func (c *Checker) recordLevel() {
 	}
 	c.lastLevel = level
 	if c.opts.Trace != nil {
-		c.opts.Trace.Record(c.now(), "relaxcheck.level",
+		c.opts.Trace.Record(int64(c.steps), "relaxcheck.level",
 			obs.KV{K: "step", V: strconv.Itoa(c.steps)},
 			obs.KV{K: "level", V: level})
 	}
-}
-
-func (c *Checker) now() int64 {
-	if c.opts.Clock != nil {
-		return c.opts.Clock.Now()
-	}
-	return int64(c.steps)
 }
 
 func (c *Checker) formatClaim() string {

@@ -45,10 +45,6 @@ type ClusterSoakConfig struct {
 	// the engine), so spans measure where sim-time went; protocol steps
 	// at one instant still get distinct strictly ordered boundaries.
 	Spans *trace.Tracer
-	// OnViolation, when set, fires once at the checker's first
-	// violation (the flight-recorder dump hook). It must not call back
-	// into the checker or the cluster.
-	OnViolation func(Violation)
 }
 
 // SoakReport summarizes a soak run.
@@ -141,7 +137,6 @@ func RunClusterSoak(cfg ClusterSoakConfig) (*SoakReport, error) {
 		Trace:       cfg.Trace,
 		Claims:      claims,
 		SampleEvery: cfg.SampleEvery,
-		OnViolation: cfg.OnViolation,
 	})
 	ladder := cluster.TaxiLadder(cfg.Sites)
 	// The run starts with every client on the top rung; registering that

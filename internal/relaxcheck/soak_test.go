@@ -10,6 +10,7 @@ import (
 	"relaxlattice/internal/core"
 	"relaxlattice/internal/lattice"
 	"relaxlattice/internal/obs"
+	"relaxlattice/internal/obs/trace"
 )
 
 // soakScale reads the tier-2 scale knobs: RELAXSOAK_OPS and
@@ -165,23 +166,56 @@ func TestSoakReplayByteIdentical(t *testing.T) {
 // enqueue — so the merged history escapes φ({Q1}) even though every
 // client honored its own rung. The checker must fail such a run at the
 // exact offending operation.
+//
+// A violating run is also a pure function of its configuration: run
+// twice, it names the same violation and emits byte-identical journal
+// and span streams, so an incident is investigated by re-running its
+// seed (DESIGN.md §14).
 func TestSoakOnlineCheckerRefutesNaiveRungClaims(t *testing.T) {
 	lat := core.TaxiSimpleLattice()
-	report, err := RunClusterSoak(ClusterSoakConfig{
-		Workload: Workload{Kind: Bursty, Clients: 40, Ops: 1500},
-		Seed:     7,
-		Faults:   soakFaults(),
-		Claims:   TaxiRungLevels(lat.Universe),
-	})
-	if err == nil {
-		t.Fatal("naive per-rung claims survived a mixed-assignment soak")
+	refute := func() (*Violation, []byte, []byte) {
+		rec := obs.NewRecorder()
+		tr := trace.NewTracer("soak/cluster", nil)
+		report, err := RunClusterSoak(ClusterSoakConfig{
+			Workload: Workload{Kind: Bursty, Clients: 40, Ops: 1500},
+			Seed:     7,
+			Faults:   soakFaults(),
+			Claims:   TaxiRungLevels(lat.Universe),
+			Trace:    rec,
+			Spans:    tr,
+		})
+		if err == nil {
+			t.Fatal("naive per-rung claims survived a mixed-assignment soak")
+		}
+		var j, sp bytes.Buffer
+		if err := rec.WriteJSONL(&j); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.WriteJSONL(&sp); err != nil {
+			t.Fatal(err)
+		}
+		return report.Violation, j.Bytes(), sp.Bytes()
 	}
-	v := report.Violation
+	v, j1, s1 := refute()
 	if v == nil || v.Kind != KindClaim {
 		t.Fatalf("violation = %+v", v)
 	}
 	if v.Step == 0 || v.Op.Name == "" {
 		t.Fatalf("violation not pinned to an operation: %+v", v)
+	}
+	v2, j2, s2 := refute()
+	if v2 == nil || v2.Step != v.Step || v2.Op.String() != v.Op.String() || v2.Claim != v.Claim {
+		t.Fatalf("replay names a different violation: %+v, first run %+v", v2, v)
+	}
+	if !bytes.Equal(j1, j2) {
+		t.Fatal("journals of the violating run differ across same-seed replays")
+	}
+	if len(s1) == 0 || !bytes.Equal(s1, s2) {
+		t.Fatal("span streams of the violating run are empty or differ across same-seed replays")
+	}
+	want := `"name":"relaxcheck.violation","kind":"claim","step":"` + strconv.Itoa(v.Step) + `"`
+	if !bytes.Contains(j1, []byte(want)) {
+		t.Fatalf("journal has no relaxcheck.violation event at step %d", v.Step)
 	}
 	// The same run under the honest joint-guarantee table is clean.
 	if _, err := RunClusterSoak(ClusterSoakConfig{

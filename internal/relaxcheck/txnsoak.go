@@ -26,9 +26,6 @@ type TxnSoakConfig struct {
 	Workload Workload
 	// Seed drives the plan and dequeuer dwell times.
 	Seed int64
-	// Strategy is the dequeue-collision strategy (default Optimistic —
-	// the Semiqueue side of the lattice).
-	Strategy txn.Strategy
 	// Dequeuers bounds the concurrently active dequeuing transactions
 	// and sizes the spool constraint universe {C₁..C_n} (default 3).
 	Dequeuers int
@@ -40,9 +37,6 @@ type TxnSoakConfig struct {
 	// schedule-index time axis (the serialization-relevant clock of the
 	// txn layer).
 	Spans *trace.Tracer
-	// OnViolation, when set, fires once at the checker's first
-	// violation (the flight-recorder dump hook).
-	OnViolation func(Violation)
 }
 
 // SpoolClaims maps each C_k level name onto its constraint set
@@ -62,29 +56,20 @@ func SpoolClaims(u *lattice.Universe) map[string]lattice.Set {
 
 // RunTxnSoak executes one spooler soak run. The checker audits the
 // committed serialized history (hybrid atomicity: commit order is
-// serialization order) against the strategy's spool lattice, and each
-// rise of the dequeuer-concurrency high-water mark k is registered as
-// the claim C_k the rest of the run must stay within.
+// serialization order) of the optimistic spooler against its
+// SemiqueueLattice, and each rise of the dequeuer-concurrency
+// high-water mark k is registered as the claim C_k the rest of the run
+// must stay within.
 func RunTxnSoak(cfg TxnSoakConfig) (*SoakReport, error) {
-	if cfg.Strategy == 0 {
-		cfg.Strategy = txn.Optimistic
-	}
 	if cfg.Dequeuers <= 0 {
 		cfg.Dequeuers = 3
 	}
-	var lat *lattice.Relaxation
-	switch cfg.Strategy {
-	case txn.Pessimistic:
-		lat = core.StutteringLattice(cfg.Dequeuers)
-	default:
-		lat = core.SemiqueueLattice(cfg.Dequeuers)
-	}
+	lat := core.SemiqueueLattice(cfg.Dequeuers)
 	checker := New(lat, Options{
 		Metrics:     cfg.Metrics,
 		Trace:       cfg.Trace,
 		Claims:      SpoolClaims(lat.Universe),
 		SampleEvery: cfg.SampleEvery,
-		OnViolation: cfg.OnViolation,
 	})
 
 	cfg.Workload = cfg.Workload.Defaulted()
@@ -94,7 +79,7 @@ func RunTxnSoak(cfg TxnSoakConfig) (*SoakReport, error) {
 		// arrival shape matters and plan.Faults goes unused.
 		cfg.Workload.Sites = 5
 	}
-	q := txn.NewQueue(cfg.Strategy)
+	q := txn.NewQueue(txn.Optimistic)
 	q.Observe(cfg.Metrics, cfg.Trace)
 	q.AttachAudit(checker)
 	cfg.Spans.SetClock(obs.ClockFunc(func() int64 { return int64(q.ScheduleLen()) }))
