@@ -1,19 +1,5 @@
 package lattice
 
-import "relaxlattice/internal/history"
-
-// StepAll feeds a whole history, returning false at the first
-// operation that kills every element (remaining operations are not
-// consumed).
-func (c *StepChecker) StepAll(h history.History) bool {
-	for _, op := range h {
-		if !c.Step(op) {
-			return false
-		}
-	}
-	return true
-}
-
 // Viable reports whether element s still accepts the history.
 func (c *StepChecker) Viable(s Set) bool {
 	for i, t := range c.sets {

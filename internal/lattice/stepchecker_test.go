@@ -121,7 +121,9 @@ func TestStepCheckerViableAndAlive(t *testing.T) {
 		t.Fatal("fresh checker already degraded")
 	}
 	// Duplicate delivery kills everything except sets without Q2.
-	sc.StepAll(history.History{history.Enq(2), history.DeqOk(2), history.DeqOk(2)})
+	for _, op := range (history.History{history.Enq(2), history.DeqOk(2), history.DeqOk(2)}) {
+		sc.Step(op)
+	}
 	if sc.Viable(u.All()) {
 		t.Fatal("duplicate delivery left the top viable")
 	}
@@ -136,15 +138,16 @@ func TestStepCheckerViableAndAlive(t *testing.T) {
 	}
 }
 
-func TestStepCheckerStepAllStopsAtDeath(t *testing.T) {
-	// A phantom dequeue from empty kills every taxi element at step 1.
-	lat := core.TaxiSimpleLattice()
-	sc := lattice.NewStepChecker(lat)
-	h := history.History{history.DeqOk(9), history.Enq(1)}
-	if sc.StepAll(h) {
-		t.Fatal("phantom dequeue accepted")
-	}
-	if sc.Current() != nil {
-		t.Fatalf("dead checker Current = %v", sc.Current())
+// A phantom dequeue from empty kills every taxi element on the step
+// that delivers it, and a dead checker stays dead.
+func TestStepCheckerDiesAtPhantomDequeue(t *testing.T) {
+	sc := lattice.NewStepChecker(core.TaxiSimpleLattice())
+	for i, op := range (history.History{history.DeqOk(9), history.Enq(1)}) {
+		if sc.Step(op) {
+			t.Fatalf("step %d (%v) left %d elements alive", i, op, sc.Alive())
+		}
+		if sc.Alive() != 0 || sc.Current() != nil {
+			t.Fatalf("step %d (%v): dead checker has Alive = %d, Current = %v", i, op, sc.Alive(), sc.Current())
+		}
 	}
 }

@@ -214,6 +214,7 @@ func FuzzWALOpen(f *testing.F) {
 	f.Add([]byte("rlx"))
 	f.Add([]byte("not a wal at all"))
 	f.Add(append(append([]byte(nil), img...), 0, 0, 0, 0))
+	f.Add(append(append([]byte(nil), img...), make([]byte, walChunk-len(img))...)) // records, then the reservation's fill
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -108,6 +108,102 @@ func TestSnapshotCompactsSealedSegments(t *testing.T) {
 	}
 }
 
+// TestActiveSegmentReservation pins the reservation's contract: from
+// its first append on, the active segment is a walChunk multiple, so
+// appends inside the chunk leave its size alone; a sealed segment, and
+// the active one after Close, is exactly its header and records.
+func TestActiveSegmentReservation(t *testing.T) {
+	dir := t.TempDir()
+	size := func(seg int) int64 {
+		t.Helper()
+		st, err := os.Stat(filepath.Join(dir, segName(seg)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	trimmed := func(entries []quorum.Entry) int64 {
+		t.Helper()
+		n := int64(headerLen)
+		for _, e := range entries {
+			rec, err := appendRecord(nil, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += int64(len(rec))
+		}
+		return n
+	}
+	s, _, _, err := OpenStore(dir, StoreOptions{SegmentRecords: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := serialPQEntries(209)
+	if got := size(0); got != headerLen {
+		t.Fatalf("fresh segment is %d bytes, want %d", got, headerLen)
+	}
+	for i, e := range entries[:5] {
+		if err := appendDurable(s, e); err != nil {
+			t.Fatal(err)
+		}
+		if got := size(0); got != walChunk {
+			t.Fatalf("after append %d the active segment is %d bytes, want %d", i, got, walChunk)
+		}
+	}
+	// The sixth record rotates: segment 0 is sealed, trimmed.
+	if err := appendDurable(s, entries[5]); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := size(0), trimmed(entries[:6]); got != want {
+		t.Fatalf("sealed segment is %d bytes, want %d", got, want)
+	}
+	if err := appendDurable(s, entries[6]); err != nil {
+		t.Fatal(err)
+	}
+	if got := size(1); got != walChunk {
+		t.Fatalf("next segment is %d bytes after an append, want %d", got, walChunk)
+	}
+	// A seal with every record already durable (a join's) trims too.
+	if _, err := s.seal(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := size(1), trimmed(entries[6:7]); got != want {
+		t.Fatalf("segment sealed with nothing to flush is %d bytes, want %d", got, want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A batch that crosses the reserved end extends by whole chunks.
+	s, _, _, err = OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AppendBatch(entries[7:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	want := trimmed(entries[7:])
+	if got := size(2); got != (want+walChunk-1)/walChunk*walChunk || got <= walChunk {
+		t.Fatalf("after a %d-byte batch the active segment is %d bytes", want-headerLen, got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := size(2); got != want {
+		t.Fatalf("closed active segment is %d bytes, want %d", got, want)
+	}
+	s, log, info, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if info.RepairedBytes != 0 || !log.Equal(quorum.LogOf(entries...)) {
+		t.Fatalf("reopen: %+v, %d of %d entries", info, log.Len(), len(entries))
+	}
+}
+
 // TestCompactionSoundnessAtEveryPoint is the compaction-soundness
 // property: for every prefix point k of a history, a store that
 // published (and compacted at) a snapshot of the first k entries

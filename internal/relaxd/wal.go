@@ -19,7 +19,7 @@ import (
 
 // Store file layout (DESIGN.md §15 has the byte diagram):
 //
-//	wal-NNNNNN: [8-byte magic "rlxwal1\n"] record*
+//	wal-NNNNNN: [8-byte magic "rlxwal1\n"] record* [zero fill: active segment only]
 //	snap:       [8-byte magic "rlxsnp1\n"] [4-byte BE count] record*
 //
 //	record: [4-byte BE payload len][4-byte BE CRC32-IEEE(payload)][payload]
@@ -27,9 +27,18 @@ import (
 //
 // The WAL is a sequence of append-only segments named wal-000000,
 // wal-000001, … with contiguous indexes. Exactly one — the highest —
-// is active; rotation fsyncs the active segment, creates the next
-// (magic written and fsynced, directory fsynced), and seals the old
-// one, so every non-final segment is fully durable by construction.
+// is active; rotation trims the active segment to its records, fsyncs
+// it, creates the next (magic written and fsynced, directory fsynced),
+// and seals the old one, so every non-final segment is fully durable,
+// and exactly as long as its records, by construction.
+//
+// From its first append on, the active segment's size is kept ahead of
+// its records, rounded up to a walChunk multiple with zero fill, so an
+// append overwrites bytes the file already has and the fsync that makes
+// it durable commits no size change. Zeros after the last record of a
+// chunk-aligned active segment are that reservation, not a torn write.
+// Close trims the fill.
+//
 // Compaction (Snapshot) seals — rotates, so every record below the new
 // segment is durable and in the log being published — then publishes
 // the snapshot and deletes the segments below the seal oldest-first, so
@@ -51,6 +60,10 @@ const (
 
 	segPrefix = "wal-"
 	segDigits = 6
+
+	// walChunk is the step the active segment's reservation grows by:
+	// one filesystem block.
+	walChunk = 4096
 )
 
 // ErrCorrupt is the store's typed refusal: the on-disk state is
@@ -78,7 +91,8 @@ type RecoveryInfo struct {
 	// segments.
 	WALEntries int
 	// RepairedBytes is how many trailing bytes of the active segment
-	// were discarded as a torn final write (0 on a clean open).
+	// were discarded as a torn final write (0 on a clean open; the
+	// store's own zero fill is not counted).
 	RepairedBytes int
 	// Segments is how many WAL segments the store found.
 	Segments int
@@ -110,9 +124,10 @@ type Store struct {
 	// Writer state, guarded by the owner's serialization (the Replica
 	// mutex), not by a Store lock.
 	wal        *os.File // active segment
-	walSize    int64
-	segIndex   int // index of the active segment
-	segRecords int // records in the active segment
+	walSize    int64    // bytes of header and records in the active segment
+	reserved   int64    // the active segment's file size, ≥ walSize
+	segIndex   int      // index of the active segment
+	segRecords int      // records in the active segment
 
 	// Publisher state, touched only by the one publish in flight (the
 	// owning Replica runs at most one, and a join's stage and commit
@@ -179,10 +194,12 @@ func listSegments(dir string) ([]int, error) {
 // record of every WAL segment that passes validation. Only the active
 // (highest-indexed) segment may carry a torn final write — truncated
 // record, zero-filled tail, or a corrupt last record — which is
-// repaired by truncating back to its last valid record. Rotation seals
-// segments fully fsynced, so damage in a sealed segment, a gap in the
-// segment index sequence, or a damaged snapshot refuses with an error
-// wrapping ErrCorrupt.
+// repaired by truncating back to its last valid record; zeros after
+// the last record of a chunk-aligned active segment are the store's own
+// reservation, kept and not counted as repaired. Rotation seals
+// segments trimmed and fully fsynced, so damage in a sealed segment, a
+// gap in the segment index sequence, or a damaged snapshot refuses with
+// an error wrapping ErrCorrupt.
 func OpenStore(dir string, opts StoreOptions) (*Store, quorum.Log, RecoveryInfo, error) {
 	var info RecoveryInfo
 	fail := func(err error) (*Store, quorum.Log, RecoveryInfo, error) {
@@ -228,6 +245,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, quorum.Log, RecoveryInfo,
 
 	var entries []quorum.Entry
 	var lastGood, lastLen, lastRecords int
+	var lastFill bool
 	for k, idx := range segs {
 		path := filepath.Join(dir, segName(idx))
 		data, err := os.ReadFile(path)
@@ -249,11 +267,16 @@ func OpenStore(dir string, opts StoreOptions) (*Store, quorum.Log, RecoveryInfo,
 			lastGood = goodLen
 			lastLen = len(data)
 			lastRecords = len(segEntries)
+			// Zeros after the last record of a chunk-aligned active
+			// segment are the store's own reservation.
+			lastFill = lastLen%walChunk == 0 && zeroFilled(data[goodLen:])
 		}
 		entries = append(entries, segEntries...)
 	}
 	info.WALEntries = len(entries)
-	info.RepairedBytes = lastLen - lastGood
+	if !lastFill {
+		info.RepairedBytes = lastLen - lastGood
+	}
 
 	inc, err := newIncarnation()
 	if err != nil {
@@ -281,7 +304,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, quorum.Log, RecoveryInfo,
 			f.Close()
 			return fail(err)
 		}
-	} else if lastGood < lastLen {
+	} else if lastGood < lastLen && !lastFill {
 		// Torn final write: discard the tail.
 		if err := f.Truncate(int64(lastGood)); err != nil {
 			f.Close()
@@ -292,8 +315,10 @@ func OpenStore(dir string, opts StoreOptions) (*Store, quorum.Log, RecoveryInfo,
 			return fail(err)
 		}
 		s.walSize = int64(lastGood)
+		s.reserved = s.walSize
 	} else {
 		s.walSize = int64(lastGood)
+		s.reserved = int64(lastLen)
 	}
 	if _, err := f.Seek(s.walSize, 0); err != nil {
 		f.Close()
@@ -487,6 +512,17 @@ func (s *Store) AppendBatch(entries []quorum.Entry) (int64, error) {
 		}
 	}
 	s.buf = b[:0]
+	// Keep the size ahead of the records: a write that would cross the
+	// reserved end first extends it by whole chunks, so every other
+	// append overwrites and its fsync commits no size change. The fsync
+	// that covers this batch commits the extension too.
+	if end := s.walSize + int64(len(b)); end > s.reserved {
+		end = (end + walChunk - 1) / walChunk * walChunk
+		if err := s.wal.Truncate(end); err != nil {
+			return 0, err
+		}
+		s.reserved = end
+	}
 	if _, err := s.wal.Write(b); err != nil {
 		return 0, err
 	}
@@ -513,9 +549,16 @@ func (s *Store) AppendBatch(entries []quorum.Entry) (int64, error) {
 // shares it (group commit). An fsync failure is sticky: the store is
 // poisoned and every waiter fails.
 func (s *Store) WaitDurable(target int64) error {
+	return s.waitDurable(target, false)
+}
+
+// waitDurable is WaitDurable; own further demands an fsync that starts
+// after the call, which commits a size change even when every record
+// is already durable.
+func (s *Store) waitDurable(target int64, own bool) error {
 	s.cmu.Lock()
 	defer s.cmu.Unlock()
-	for s.durable < target {
+	for own || s.durable < target {
 		if s.syncErr != nil {
 			return s.syncErr
 		}
@@ -523,6 +566,7 @@ func (s *Store) WaitDurable(target int64) error {
 			s.ccond.Wait()
 			continue
 		}
+		own = false
 		s.syncing = true
 		f := s.syncFile
 		covered := s.seq
@@ -544,21 +588,41 @@ func (s *Store) WaitDurable(target int64) error {
 	return nil
 }
 
-// Sync flushes every written record to stable storage.
+// Sync flushes every written record, and the active segment's size,
+// to stable storage. It always fsyncs, even when every record is
+// already durable, so a trim before it is committed.
 func (s *Store) Sync() error {
 	s.cmu.Lock()
 	target := s.seq
 	s.cmu.Unlock()
-	return s.WaitDurable(target)
+	return s.waitDurable(target, true)
 }
 
-// rotate seals the active segment and opens the next one. Sync runs
-// first, so the sealed segment is fully durable and no WaitDurable
-// caller can still need an fsync of the old file (their targets are
-// all ≤ the now-durable sequence).
+// trim cuts the active segment's fill, so its length is its records'.
+// The caller's Sync commits it.
+//
+// Writer-only: the owning Replica's mutex serializes writers.
+func (s *Store) trim() error {
+	if s.reserved == s.walSize {
+		return nil
+	}
+	if err := s.wal.Truncate(s.walSize); err != nil {
+		return err
+	}
+	s.reserved = s.walSize
+	return nil
+}
+
+// rotate seals the active segment and opens the next one. The trim and
+// Sync run first, so the sealed segment is exactly its records, fully
+// durable, and no WaitDurable caller can still need an fsync of the old
+// file (their targets are all ≤ the now-durable sequence).
 //
 // Writer-only: the owning Replica's mutex serializes writers.
 func (s *Store) rotate() error {
+	if err := s.trim(); err != nil {
+		return err
+	}
 	if err := s.Sync(); err != nil {
 		return err
 	}
@@ -572,6 +636,7 @@ func (s *Store) rotate() error {
 	s.cmu.Unlock()
 	s.wal = f
 	s.walSize = headerLen
+	s.reserved = headerLen
 	s.segIndex++
 	s.segRecords = 0
 	return old.Close()
@@ -731,15 +796,20 @@ func (s *Store) resetWAL() error {
 		return err
 	}
 	s.walSize = headerLen
+	s.reserved = headerLen
 	s.segRecords = 0
 	return nil
 }
 
-// Close flushes and closes the WAL.
+// Close trims the active segment's fill, flushes, and closes the WAL,
+// so a clean shutdown leaves every segment exactly its records.
 //
 // Writer-only: the owning Replica's mutex serializes writers.
 func (s *Store) Close() error {
-	err := s.Sync()
+	err := s.trim()
+	if err == nil {
+		err = s.Sync()
+	}
 	if cerr := s.wal.Close(); err == nil {
 		err = cerr
 	}

@@ -224,13 +224,56 @@ func TestStoreImageOpensUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	want := RecoveryInfo{SnapshotEntries: 20, WALEntries: 5, Segments: 2, CompactedThrough: 6}
 	if info != want {
 		t.Fatalf("recovered %+v, want %+v", info, want)
 	}
-	if !log.Equal(quorum.LogOf(serialPQEntries(25)...)) {
+	entries := serialPQEntries(26)
+	if !log.Equal(quorum.LogOf(entries[:25]...)) {
 		t.Fatalf("recovered log %s", log)
+	}
+	// The image was written with no fill; it still takes an append.
+	if err := appendDurable(s, entries[25]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, log, info, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	want.WALEntries = 6
+	if info != want || !log.Equal(quorum.LogOf(entries...)) {
+		t.Fatalf("after an append: recovered %+v, want %+v; log %s", info, want, log)
+	}
+}
+
+// A crash leaves the active segment's fill on disk. A restart reads it
+// as the store's reservation: the same log, nothing repaired.
+func TestCrashRestartReadsFillAsFill(t *testing.T) {
+	r, _, err := OpenReplica(0, t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, e := range serialPQEntries(7) {
+		if err := ackOne(r, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := r.Log()
+	r.Crash()
+	info, err := r.Restart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.RepairedBytes != 0 || info.WALEntries != want.Len() {
+		t.Fatalf("restart after a crash: %+v, want %d WAL entries and no repair", info, want.Len())
+	}
+	if !r.Log().Equal(want) {
+		t.Fatalf("restart recovered %s, want %s", r.Log(), want)
 	}
 }
 

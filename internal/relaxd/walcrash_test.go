@@ -175,6 +175,50 @@ func TestWALTortureBitFlipEveryCRCBit(t *testing.T) {
 	}
 }
 
+// TestWALTortureLostInteriorSectorRefuses: the active segment is
+// reserved ahead of its records, so a power loss can persist a later
+// unsynced sector without an earlier one. A chunk-aligned image with
+// one 512-byte sector zeroed and live records after it is refused, not
+// repaired: recovery gains no repair case, the site rejoins instead.
+func TestWALTortureLostInteriorSectorRefuses(t *testing.T) {
+	const sector = 512
+	entries := serialPQEntries(80)
+	dir := t.TempDir()
+	s, _, _, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if err := appendDurable(s, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Read before Close trims it: the image a crash leaves.
+	img, err := os.ReadFile(filepath.Join(dir, segName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	end := int(s.walSize)
+	if len(img) != walChunk || end <= 2*sector {
+		t.Fatalf("image is %d bytes with records to %d; want one %d-byte chunk, records past %d",
+			len(img), end, walChunk, 2*sector)
+	}
+	for off := 0; off+sector < end; off += sector {
+		mut := append([]byte(nil), img...)
+		clear(mut[off : off+sector])
+		s, _, _, err := openImage(t, mut)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("sector at %d zeroed: got %v, want ErrCorrupt", off, err)
+		}
+		if s != nil {
+			s.Close()
+		}
+	}
+}
+
 // requireUsable appends one fresh entry to a repaired store, reopens,
 // and checks nothing was lost — repair must leave a working store.
 func requireUsable(t *testing.T, s *Store, recovered quorum.Log, entries []quorum.Entry) {
