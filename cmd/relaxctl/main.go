@@ -348,9 +348,7 @@ func trace(args []string, w io.Writer) error {
 	crash := env.Event{Name: "crash(S2)"}
 	repair := env.Event{Name: "repair"}
 	environment := &env.Environment{
-		Universe: u,
-		Init:     u.All(),
-		Events:   []env.Event{crash, repair},
+		Init: u.All(),
 		Delta: func(c lattice.Set, ev env.Event) lattice.Set {
 			switch ev.Name {
 			case "crash(S2)":

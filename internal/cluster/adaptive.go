@@ -37,28 +37,32 @@ func TaxiLadder(n int) []Level {
 	}
 }
 
-// AdaptiveClient wraps a protocol client with a retry policy and a
+// ProbeEvery is the mean period, in simulation time, of an adaptive
+// client's background probe loop (jittered by resilience.Jitter): while
+// degraded, an idle client still re-tests stronger rungs and climbs
+// back once faults heal.
+const ProbeEvery = 10
+
+// AdaptiveClient wraps a protocol client with the retry policy and a
 // degradation controller. Submissions execute under the controller's
 // current ladder rung; repeated unavailability pushes the client down
 // the ladder (each move recorded as a cluster.episode), sustained
-// success probes back up, and an optional periodic probe loop on the
-// simulation engine re-tests stronger rungs while degraded.
+// success probes back up, and a periodic probe loop on the simulation
+// engine re-tests stronger rungs while degraded.
 type AdaptiveClient struct {
 	cl     *Client
 	engine *sim.Engine
 	rng    *sim.RNG
-	policy resilience.Policy
 	ctrl   *resilience.Controller
 	levels []Level
 }
 
 // Adaptive creates an adaptive client homed at the given site. The
 // ladder must be non-empty and every rung must cover the cluster's
-// sites (panics otherwise — configuration errors). opts.Controller's
-// Levels field is overridden by len(levels). When ProbeEvery > 0 a
-// recurring probe event is scheduled on the engine immediately; the
-// engine's run horizon bounds it.
-func (c *Cluster) Adaptive(home int, levels []Level, opts resilience.Options, engine *sim.Engine, rng *sim.RNG) *AdaptiveClient {
+// sites (panics otherwise — configuration errors). The recurring probe
+// event is scheduled on the engine immediately; the engine's run
+// horizon bounds it.
+func (c *Cluster) Adaptive(home int, levels []Level, engine *sim.Engine, rng *sim.RNG) *AdaptiveClient {
 	if len(levels) == 0 {
 		panic("cluster: adaptive client needs a non-empty ladder")
 	}
@@ -70,37 +74,21 @@ func (c *Cluster) Adaptive(home int, levels []Level, opts resilience.Options, en
 	if engine == nil || rng == nil {
 		panic("cluster: adaptive client needs an engine and an RNG")
 	}
-	cfg := opts.Controller
-	cfg.Levels = len(levels)
 	a := &AdaptiveClient{
 		cl:     c.Client(home),
 		engine: engine,
 		rng:    rng,
-		policy: opts.Policy,
+		ctrl:   resilience.NewController(len(levels)),
 		levels: append([]Level(nil), levels...),
 	}
-	// Every controller transition — descend on a failure streak, ascend
-	// on a probe hit — is a claim that subsequent history is explained
-	// by the target rung's lattice level; forward each to the audit's
-	// claim observer (chaining any watcher the caller installed).
-	user := cfg.Watcher
-	cfg.Watcher = func(tr resilience.Transition) {
-		c.observeClaim(a.cl, a.levels[tr.To].Name)
-		if user != nil {
-			user(tr)
-		}
-	}
-	a.ctrl = resilience.NewController(cfg)
-	if cfg.ProbeEvery > 0 {
-		engine.Every(
-			func() float64 { return a.rng.Jitter(cfg.ProbeEvery, a.policy.Jitter) },
-			func() bool {
-				if a.ctrl.Degraded() {
-					a.probe("probe", nil)
-				}
-				return true
-			})
-	}
+	engine.Every(
+		func() float64 { return a.rng.Jitter(ProbeEvery, resilience.Jitter) },
+		func() bool {
+			if a.ctrl.Degraded() {
+				a.probe("probe", nil)
+			}
+			return true
+		})
 	return a
 }
 
@@ -138,7 +126,7 @@ func (a *AdaptiveClient) Submit(inv history.Invocation, done func(history.Op, re
 		obs.KV{K: "rung", V: a.levels[a.ctrl.Level()].Name},
 	)
 	var lastEnd int64
-	resilience.Do(a.engine, a.rng, a.policy,
+	resilience.Do(a.engine, a.rng,
 		func(err error) bool { return errors.Is(err, ErrUnavailable) },
 		func(n int) error {
 			if n > 1 {
@@ -164,6 +152,10 @@ func (a *AdaptiveClient) Submit(inv history.Invocation, done func(history.Op, re
 			}
 			if errors.Is(err, ErrUnavailable) {
 				if to, down := a.ctrl.OnFailure(); down {
+					// Every move is a claim that subsequent history is
+					// explained by the target rung's lattice level: the
+					// audit hears it before the episode is journaled.
+					c.observeClaim(a.cl, a.levels[to].Name)
 					c.cfg.Metrics.Counter("cluster.adaptive.descend").Add(1)
 					c.recordAdaptiveTransition(a.cl, inv.Name, behaviorDescend+a.levels[to].Name)
 					d := att.Child("cluster.descend", obs.KV{K: "to", V: a.levels[to].Name})
@@ -212,6 +204,7 @@ func (a *AdaptiveClient) probe(opName string, parent *trace.SpanRef) {
 		return ok
 	})
 	if up {
+		c.observeClaim(a.cl, a.levels[to].Name)
 		c.cfg.Metrics.Counter("cluster.adaptive.ascend").Add(1)
 		c.recordAdaptiveTransition(a.cl, opName, behaviorAscend+a.levels[to].Name)
 		asc := sp.Child("cluster.ascend", obs.KV{K: "to", V: a.levels[to].Name})

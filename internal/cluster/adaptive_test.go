@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 
 // adaptiveHarness is a 5-site taxi cluster with metrics, tracing, and
 // an adaptive client on the canonical ladder.
-func adaptiveHarness(t *testing.T, opts resilience.Options) (*Cluster, *AdaptiveClient, *sim.Engine, *obs.Registry, *obs.Recorder) {
+func adaptiveHarness(t *testing.T) (*Cluster, *AdaptiveClient, *sim.Engine, *obs.Registry, *obs.Recorder) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder()
@@ -30,7 +31,7 @@ func adaptiveHarness(t *testing.T, opts resilience.Options) (*Cluster, *Adaptive
 		Trace:   rec,
 	})
 	engine := &sim.Engine{}
-	a := c.Adaptive(0, TaxiLadder(5), opts, engine, sim.NewRNG(7))
+	a := c.Adaptive(0, TaxiLadder(5), engine, sim.NewRNG(7))
 	return c, a, engine, reg, rec
 }
 
@@ -50,13 +51,7 @@ func submitAndRun(t *testing.T, a *AdaptiveClient, engine *sim.Engine, inv histo
 }
 
 func TestAdaptiveDescendsUnderFaultsAndRecovers(t *testing.T) {
-	opts := resilience.Options{
-		Policy: resilience.Policy{MaxAttempts: 8, BaseBackoff: 1, Multiplier: 1},
-		Controller: resilience.ControllerConfig{
-			DescendAfter: 1, AscendAfter: 1, Hedge: 2, ProbeEvery: 5,
-		},
-	}
-	c, a, engine, reg, rec := adaptiveHarness(t, opts)
+	c, a, engine, reg, rec := adaptiveHarness(t)
 
 	// Healthy: executes at the top rung, no retries.
 	op, out := submitAndRun(t, a, engine, history.EnqInv(9), 1)
@@ -73,8 +68,8 @@ func TestAdaptiveDescendsUnderFaultsAndRecovers(t *testing.T) {
 	if out.Err != nil {
 		t.Fatalf("degraded submit failed: %+v", out)
 	}
-	if out.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3 (one failure per rung above none)", out.Attempts)
+	if out.Attempts != 5 {
+		t.Errorf("attempts = %d, want 5 (two failures per rung above none)", out.Attempts)
 	}
 	floor := func() string { return TaxiLadder(5)[a.Controller().Floor()].Name }
 	if a.Current().Name != "none" || floor() != "none" {
@@ -138,8 +133,7 @@ func TestAdaptiveDescendsUnderFaultsAndRecovers(t *testing.T) {
 }
 
 func TestAdaptiveDoesNotRetryNoResponse(t *testing.T) {
-	opts := resilience.DefaultOptions()
-	_, a, engine, _, _ := adaptiveHarness(t, opts)
+	_, a, engine, _, _ := adaptiveHarness(t)
 	// Deq on an empty queue is a semantic rejection, not unavailability:
 	// one attempt, no descent.
 	_, out := submitAndRun(t, a, engine, history.DeqInv(), 100)
@@ -148,28 +142,6 @@ func TestAdaptiveDoesNotRetryNoResponse(t *testing.T) {
 	}
 	if a.Controller().Degraded() {
 		t.Error("semantic rejection degraded the client")
-	}
-}
-
-func TestAdaptiveSubmitBudgetExhaustion(t *testing.T) {
-	opts := resilience.Options{
-		Policy: resilience.Policy{MaxAttempts: 50, Budget: 10, BaseBackoff: 2, Multiplier: 1},
-		Controller: resilience.ControllerConfig{
-			// Effectively never descend: the budget, not the ladder,
-			// ends this submission.
-			DescendAfter: 1000,
-		},
-	}
-	c, a, engine, _, _ := adaptiveHarness(t, opts)
-	for s := 0; s < 5; s++ {
-		c.Crash(s)
-	}
-	_, out := submitAndRun(t, a, engine, history.EnqInv(1), 1000)
-	if !errors.Is(out.Err, ErrUnavailable) || out.Reason != resilience.ReasonBudget {
-		t.Fatalf("outcome %+v, want budget-bounded unavailability", out)
-	}
-	if out.Elapsed > 10 {
-		t.Errorf("spent %v, budget was 10", out.Elapsed)
 	}
 }
 
@@ -191,7 +163,7 @@ func TestAdaptivePanicsOnBadLadder(t *testing.T) {
 					t.Errorf("%s: no panic", tc.name)
 				}
 			}()
-			c.Adaptive(0, tc.levels, resilience.DefaultOptions(), engine, rng)
+			c.Adaptive(0, tc.levels, engine, rng)
 		}()
 	}
 }
@@ -262,4 +234,97 @@ func (cl *Client) ExecuteUnder(inv history.Invocation, gate quorum.Assignment, l
 		panic(fmt.Sprintf("cluster: gate assignment over %d sites, cluster has %d", gate.Sites(), len(cl.c.logs)))
 	}
 	return cl.c.execute(cl, inv, gate, label, nil)
+}
+
+// claimJournal is an audit that writes every ladder claim into the
+// cluster's own journal, so a test can read claims and episodes in one
+// order.
+type claimJournal struct{ rec *obs.Recorder }
+
+func (claimJournal) ObserveOp(history.Op) {}
+
+func (j claimJournal) ObserveClaim(client int, level string) {
+	j.rec.Record(0, "test.claim",
+		obs.KV{K: "client", V: strconv.Itoa(client)},
+		obs.KV{K: "level", V: level})
+}
+
+// Every ladder move reaches the audit exactly once, just before its
+// episode is journaled: each adaptive-descend:<rung> /
+// adaptive-ascend:<rung> episode is immediately preceded by one claim
+// of that rung by the same client, and no claim stands anywhere else.
+func TestAdaptiveMovesReachAuditOnceInJournalOrder(t *testing.T) {
+	rec := obs.NewRecorder()
+	c := New(Config{
+		Sites:   5,
+		Quorums: quorum.TaxiAssignments(5)["Q1Q2"],
+		Base:    specs.PriorityQueue(),
+		Fold:    quorum.PQFold(),
+		Respond: PQResponder,
+		Trace:   rec,
+		Audit:   claimJournal{rec},
+	})
+	g := sim.NewRNG(1987)
+	var engine sim.Engine
+	clients := make([]*AdaptiveClient, 3)
+	for i := range clients {
+		clients[i] = c.Adaptive(i, TaxiLadder(5), &engine, g.Split())
+	}
+	fp := NewFaultProcess(c, &engine, g.Split(), FaultConfig{MTTF: 60, MTTR: 8, MTBP: 150, PartitionDwell: 12})
+	fp.Start()
+	engine.At(150, fp.Stop)
+	at := 0.0
+	for i := 0; i < 240; i++ {
+		at += g.Exp(0.6)
+		inv := history.DeqInv()
+		if i%3 != 2 {
+			inv = history.EnqInv(1 + g.Intn(9))
+		}
+		a := clients[i%len(clients)]
+		engine.At(at, func() { a.Submit(inv, nil) })
+	}
+	engine.Run(400)
+
+	events := rec.Events()
+	moves := 0
+	for i, e := range events {
+		behavior, _ := e.Attr("behavior")
+		rung, isMove := strings.CutPrefix(behavior, "adaptive-descend:")
+		if !isMove {
+			rung, isMove = strings.CutPrefix(behavior, "adaptive-ascend:")
+		}
+		if e.Name == "test.claim" {
+			next := obs.Event{}
+			if i+1 < len(events) {
+				next = events[i+1]
+			}
+			if b, _ := next.Attr("behavior"); !strings.HasPrefix(b, "adaptive-") {
+				t.Errorf("event %d: claim %v not followed by a ladder episode (next %v)", i, e.Attrs, next)
+			}
+			continue
+		}
+		if e.Name != "cluster.episode" || !isMove {
+			continue
+		}
+		moves++
+		if i == 0 || events[i-1].Name != "test.claim" {
+			t.Errorf("event %d: %s has no claim just before it", i, behavior)
+			continue
+		}
+		claim := events[i-1]
+		level, _ := claim.Attr("level")
+		cc, _ := claim.Attr("client")
+		ec, _ := e.Attr("client")
+		if level != rung || cc != ec {
+			t.Errorf("event %d: %s by client %s preceded by claim of %s by client %s", i, behavior, ec, level, cc)
+		}
+	}
+	descents, ascents := 0, 0
+	for _, a := range clients {
+		descents += a.Controller().Descents()
+		ascents += a.Controller().Ascents()
+	}
+	if moves != descents+ascents || descents == 0 || ascents == 0 {
+		t.Errorf("%d ladder episodes for %d descents and %d ascents; the run must move both ways", moves, descents, ascents)
+	}
 }

@@ -26,9 +26,9 @@ type Audit interface {
 // claim against the observed history's actual lattice position — the
 // online form of the claimed-floor soundness audit in X05.
 //
-// ObserveClaim is called outside the cluster mutex, synchronously from
-// the controller transition (descend or ascend), before the episode
-// event for the move is recorded.
+// ObserveClaim is called outside the cluster mutex, synchronously as
+// soon as the controller reports a move (descend or ascend), before
+// the episode event for the move is recorded.
 type ClaimObserver interface {
 	ObserveClaim(client int, level string)
 }

@@ -43,10 +43,7 @@ func runScenario(t *testing.T, seed int64, faults FaultConfig) scenarioResult {
 	g := sim.NewRNG(seed)
 	var engine sim.Engine
 	ladder := TaxiLadder(5)
-	a := c.Adaptive(0, ladder, resilience.Options{
-		Policy:     resilience.Policy{MaxAttempts: 6, Budget: 30, BaseBackoff: 0.5, MaxBackoff: 4, Multiplier: 2, Jitter: 0.2},
-		Controller: resilience.ControllerConfig{DescendAfter: 2, AscendAfter: 4, Hedge: 2, ProbeEvery: 8},
-	}, &engine, g.Split())
+	a := c.Adaptive(0, ladder, &engine, g.Split())
 	fp := NewFaultProcess(c, &engine, g.Split(), faults)
 	fp.Start()
 	engine.At(100, fp.Stop)

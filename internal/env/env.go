@@ -17,27 +17,18 @@ import (
 // Event is an environment event: a site crash, a communication failure,
 // a recovery, a premature debit, a transaction commit — anything that
 // changes which constraints hold. Events may coincide with object
-// operations (Sections 3.4, 4.2); Matches reports whether an operation
-// execution is also this event.
+// operations (Sections 3.4, 4.2): an Input then carries both.
 type Event struct {
 	// Name identifies the event, e.g. "crash(S1)".
 	Name string
-	// Matches reports whether op is an occurrence of this event. A nil
-	// Matches means the event is disjoint from the object's operations
-	// (as in the replicated priority queue of Section 3.3).
-	Matches func(op history.Op) bool
 }
 
 // Environment is the environment automaton: a deterministic transition
-// system over constraint sets.
+// system over the constraint sets of the relaxation lattice's universe
+// C, whose input alphabet EVENT is whatever events Delta handles.
 type Environment struct {
-	// Universe is the constraint universe C shared with the relaxation
-	// lattice.
-	Universe *lattice.Universe
 	// Init is c₀, the initial constraint state.
 	Init lattice.Set
-	// Events is the input alphabet EVENT.
-	Events []Event
 	// Delta is δ_E: 2^C × EVENT → 2^C. Unlike object automata it maps to
 	// a single state.
 	Delta func(c lattice.Set, e Event) lattice.Set

@@ -17,9 +17,7 @@ func crashEnv(u *lattice.Universe) (*Environment, Event, Event, Event) {
 	partition := Event{Name: "partition"}
 	repair := Event{Name: "repair"}
 	e := &Environment{
-		Universe: u,
-		Init:     u.All(),
-		Events:   []Event{crash, partition, repair},
+		Init: u.All(),
 		Delta: func(c lattice.Set, ev Event) lattice.Set {
 			switch ev.Name {
 			case "crash":
@@ -114,14 +112,9 @@ func TestCombinedInitAndStep(t *testing.T) {
 // the environment moves before the transition function is selected.
 func TestOverlappingEventAndOperation(t *testing.T) {
 	u := ssqUniverse()
-	premature := Event{
-		Name:    "dup-deq",
-		Matches: func(op history.Op) bool { return op.Name == history.NameDeq },
-	}
+	premature := Event{Name: "dup-deq"}
 	e := &Environment{
-		Universe: u,
-		Init:     u.All(),
-		Events:   []Event{premature},
+		Init: u.All(),
 		Delta: func(c lattice.Set, ev Event) lattice.Set {
 			if ev.Name == "dup-deq" {
 				return c.Without(u.Index("J"))
@@ -130,7 +123,7 @@ func TestOverlappingEventAndOperation(t *testing.T) {
 		},
 	}
 	cm := &Combined{Env: e, Lat: ssqLattice(u)}
-	in := func(op history.Op) Input { return e.OpInput(op) }
+	in := func(op history.Op) Input { return opInput(op, premature, isDeq) }
 
 	// The very first Deq already executes under the degraded behavior
 	// (δ₁ fires before δ₂ selects the automaton), so the stutter on the
@@ -143,7 +136,7 @@ func TestOverlappingEventAndOperation(t *testing.T) {
 		t.Errorf("constraint state = %v", u.Format(c))
 	}
 	// Enq does not match the event, so it leaves constraints alone.
-	if got := e.OpInput(history.Enq(1)); got.Event != nil {
+	if got := in(history.Enq(1)); got.Event != nil {
 		t.Errorf("Enq wrongly matched event")
 	}
 }
@@ -207,21 +200,19 @@ func TestProbDeterministic(t *testing.T) {
 	}
 }
 
-// OpInput wraps a pure object operation, consulting the environment's
-// event list for an overlapping event (δ₁ of Section 2.3: if the input
-// is both an event and an operation, the environment changes before the
-// transition function is selected).
-func (env *Environment) OpInput(op history.Op) Input {
+// opInput wraps an object operation, paired with the overlapping event
+// e when matches says the execution is also that event (δ₁ of Section
+// 2.3: if the input is both an event and an operation, the environment
+// changes before the transition function is selected).
+func opInput(op history.Op, e Event, matches func(history.Op) bool) Input {
 	in := Input{Op: &op}
-	for i := range env.Events {
-		e := env.Events[i]
-		if e.Matches != nil && e.Matches(op) {
-			in.Event = &e
-			break
-		}
+	if matches(op) {
+		in.Event = &e
 	}
 	return in
 }
+
+func isDeq(op history.Op) bool { return op.Name == history.NameDeq }
 
 // Accepts runs a sequence of inputs from the initial state, tracking
 // the nondeterministic state set, and reports whether every operation

@@ -15,9 +15,8 @@ import (
 // and Deq operations are certain to satisfy Q₂") is expressed by
 // PHold = {Q1: 0.9, Q2: 1.0}.
 type Prob struct {
-	universe *lattice.Universe
-	pHold    []float64
-	rng      *rand.Rand
+	pHold []float64
+	rng   *rand.Rand
 }
 
 // NewProb builds a probabilistic environment. pHold maps constraint
@@ -39,7 +38,7 @@ func NewProb(u *lattice.Universe, pHold map[string]float64, seed int64) *Prob {
 		}
 		ps[i] = p
 	}
-	return &Prob{universe: u, pHold: ps, rng: rand.New(rand.NewSource(seed))}
+	return &Prob{pHold: ps, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Sample draws the constraint set satisfied by one operation execution:

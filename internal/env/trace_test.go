@@ -69,21 +69,16 @@ func TestTraceRecordsDegradationEpisode(t *testing.T) {
 // environment.
 func TestTraceRejectedOpStillMovesEnvironment(t *testing.T) {
 	u := ssqUniverse()
-	drop := Event{
-		Name:    "drop",
-		Matches: func(op history.Op) bool { return op.Name == history.NameDeq },
-	}
+	drop := Event{Name: "drop"}
 	e := &Environment{
-		Universe: u,
-		Init:     u.All(),
-		Events:   []Event{drop},
+		Init: u.All(),
 		Delta: func(c lattice.Set, ev Event) lattice.Set {
 			return c.Without(u.Index("J"))
 		},
 	}
 	cm := &Combined{Env: e, Lat: ssqLattice(u)}
 	// Deq on an empty queue is rejected, but its event drops J anyway.
-	bad := e.OpInput(history.DeqOk(9))
+	bad := opInput(history.DeqOk(9), drop, isDeq)
 	trace := cm.Trace([]Input{bad})
 	if trace[0].Accepted {
 		t.Fatalf("impossible Deq accepted")

@@ -41,7 +41,6 @@ type faultRegime struct {
 // client's ladder floor) is audited post hoc with WeakestAccepting
 // over the observed history.
 func runResilience(w io.Writer, cfg Config) error {
-	opts := resilience.DefaultOptions()
 	const (
 		clients     = 3
 		perClient   = 60
@@ -62,11 +61,9 @@ func runResilience(w io.Writer, cfg Config) error {
 		"none": 0,
 	}
 
-	fmt.Fprintf(w, "policy: attempts≤%d budget=%g backoff=%g..%g ×%g jitter=%g; controller: descend@%d ascend@%d probe=%g hedge=%d\n",
-		opts.Policy.Attempts(), opts.Policy.Budget, opts.Policy.BaseBackoff, opts.Policy.MaxBackoff,
-		opts.Policy.Multiplier, opts.Policy.Jitter,
-		opts.Controller.DescendAfter, opts.Controller.AscendAfter,
-		opts.Controller.ProbeEvery, opts.Controller.Hedge)
+	fmt.Fprintf(w, "policy: attempts≤%d backoff=%g..%g ×2 jitter=%g; controller: descend@%d ascend@%d probe=%d hedge=%d\n",
+		resilience.MaxAttempts, resilience.BaseBackoff, resilience.BaseBackoff*(1<<(resilience.MaxAttempts-2)),
+		resilience.Jitter, resilience.DescendAfter, resilience.AscendAfter, cluster.ProbeEvery, resilience.Hedge)
 	fmt.Fprintf(w, "workload: %d clients × %d ops, Poisson arrivals (mean %.1f); faults stop at t=%.0f, horizon t=%.0f\n\n",
 		clients, perClient, arrivalMean, faultsEnd, horizon)
 
@@ -96,7 +93,7 @@ func runResilience(w io.Writer, cfg Config) error {
 		ladder := cluster.TaxiLadder(cfg.Sites)
 		adaptives := make([]*cluster.AdaptiveClient, clients)
 		for i := range adaptives {
-			adaptives[i] = c.Adaptive(i%cfg.Sites, ladder, opts, &engine, g.Split())
+			adaptives[i] = c.Adaptive(i%cfg.Sites, ladder, &engine, g.Split())
 		}
 		faults := cluster.NewFaultProcess(c, &engine, g.Split(), reg.faults)
 		faults.Start()

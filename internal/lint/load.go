@@ -27,7 +27,6 @@ type Package struct {
 
 // rawPkg is a parsed-but-unchecked package during loading.
 type rawPkg struct {
-	path    string
 	files   []*ast.File
 	imports []string // intra-module imports only
 }
@@ -169,7 +168,7 @@ func parseModule(root, modPath string) (map[string]*rawPkg, *token.FileSet, erro
 		if relDir != "." {
 			pkgPath = modPath + "/" + relDir
 		}
-		raws[pkgPath] = &rawPkg{path: pkgPath, files: files, imports: imports}
+		raws[pkgPath] = &rawPkg{files: files, imports: imports}
 		return nil
 	})
 	if walkErr != nil {

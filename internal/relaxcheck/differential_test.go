@@ -84,7 +84,7 @@ func TestDifferentialTable(t *testing.T) {
 func TestDifferentialSeededWorkloads(t *testing.T) {
 	for _, kind := range Kinds() {
 		for seed := int64(1); seed <= 8; seed++ {
-			w := Workload{Kind: kind, Clients: 4, Ops: maxDiffLen, MaxElem: 3, Sites: 3}
+			w := Workload{Kind: kind, Clients: 4, Ops: maxDiffLen, Sites: 3}
 			plan := w.Plan(sim.NewRNG(seed))
 			h := make(history.History, 0, len(plan.Arrivals))
 			for _, a := range plan.Arrivals {

@@ -124,8 +124,6 @@ func RunClusterSoak(cfg ClusterSoakConfig) (*SoakReport, error) {
 	}
 	w := cfg.Workload
 	w.Sites = cfg.Sites
-	w = w.Defaulted()
-	opts := resilience.DefaultOptions()
 
 	lat := core.TaxiSimpleLattice()
 	claims := cfg.Claims
@@ -160,17 +158,17 @@ func RunClusterSoak(cfg ClusterSoakConfig) (*SoakReport, error) {
 
 	g := sim.NewRNG(cfg.Seed)
 	plan := w.Plan(g.Split())
-	horizon := w.Horizon * 1.5
+	horizon := w.Horizon() * 1.5
 
 	clients := make([]*cluster.AdaptiveClient, w.Clients)
 	for i := range clients {
-		clients[i] = c.Adaptive(i%cfg.Sites, ladder, opts, &engine, g.Split())
+		clients[i] = c.Adaptive(i%cfg.Sites, ladder, &engine, g.Split())
 	}
 	applyFaults(c, &engine, plan.Faults)
 	if cfg.Faults != (cluster.FaultConfig{}) {
 		fp := cluster.NewFaultProcess(c, &engine, g.Split(), cfg.Faults)
 		fp.Start()
-		engine.At(w.Horizon, fp.Stop) // repairs still complete before the horizon
+		engine.At(w.Horizon(), fp.Stop) // repairs still complete before the horizon
 	}
 
 	report := &SoakReport{Ops: len(plan.Arrivals)}

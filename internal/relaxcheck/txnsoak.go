@@ -72,7 +72,6 @@ func RunTxnSoak(cfg TxnSoakConfig) (*SoakReport, error) {
 		SampleEvery: cfg.SampleEvery,
 	})
 
-	cfg.Workload = cfg.Workload.Defaulted()
 	if cfg.Workload.Sites <= 0 {
 		// FaultCorrelated plans need a site count to shape fault windows;
 		// the txn runtime has no topology, so only the time-clustered
@@ -94,7 +93,7 @@ func RunTxnSoak(cfg TxnSoakConfig) (*SoakReport, error) {
 	nextElem := 0
 	active := 0      // dequeuing transactions currently open
 	claimedHigh := 0 // highest C_k claimed so far
-	meanDwell := cfg.Workload.Horizon / float64(cfg.Workload.Ops) * float64(cfg.Dequeuers)
+	meanDwell := cfg.Workload.Horizon() / float64(cfg.Workload.Ops) * float64(cfg.Dequeuers)
 
 	for _, a := range plan.Arrivals {
 		a := a
@@ -138,7 +137,7 @@ func RunTxnSoak(cfg TxnSoakConfig) (*SoakReport, error) {
 			})
 		})
 	}
-	engine.Run(cfg.Workload.Horizon * 2)
+	engine.Run(cfg.Workload.Horizon() * 2)
 
 	report.Steps = checker.Steps()
 	report.Violation = checker.Violation()

@@ -68,14 +68,6 @@ type Workload struct {
 	Clients int
 	// Ops is the number of operations to plan.
 	Ops int
-	// MaxElem bounds enqueue arguments (drawn from 1..MaxElem).
-	MaxElem int
-	// Horizon is the simulated-time span arrivals cover.
-	Horizon float64
-	// DeqRatio is the dequeue fraction for Uniform/Bursty/
-	// FaultCorrelated (Skewed uses its own phase mix). Zero defaults
-	// to 0.45 — slightly enqueue-biased so the object rarely runs dry.
-	DeqRatio float64
 	// Sites is the number of cluster sites fault events range over
 	// (FaultCorrelated only).
 	Sites int
@@ -104,30 +96,26 @@ type Plan struct {
 	Faults   []FaultEvent
 }
 
-// Defaulted returns the workload with every optional field filled: at
-// least 20 arrivals per simulated time unit, a slightly enqueue-biased
-// mix, single-digit elements. Harnesses call this before sizing
-// horizons off the workload.
-func (w Workload) Defaulted() Workload {
+// Every workload enqueues single-digit elements (1..maxElem), and
+// Uniform, Bursty and FaultCorrelated dequeue with probability
+// deqRatio — slightly enqueue-biased so the object rarely runs dry
+// (Skewed uses its own phase mix).
+const (
+	maxElem  = 9
+	deqRatio = 0.45
+)
+
+// Horizon is the simulated-time span arrivals cover: 20 arrivals per
+// time unit.
+func (w Workload) Horizon() float64 { return float64(w.Ops) / 20 }
+
+// Plan expands the workload into a deterministic script using only the
+// given RNG. Equal (Workload, seed) pairs yield equal plans. It panics
+// when the workload has no clients or no ops.
+func (w Workload) Plan(rng *sim.RNG) Plan {
 	if w.Clients <= 0 || w.Ops <= 0 {
 		panic(fmt.Sprintf("relaxcheck: workload needs clients and ops (got %d, %d)", w.Clients, w.Ops))
 	}
-	if w.MaxElem <= 0 {
-		w.MaxElem = 9
-	}
-	if w.Horizon <= 0 {
-		w.Horizon = float64(w.Ops) / 20
-	}
-	if w.DeqRatio <= 0 {
-		w.DeqRatio = 0.45
-	}
-	return w
-}
-
-// Plan expands the workload into a deterministic script using only the
-// given RNG. Equal (Workload, seed) pairs yield equal plans.
-func (w Workload) Plan(rng *sim.RNG) Plan {
-	w = w.Defaulted()
 	var p Plan
 	switch w.Kind {
 	case Uniform:
@@ -146,20 +134,20 @@ func (w Workload) Plan(rng *sim.RNG) Plan {
 }
 
 // inv draws one invocation with the given dequeue probability.
-func (w Workload) inv(rng *sim.RNG, deqRatio float64) history.Invocation {
-	if rng.Float64() < deqRatio {
+func inv(rng *sim.RNG, pDeq float64) history.Invocation {
+	if rng.Float64() < pDeq {
 		return history.DeqInv()
 	}
-	return history.EnqInv(1 + rng.Intn(w.MaxElem))
+	return history.EnqInv(1 + rng.Intn(maxElem))
 }
 
 func (w Workload) uniformArrivals(rng *sim.RNG) []Arrival {
-	mean := w.Horizon / float64(w.Ops)
+	mean := w.Horizon() / float64(w.Ops)
 	at := 0.0
 	out := make([]Arrival, 0, w.Ops)
 	for i := 0; i < w.Ops; i++ {
 		at += rng.Exp(mean)
-		out = append(out, Arrival{At: at, Client: rng.Intn(w.Clients), Inv: w.inv(rng, w.DeqRatio)})
+		out = append(out, Arrival{At: at, Client: rng.Intn(w.Clients), Inv: inv(rng, deqRatio)})
 	}
 	return out
 }
@@ -169,7 +157,7 @@ func (w Workload) burstyArrivals(rng *sim.RNG) []Arrival {
 	// plan still spans roughly the horizon.
 	burst := w.Clients/2 + 1
 	bursts := w.Ops/burst + 1
-	gap := w.Horizon / float64(bursts)
+	gap := w.Horizon() / float64(bursts)
 	at := 0.0
 	out := make([]Arrival, 0, w.Ops)
 	for len(out) < w.Ops {
@@ -177,7 +165,7 @@ func (w Workload) burstyArrivals(rng *sim.RNG) []Arrival {
 		t := at
 		for i := 0; i < burst && len(out) < w.Ops; i++ {
 			t += rng.Exp(gap / float64(10*burst))
-			out = append(out, Arrival{At: t, Client: rng.Intn(w.Clients), Inv: w.inv(rng, w.DeqRatio)})
+			out = append(out, Arrival{At: t, Client: rng.Intn(w.Clients), Inv: inv(rng, deqRatio)})
 		}
 	}
 	return out
@@ -185,7 +173,7 @@ func (w Workload) burstyArrivals(rng *sim.RNG) []Arrival {
 
 func (w Workload) skewedArrivals(rng *sim.RNG) []Arrival {
 	// Fill phase: 55% of ops, 90% enqueues. Drain phase: 90% dequeues.
-	mean := w.Horizon / float64(w.Ops)
+	mean := w.Horizon() / float64(w.Ops)
 	fill := w.Ops * 55 / 100
 	at := 0.0
 	out := make([]Arrival, 0, w.Ops)
@@ -195,7 +183,7 @@ func (w Workload) skewedArrivals(rng *sim.RNG) []Arrival {
 		if i >= fill {
 			ratio = 0.9
 		}
-		out = append(out, Arrival{At: at, Client: rng.Intn(w.Clients), Inv: w.inv(rng, ratio)})
+		out = append(out, Arrival{At: at, Client: rng.Intn(w.Clients), Inv: inv(rng, ratio)})
 	}
 	return out
 }
@@ -210,9 +198,9 @@ func (w Workload) faultCorrelated(rng *sim.RNG) Plan {
 	type window struct{ start, end float64 }
 	var windows []window
 	var faults []FaultEvent
-	at := rng.Exp(w.Horizon / 12)
-	for i := 0; at < w.Horizon; i++ {
-		dwell := rng.Exp(w.Horizon / 15)
+	at := rng.Exp(w.Horizon() / 12)
+	for i := 0; at < w.Horizon(); i++ {
+		dwell := rng.Exp(w.Horizon() / 15)
 		if dwell < 1 {
 			dwell = 1
 		}
@@ -241,7 +229,7 @@ func (w Workload) faultCorrelated(rng *sim.RNG) Plan {
 				FaultEvent{At: end, Kind: "heal"})
 		}
 		windows = append(windows, window{at, end})
-		at = end + rng.Exp(w.Horizon/8)
+		at = end + rng.Exp(w.Horizon()/8)
 	}
 	// 70% of arrivals land inside a fault window.
 	out := make([]Arrival, 0, w.Ops)
@@ -251,9 +239,9 @@ func (w Workload) faultCorrelated(rng *sim.RNG) Plan {
 			win := windows[rng.Intn(len(windows))]
 			t = win.start + rng.Float64()*(win.end-win.start)
 		} else {
-			t = rng.Float64() * w.Horizon
+			t = rng.Float64() * w.Horizon()
 		}
-		out = append(out, Arrival{At: t, Client: rng.Intn(w.Clients), Inv: w.inv(rng, w.DeqRatio)})
+		out = append(out, Arrival{At: t, Client: rng.Intn(w.Clients), Inv: inv(rng, deqRatio)})
 	}
 	return Plan{Arrivals: out, Faults: faults}
 }

@@ -108,11 +108,11 @@ func TestParseKindRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWorkloadDefaultedPanics(t *testing.T) {
+func TestWorkloadPlanPanicsWithoutClientsOrOps(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero workload did not panic")
 		}
 	}()
-	Workload{}.Defaulted()
+	Workload{}.Plan(sim.NewRNG(1))
 }

@@ -2,68 +2,30 @@ package resilience
 
 import "fmt"
 
-// ControllerConfig tunes the adaptive degradation controller. Levels
-// is required; every other field has a sensible default.
-type ControllerConfig struct {
-	// Levels is the number of rungs on the degradation ladder the
-	// controller walks — a chain through the relaxation lattice,
-	// strongest (preferred) behavior at level 0.
-	Levels int
-	// DescendAfter is the number of consecutive availability failures
-	// before the controller steps one level down. Values below 1
-	// default to 2.
-	DescendAfter int
-	// AscendAfter is the number of consecutive successes at a degraded
-	// level before the controller asks for an upward probe. Values
-	// below 1 default to 6.
-	AscendAfter int
-	// Hedge is how many levels above the current one a single probe
-	// round examines, strongest first — hedging the recovery so a
-	// client can leapfrog intermediate rungs when the preferred
-	// quorums are back. Values below 1 default to 1.
-	Hedge int
-	// ProbeEvery, when positive, asks adapters (cluster.Adaptive) to
-	// also schedule timed probe events on the simulation engine every
-	// ProbeEvery time units (jittered by the policy's Jitter), so an
-	// idle degraded client still climbs back once faults heal.
-	ProbeEvery float64
-	// Watcher, when set, observes every ladder transition at the moment
-	// it is recorded — the hook adapters use to cross-check the claimed
-	// degradation floor against an online relaxation checker on each
-	// descent and ascent. It is called synchronously from
-	// OnFailure/Probe and must not call back into the controller.
-	Watcher func(Transition)
-}
-
-// DefaultControllerConfig returns the controller tuning used for
-// EXPERIMENTS.md: descend after 2 straight failures, probe up after 6
-// straight successes or every 10 time units, hedging 2 levels.
-func DefaultControllerConfig() ControllerConfig {
-	return ControllerConfig{DescendAfter: 2, AscendAfter: 6, Hedge: 2, ProbeEvery: 10}
-}
-
-// Transition is one controller-driven move on the degradation ladder.
-type Transition struct {
-	// From and To are ladder levels (0 is the preferred behavior).
-	From, To int
-	// Reason is "descend" (failure streak) or "ascend" (probe hit).
-	Reason string
-}
+// The controller's tuning: descend one rung after DescendAfter
+// consecutive availability failures; after AscendAfter consecutive
+// successes at a degraded level, probe up to Hedge rungs above,
+// strongest first — hedging the recovery so a client can leapfrog an
+// intermediate rung when the preferred quorums are back.
+const (
+	DescendAfter = 2
+	AscendAfter  = 6
+	Hedge        = 2
+)
 
 // Controller is the adaptive degradation state machine: it consumes
 // per-operation availability signals (OnSuccess/OnFailure) and decides
 // which level of a relaxation-lattice chain the client should operate
-// at. After DescendAfter consecutive availability failures it steps
-// down one level; after AscendAfter consecutive successes at a
-// degraded level (or on a timed probe) it examines up to Hedge levels
-// above and climbs to the strongest one whose quorums answer.
+// at. Its inputs are those signals and probe answers; its moves come
+// back as return values — OnFailure and Probe report (level, moved) —
+// so the caller, not a callback, acts on each one.
 //
 // The controller is a pure, deterministic state machine: no clocks, no
 // randomness, no locks. It is driven from discrete-event callbacks
 // (single-threaded by construction) and is not safe for concurrent
 // use.
 type Controller struct {
-	cfg               ControllerConfig
+	levels            int
 	level             int
 	floor             int
 	failStreak        int
@@ -72,22 +34,14 @@ type Controller struct {
 }
 
 // NewController builds a controller at level 0 (the preferred
-// behavior). It panics when cfg.Levels < 1 (a programming error) and
-// fills every other field's default.
-func NewController(cfg ControllerConfig) *Controller {
-	if cfg.Levels < 1 {
-		panic(fmt.Sprintf("resilience: controller over %d levels", cfg.Levels))
+// behavior) of a ladder with the given number of rungs — a chain
+// through the relaxation lattice, strongest first. It panics when
+// levels < 1 (a programming error).
+func NewController(levels int) *Controller {
+	if levels < 1 {
+		panic(fmt.Sprintf("resilience: controller over %d levels", levels))
 	}
-	if cfg.DescendAfter < 1 {
-		cfg.DescendAfter = 2
-	}
-	if cfg.AscendAfter < 1 {
-		cfg.AscendAfter = 6
-	}
-	if cfg.Hedge < 1 {
-		cfg.Hedge = 1
-	}
-	return &Controller{cfg: cfg}
+	return &Controller{levels: levels}
 }
 
 // Level returns the current ladder level (0 = preferred behavior).
@@ -115,7 +69,7 @@ func (c *Controller) Ascents() int { return c.ascents }
 func (c *Controller) OnSuccess() bool {
 	c.failStreak = 0
 	c.okStreak++
-	return c.level > 0 && c.okStreak >= c.cfg.AscendAfter
+	return c.level > 0 && c.okStreak >= AscendAfter
 }
 
 // OnFailure records one availability failure at the current level.
@@ -125,29 +79,16 @@ func (c *Controller) OnSuccess() bool {
 func (c *Controller) OnFailure() (int, bool) {
 	c.okStreak = 0
 	c.failStreak++
-	if c.failStreak < c.cfg.DescendAfter || c.level >= c.cfg.Levels-1 {
+	if c.failStreak < DescendAfter || c.level >= c.levels-1 {
 		return c.level, false
 	}
-	from := c.level
 	c.level++
 	c.failStreak = 0
+	c.descents++
 	if c.level > c.floor {
 		c.floor = c.level
 	}
-	c.record(Transition{From: from, To: c.level, Reason: "descend"})
 	return c.level, true
-}
-
-// record counts one transition and notifies the watcher.
-func (c *Controller) record(t Transition) {
-	if t.Reason == "descend" {
-		c.descents++
-	} else {
-		c.ascents++
-	}
-	if c.cfg.Watcher != nil {
-		c.cfg.Watcher(t)
-	}
 }
 
 // Probe attempts to ascend: available must report whether the client
@@ -160,19 +101,11 @@ func (c *Controller) record(t Transition) {
 // AscendAfter streak (or the next timed probe).
 func (c *Controller) Probe(available func(level int) bool) (int, bool) {
 	c.okStreak = 0
-	if c.level == 0 {
-		return c.level, false
-	}
-	lo := c.level - c.cfg.Hedge
-	if lo < 0 {
-		lo = 0
-	}
-	for lvl := lo; lvl < c.level; lvl++ {
+	for lvl := max(c.level-Hedge, 0); lvl < c.level; lvl++ {
 		if available(lvl) {
-			from := c.level
 			c.level = lvl
 			c.failStreak = 0
-			c.record(Transition{From: from, To: lvl, Reason: "ascend"})
+			c.ascents++
 			return lvl, true
 		}
 	}

@@ -3,7 +3,7 @@ package resilience
 import "testing"
 
 func TestControllerDescendsOnFailureStreak(t *testing.T) {
-	c := NewController(ControllerConfig{Levels: 3, DescendAfter: 2, AscendAfter: 3})
+	c := NewController(3)
 	if c.Level() != 0 || c.Degraded() {
 		t.Fatalf("fresh controller at level %d", c.Level())
 	}
@@ -33,7 +33,7 @@ func TestControllerDescendsOnFailureStreak(t *testing.T) {
 }
 
 func TestControllerSuccessInterruptsFailureStreak(t *testing.T) {
-	c := NewController(ControllerConfig{Levels: 2, DescendAfter: 2})
+	c := NewController(2)
 	c.OnFailure()
 	c.OnSuccess()
 	if _, down := c.OnFailure(); down {
@@ -41,28 +41,37 @@ func TestControllerSuccessInterruptsFailureStreak(t *testing.T) {
 	}
 }
 
-func TestControllerProbesUpAfterSuccessStreak(t *testing.T) {
-	c := NewController(ControllerConfig{Levels: 3, DescendAfter: 1, AscendAfter: 2, Hedge: 1})
-	c.OnFailure() // → 1
-	c.OnFailure() // → 2
-	if c.Level() != 2 {
-		t.Fatalf("level %d after two descents", c.Level())
+// descend drives c down to the given level with failure streaks.
+func descend(t *testing.T, c *Controller, level int) {
+	t.Helper()
+	for c.Level() < level {
+		c.OnFailure()
+		c.OnFailure()
 	}
-	if c.OnSuccess() {
-		t.Fatal("probe requested after a single success with AscendAfter=2")
+	if c.Level() != level {
+		t.Fatalf("level %d after descending, want %d", c.Level(), level)
+	}
+}
+
+func TestControllerProbesUpAfterSuccessStreak(t *testing.T) {
+	c := NewController(3)
+	descend(t, c, 2)
+	for i := 1; i < AscendAfter; i++ {
+		if c.OnSuccess() {
+			t.Fatalf("probe requested after %d successes with AscendAfter=%d", i, AscendAfter)
+		}
 	}
 	if !c.OnSuccess() {
 		t.Fatal("no probe requested after the streak")
 	}
-	// Probe with the level above unavailable: stay put, streak consumed.
+	// Probe with the levels above unavailable: stay put, streak consumed.
 	if lvl, up := c.Probe(func(int) bool { return false }); up || lvl != 2 {
 		t.Fatalf("failed probe moved to %d (up=%v)", lvl, up)
 	}
 	if c.OnSuccess() {
 		t.Fatal("streak not consumed by the failed probe")
 	}
-	c.OnSuccess()
-	// Now the level above answers: ascend one rung (Hedge=1).
+	// Only the rung directly above answers: ascend one rung.
 	if lvl, up := c.Probe(func(l int) bool { return l == 1 }); !up || lvl != 1 {
 		t.Fatalf("probe landed at %d (up=%v)", lvl, up)
 	}
@@ -72,22 +81,22 @@ func TestControllerProbesUpAfterSuccessStreak(t *testing.T) {
 }
 
 func TestControllerHedgedProbeLeapfrogs(t *testing.T) {
-	c := NewController(ControllerConfig{Levels: 4, DescendAfter: 1, Hedge: 3})
-	c.OnFailure()
-	c.OnFailure()
-	c.OnFailure() // level 3
+	c := NewController(4)
+	descend(t, c, 3)
 	var probed []int
 	lvl, up := c.Probe(func(l int) bool {
 		probed = append(probed, l)
-		return l == 0 // the preferred quorums are back
+		return true
 	})
-	if !up || lvl != 0 {
-		t.Fatalf("hedged probe landed at %d (up=%v)", lvl, up)
+	// Hedge=2: from level 3 the probe reaches level 1, strongest first.
+	if !up || lvl != 1 || len(probed) != 1 || probed[0] != 1 {
+		t.Fatalf("hedged probe landed at %d (up=%v), probed %v", lvl, up, probed)
 	}
-	if len(probed) != 1 || probed[0] != 0 {
-		t.Fatalf("probe order %v, want strongest first", probed)
+	// From level 1 the top is in reach.
+	if lvl, up := c.Probe(func(l int) bool { return l == 0 }); !up || lvl != 0 {
+		t.Fatalf("second probe landed at %d (up=%v)", lvl, up)
 	}
-	if c.Descents() != 3 || c.Ascents() != 1 {
+	if c.Descents() != 3 || c.Ascents() != 2 {
 		t.Errorf("descents %d, ascents %d", c.Descents(), c.Ascents())
 	}
 	// At the top, probing is a no-op.
@@ -96,90 +105,52 @@ func TestControllerHedgedProbeLeapfrogs(t *testing.T) {
 	}
 }
 
+// The controller reports each move only by value: OnFailure and Probe
+// return (level, true) exactly when the level changed, the level
+// returned is the controller's own, and the counts agree with the
+// moves returned.
 func TestControllerTransitionLog(t *testing.T) {
-	var got []Transition
-	c := NewController(ControllerConfig{Levels: 2, DescendAfter: 1,
-		Watcher: func(tr Transition) { got = append(got, tr) }})
-	c.OnFailure()
-	c.Probe(func(int) bool { return true })
-	want := []Transition{{From: 0, To: 1, Reason: "descend"}, {From: 1, To: 0, Reason: "ascend"}}
+	c := NewController(3)
+	type move struct {
+		to   int
+		down bool
+	}
+	var got []move
+	record := func(down bool) func(int, bool) {
+		return func(lvl int, moved bool) {
+			if lvl != c.Level() {
+				t.Errorf("reported level %d, controller at %d", lvl, c.Level())
+			}
+			if moved {
+				got = append(got, move{lvl, down})
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		record(true)(c.OnFailure())
+	}
+	for !c.OnSuccess() {
+	}
+	record(false)(c.Probe(func(int) bool { return false }))
+	for !c.OnSuccess() {
+	}
+	record(false)(c.Probe(func(int) bool { return true }))
+	want := []move{{1, true}, {2, true}, {0, false}}
 	if len(got) != len(want) {
-		t.Fatalf("transitions %v", got)
+		t.Fatalf("moves %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("transition %d = %v, want %v", i, got[i], want[i])
+			t.Errorf("move %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-}
-
-// The Watcher hook fires synchronously on every recorded transition —
-// and only on transitions, so an observer (like the soak harness's
-// claim cross-check) sees exactly the ladder moves, at the moment the
-// controller's own state already reflects them.
-func TestControllerWatcherSeesEveryTransition(t *testing.T) {
-	var seen []Transition
-	var levelAtCall []int
-	var c *Controller
-	c = NewController(ControllerConfig{
-		Levels:       3,
-		DescendAfter: 2,
-		AscendAfter:  2,
-		Watcher: func(tr Transition) {
-			seen = append(seen, tr)
-			levelAtCall = append(levelAtCall, c.Level())
-		},
-	})
-	// One failure short of a streak: no call.
-	c.OnFailure()
-	if len(seen) != 0 {
-		t.Fatalf("watcher fired without a transition: %v", seen)
-	}
-	c.OnFailure() // descend 0→1
-	c.OnFailure()
-	c.OnFailure() // descend 1→2
-	c.OnSuccess()
-	if !c.OnSuccess() {
-		t.Fatal("no probe signal after success streak")
-	}
-	c.Probe(func(int) bool { return true }) // ascend 2→0 (hedge default 1 → to 1)
-	want := []Transition{
-		{From: 0, To: 1, Reason: "descend"},
-		{From: 1, To: 2, Reason: "descend"},
-		{From: 2, To: 1, Reason: "ascend"},
-	}
-	if len(seen) != len(want) {
-		t.Fatalf("watcher saw %v, want %v", seen, want)
-	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Errorf("watcher call %d = %v, want %v", i, seen[i], want[i])
-		}
-		// Synchronous and post-state: the controller already sits at To.
-		if levelAtCall[i] != want[i].To {
-			t.Errorf("call %d saw level %d, want %d", i, levelAtCall[i], want[i].To)
-		}
-	}
-	// The watcher stream and the counts agree.
 	if c.Descents() != 2 || c.Ascents() != 1 {
-		t.Errorf("descents %d, ascents %d; watcher saw %v", c.Descents(), c.Ascents(), seen)
-	}
-	// A failed probe records (and reports) nothing.
-	before := len(seen)
-	c.OnSuccess()
-	c.OnSuccess()
-	c.Probe(func(int) bool { return false })
-	if len(seen) != before {
-		t.Fatalf("watcher fired on a failed probe: %v", seen[before:])
+		t.Errorf("descents %d, ascents %d; moves %v", c.Descents(), c.Ascents(), got)
 	}
 }
 
-func TestControllerConfigDefaultsAndPanics(t *testing.T) {
-	c := NewController(ControllerConfig{Levels: 1})
-	cfg := c.Config()
-	if cfg.DescendAfter != 2 || cfg.AscendAfter != 6 || cfg.Hedge != 1 {
-		t.Errorf("defaults not filled: %+v", cfg)
-	}
+func TestControllerSingleLevelAndPanics(t *testing.T) {
+	c := NewController(1)
 	// A single-level ladder never moves.
 	for i := 0; i < 10; i++ {
 		if _, down := c.OnFailure(); down {
@@ -188,11 +159,8 @@ func TestControllerConfigDefaultsAndPanics(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Levels=0 did not panic")
+			t.Error("zero levels did not panic")
 		}
 	}()
-	NewController(ControllerConfig{})
+	NewController(0)
 }
-
-// Config returns the effective (default-filled) configuration.
-func (c *Controller) Config() ControllerConfig { return c.cfg }

@@ -6,57 +6,29 @@ import (
 	"relaxlattice/internal/sim"
 )
 
-func TestBackoffExponentialCapped(t *testing.T) {
-	p := Policy{BaseBackoff: 0.5, MaxBackoff: 8, Multiplier: 2}
-	want := []float64{0.5, 1, 2, 4, 8, 8, 8}
-	for i, w := range want {
-		if got := p.Backoff(i+1, nil); got != w {
-			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w)
+// The delay before retry n is BaseBackoff·2^(n−1) — 0.5, 1, 2, 4, 8 —
+// jittered with exactly one Float64 draw, so a replay consumes the RNG
+// stream in the same steps.
+func TestBackoffExponential(t *testing.T) {
+	got, ref := sim.NewRNG(3), sim.NewRNG(3)
+	for n, nominal := range []float64{0.5, 1, 2, 4, 8} {
+		want := ref.Jitter(nominal, Jitter)
+		if d := backoff(n+1, got); d != want {
+			t.Errorf("backoff(%d) = %v, want %v (nominal %v)", n+1, d, want, nominal)
 		}
-	}
-}
-
-func TestBackoffDefaults(t *testing.T) {
-	var p Policy
-	if got := p.Backoff(1, nil); got != 1 {
-		t.Errorf("zero-policy Backoff(1) = %v, want 1", got)
-	}
-	if got := p.Backoff(3, nil); got != 4 {
-		t.Errorf("zero-policy Backoff(3) = %v, want 4 (multiplier defaults to 2)", got)
-	}
-	if p.Attempts() != 1 {
-		t.Errorf("zero-policy Attempts = %d, want 1", p.Attempts())
-	}
-	if DefaultPolicy().Attempts() != 6 {
-		t.Errorf("DefaultPolicy attempts = %d", DefaultPolicy().Attempts())
 	}
 }
 
 func TestBackoffJitterBoundedAndDeterministic(t *testing.T) {
-	p := Policy{BaseBackoff: 2, Multiplier: 1, Jitter: 0.25}
 	a, b := sim.NewRNG(11), sim.NewRNG(11)
 	for i := 0; i < 100; i++ {
-		da := p.Backoff(1, a)
-		db := p.Backoff(1, b)
+		da := backoff(3, a)
+		db := backoff(3, b)
 		if da != db {
 			t.Fatalf("same-seed jitter diverged at draw %d: %v vs %v", i, da, db)
 		}
-		if da < 1.5 || da > 2.5 {
-			t.Fatalf("jittered delay %v outside [1.5, 2.5]", da)
+		if da < 2*(1-Jitter) || da > 2*(1+Jitter) {
+			t.Fatalf("jittered delay %v outside [1.6, 2.4]", da)
 		}
-	}
-	// Jitter above 1 clamps rather than going negative.
-	p.Jitter = 5
-	for i := 0; i < 100; i++ {
-		if d := p.Backoff(1, a); d < 0 || d > 4 {
-			t.Fatalf("clamped jitter produced %v", d)
-		}
-	}
-}
-
-func TestDefaultOptionsFilled(t *testing.T) {
-	o := DefaultOptions()
-	if o.Policy.MaxAttempts < 2 || o.Controller.DescendAfter < 1 || o.Controller.AscendAfter < 1 {
-		t.Errorf("DefaultOptions incomplete: %+v", o)
 	}
 }

@@ -1,10 +1,6 @@
 package resilience
 
-import (
-	"math"
-
-	"relaxlattice/internal/sim"
-)
+import "relaxlattice/internal/sim"
 
 // Reasons a retried operation stopped without succeeding.
 const (
@@ -14,8 +10,6 @@ const (
 	ReasonNonRetryable = "non-retryable"
 	// ReasonAttempts: the attempt cap was exhausted.
 	ReasonAttempts = "attempts-exhausted"
-	// ReasonBudget: the next backoff would overrun the deadline budget.
-	ReasonBudget = "budget-exhausted"
 )
 
 // Outcome reports how a retried operation ended.
@@ -31,48 +25,31 @@ type Outcome struct {
 	Reason string
 }
 
-// Do runs attempt under policy p on the discrete-event engine: the
-// first attempt runs synchronously now, and each retry is scheduled
-// after the policy's backoff — simulation time passes between
+// Do runs attempt under the retry policy on the discrete-event engine:
+// the first attempt runs synchronously now, and each retry is
+// scheduled after its backoff — simulation time passes between
 // attempts, so crashed sites may recover and partitions may heal
 // mid-operation. done is called exactly once, possibly from a later
-// engine event; a nil done and a nil retryable (retry everything) are
-// allowed. attempt receives the 1-based attempt number.
+// engine event. attempt receives the 1-based attempt number.
 //
-// Do never retries past the attempt cap, past the deadline budget, or
-// past an error the retryable predicate rejects.
-func Do(engine *sim.Engine, rng *sim.RNG, p Policy, retryable func(error) bool, attempt func(n int) error, done func(Outcome)) {
-	if done == nil {
-		done = func(Outcome) {}
-	}
-	if retryable == nil {
-		retryable = func(error) bool { return true }
-	}
+// Do never retries past MaxAttempts or past an error the retryable
+// predicate rejects.
+func Do(engine *sim.Engine, rng *sim.RNG, retryable func(error) bool, attempt func(n int) error, done func(Outcome)) {
 	start := engine.Now()
-	deadline := math.Inf(1)
-	if p.Budget > 0 {
-		deadline = start + p.Budget
-	}
 	var run func(n int)
 	run = func(n int) {
 		err := attempt(n)
-		now := engine.Now()
-		out := Outcome{Err: err, Attempts: n, Elapsed: now - start}
+		out := Outcome{Err: err, Attempts: n, Elapsed: engine.Now() - start}
 		switch {
 		case err == nil:
 			// success: Reason stays "".
 		case !retryable(err):
 			out.Reason = ReasonNonRetryable
-		case n >= p.Attempts():
+		case n >= MaxAttempts:
 			out.Reason = ReasonAttempts
 		default:
-			delay := p.Backoff(n, rng)
-			if now+delay > deadline {
-				out.Reason = ReasonBudget
-			} else {
-				engine.After(delay, func() { run(n + 1) })
-				return
-			}
+			engine.After(backoff(n, rng), func() { run(n + 1) })
+			return
 		}
 		done(out)
 	}

@@ -9,12 +9,13 @@ import (
 
 var errFlaky = errors.New("flaky")
 
+func retryAll(error) bool { return true }
+
 func TestDoSucceedsAfterRetries(t *testing.T) {
 	var engine sim.Engine
-	p := Policy{MaxAttempts: 5, BaseBackoff: 1, Multiplier: 2}
 	calls := 0
 	var got Outcome
-	Do(&engine, nil, p, nil, func(n int) error {
+	Do(&engine, sim.NewRNG(1), retryAll, func(n int) error {
 		calls++
 		if n != calls {
 			t.Errorf("attempt number %d on call %d", n, calls)
@@ -28,46 +29,42 @@ func TestDoSucceedsAfterRetries(t *testing.T) {
 	if calls != 3 || got.Attempts != 3 || got.Err != nil || got.Reason != "" {
 		t.Fatalf("outcome %+v after %d calls", got, calls)
 	}
-	// Delays 1 + 2 elapsed between the three attempts.
-	if got.Elapsed != 3 {
-		t.Errorf("Elapsed = %v, want 3", got.Elapsed)
+	// Delays 0.5 + 1, each jittered by ±20%, elapsed between the three
+	// attempts.
+	if got.Elapsed < 1.5*(1-Jitter) || got.Elapsed > 1.5*(1+Jitter) {
+		t.Errorf("Elapsed = %v, want 1.5 ± 20%%", got.Elapsed)
 	}
 }
 
+// The arithmetic that makes a deadline unnecessary: an operation that
+// never succeeds stops after MaxAttempts attempts, having waited the
+// five backoffs 0.5+1+2+4+8 = 15.5 within their ±20% jitter. A change
+// that raises the attempts or the delays fails here, and must then
+// argue for a deadline that bounds them.
 func TestDoExhaustsAttempts(t *testing.T) {
-	var engine sim.Engine
-	p := Policy{MaxAttempts: 4, BaseBackoff: 0.5}
-	var got Outcome
-	Do(&engine, nil, p, nil, func(int) error { return errFlaky }, func(out Outcome) { got = out })
-	engine.Run(100)
-	if got.Attempts != 4 || !errors.Is(got.Err, errFlaky) || got.Reason != ReasonAttempts {
-		t.Fatalf("outcome %+v", got)
-	}
-}
-
-func TestDoRespectsBudget(t *testing.T) {
-	var engine sim.Engine
-	// Backoffs 4, 8, 16, ...: the second retry (at t=12) overruns the
-	// budget of 10, so exactly two attempts run.
-	p := Policy{MaxAttempts: 10, Budget: 10, BaseBackoff: 4, Multiplier: 2}
-	var got Outcome
-	Do(&engine, nil, p, nil, func(int) error { return errFlaky }, func(out Outcome) { got = out })
-	engine.Run(1000)
-	if got.Attempts != 2 || got.Reason != ReasonBudget {
-		t.Fatalf("outcome %+v", got)
-	}
-	if got.Elapsed != 4 {
-		t.Errorf("Elapsed = %v, want 4", got.Elapsed)
+	for seed := int64(1); seed <= 20; seed++ {
+		var engine sim.Engine
+		calls := 0
+		var got Outcome
+		Do(&engine, sim.NewRNG(seed), retryAll,
+			func(int) error { calls++; return errFlaky },
+			func(out Outcome) { got = out })
+		engine.Run(1000)
+		if calls != 6 || got.Attempts != 6 || !errors.Is(got.Err, errFlaky) || got.Reason != ReasonAttempts {
+			t.Fatalf("seed %d: outcome %+v after %d calls", seed, got, calls)
+		}
+		if got.Elapsed < 0.8*15.5 || got.Elapsed > 1.2*15.5 {
+			t.Errorf("seed %d: Elapsed = %v, want within [12.4, 18.6]", seed, got.Elapsed)
+		}
 	}
 }
 
 func TestDoNonRetryable(t *testing.T) {
 	var engine sim.Engine
 	fatal := errors.New("fatal")
-	p := Policy{MaxAttempts: 5, BaseBackoff: 1}
 	calls := 0
 	var got Outcome
-	Do(&engine, nil, p, func(err error) bool { return !errors.Is(err, fatal) },
+	Do(&engine, sim.NewRNG(1), func(err error) bool { return !errors.Is(err, fatal) },
 		func(int) error { calls++; return fatal },
 		func(out Outcome) { got = out })
 	engine.Run(100)
@@ -76,29 +73,23 @@ func TestDoNonRetryable(t *testing.T) {
 	}
 }
 
-func TestDoNilDone(t *testing.T) {
-	var engine sim.Engine
-	Do(&engine, nil, Policy{}, nil, func(int) error { return nil }, nil)
-	engine.Run(1)
-}
-
 // Simulation time advances between attempts, so state that heals with
 // time (a restored site, a healed partition) is visible to retries —
 // the property the adaptive cluster clients rely on.
 func TestDoSeesTimePassing(t *testing.T) {
 	var engine sim.Engine
 	healedAt := 5.0
-	engine.At(healedAt, func() {}) // marker; healing is just time passing
-	p := Policy{MaxAttempts: 10, BaseBackoff: 2, Multiplier: 1}
 	var got Outcome
-	Do(&engine, nil, p, nil, func(int) error {
+	Do(&engine, sim.NewRNG(1), retryAll, func(int) error {
 		if engine.Now() >= healedAt {
 			return nil
 		}
 		return errFlaky
 	}, func(out Outcome) { got = out })
 	engine.Run(100)
-	if got.Err != nil || got.Attempts != 4 {
-		t.Fatalf("outcome %+v (attempts at t=0,2,4,6; healed at t=5)", got)
+	// Attempts at t≈0, 0.5, 1.5, 3.5, 7.5: even at ±20% jitter the
+	// fourth lands before the heal (≤ 4.2) and the fifth after (≥ 6).
+	if got.Err != nil || got.Attempts != 5 {
+		t.Fatalf("outcome %+v (healed at t=5)", got)
 	}
 }
