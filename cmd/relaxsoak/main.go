@@ -71,7 +71,7 @@ func run(args []string, w io.Writer) error {
 	calm := fs.Bool("calm", false, "disable the stochastic background fault process (cluster mode)")
 	metricsPath := fs.String("metrics", "", "write the deterministic metrics snapshot (JSON) to this file")
 	tracePath := fs.String("trace", "", "write the logical-clock event journal (JSON Lines) to this file")
-	spansPath := fs.String("spans", "", "write the causal span stream (JSON Lines) to this file")
+	spansPath := fs.String("spans", "", "cluster/txn with one -workload: write the causal span stream (JSON Lines) to this file")
 	historyPath := fs.String("history", "", "cluster/txn with one -workload: write the audited history to this file; audit: read it")
 	auditLattice := fs.String("lattice", "taxi", "audit-mode lattice: taxi (cluster histories) or spool (txn histories)")
 	killEvery := fs.Duration("kill-every", 100*time.Millisecond, "longhaul mode: dwell between hard kill cycles")
@@ -101,6 +101,11 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("-wipe-every %d: need at least 1 (every kill wipes)", *wipeEvery)
 	case *historyPath != "" && (*mode == "both" || (*mode == "cluster" || *mode == "txn") && *workload == "all"):
 		return fmt.Errorf("-history exports one object's history: select one run with -mode cluster or txn and a single -workload")
+	case *spansPath != "" && (*mode != "cluster" && *mode != "txn" || *workload == "all"):
+		// Cluster spans are timed in simulated microseconds and txn spans
+		// in schedule positions, and every run starts at time 0, so spans
+		// of several runs in one stream add up to no critical path.
+		return fmt.Errorf("-spans traces one run: select it with -mode cluster or txn and a single -workload")
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

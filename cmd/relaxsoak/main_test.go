@@ -106,6 +106,13 @@ func TestBadSizesFail(t *testing.T) {
 		{[]string{"-mode", "both", "-workload", "bursty", "-history", "h.txt"}, "-history"},
 		{[]string{"-mode", "cluster", "-workload", "all", "-history", "h.txt"}, "-history"},
 		{[]string{"-mode", "txn", "-workload", "all", "-history", "h.txt"}, "-history"},
+		// One span stream traces one run: cluster and txn spans run on
+		// different clocks, and every run starts at time 0.
+		{[]string{"-workload", "bursty", "-spans", "sp.jsonl"}, "-spans"},
+		{[]string{"-mode", "cluster", "-workload", "all", "-spans", "sp.jsonl"}, "-spans"},
+		{[]string{"-mode", "txn", "-workload", "all", "-spans", "sp.jsonl"}, "-spans"},
+		{[]string{"-mode", "longhaul", "-spans", "sp.jsonl"}, "-spans"},
+		{[]string{"-mode", "audit", "-history", "h.txt", "-spans", "sp.jsonl"}, "-spans"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

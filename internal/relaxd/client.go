@@ -161,19 +161,14 @@ type siteKnowledge struct {
 
 func (w *wireSites) Read() []cluster.SiteLog {
 	reqs := make([]Message, len(w.known))
-	done := make([]bool, len(w.known))
-	var asking []int // nil: every site
-	for {
-		for site, k := range w.known {
-			max, _ := k.log.MaxTS()
-			reqs[site] = Message{Type: MsgGetLog, Inc: k.inc, Have: k.log.Len(), Max: max}
-		}
-		var more []int
-		for site, reply := range fanout(w.t, asking, reqs) {
-			if reply.Type != MsgLog {
-				continue
-			}
-			k := &w.known[site]
+	for site, k := range w.known {
+		max, _ := k.log.MaxTS()
+		reqs[site] = Message{Type: MsgGetLog, Inc: k.inc, Have: k.log.Len(), Max: max}
+	}
+	var out []cluster.SiteLog
+	for site, reply := range fanout(w.t, nil, reqs) {
+		k := &w.known[site]
+		if reply.Type == MsgLog {
 			if !reply.Delta || reply.Inc != k.inc {
 				// The site could not vouch for the frontier: this is its
 				// log from the start, under its current incarnation.
@@ -182,25 +177,12 @@ func (w *wireSites) Read() []cluster.SiteLog {
 			if len(reply.Entries) > 0 {
 				k.log = quorum.Merge(k.log, quorum.LogOf(reply.Entries...))
 			}
-			if reply.More {
-				more = append(more, site) // re-ask from the advanced frontier
-			}
-			done[site] = !reply.More
+			out = append(out, cluster.SiteLog{Site: site, Log: k.log})
 		}
-		if len(more) == 0 {
-			break
-		}
-		asking = more
-	}
-	var out []cluster.SiteLog
-	for site, ok := range done {
-		if ok {
-			out = append(out, cluster.SiteLog{Site: site, Log: w.known[site].log})
-		}
-		if w.known[site].inc == 0 {
+		if k.inc == 0 {
 			// A site that names no incarnation (an ephemeral replica) makes
 			// no promise to still hold this log at the next exchange.
-			w.known[site] = siteKnowledge{}
+			*k = siteKnowledge{}
 		}
 	}
 	return out
@@ -236,35 +218,18 @@ func (w *wireSites) Record(sites []int, updated quorum.Log, _ trace.SpanID) []in
 	return acked
 }
 
-// ship sends each listed site its MsgAppend as requests of at most
-// maxChunk entries, always at least one, all carrying its tag. A site
-// has acked when every one of its requests was acknowledged; one
-// MsgStale makes it stale; anything else and it is in neither list.
+// ship sends each listed site its MsgAppend, one request however long
+// the view. A site that acknowledged it is acked, one that answered
+// MsgStale is stale, and any other is in neither list.
 func (w *wireSites) ship(sites []int, appends []Message) (acked, stale []int) {
-	reqs := make([]Message, len(appends))
-	for off := 0; len(sites) > 0; off += maxChunk {
-		for _, site := range sites {
-			reqs[site] = appends[site]
-			if rest := reqs[site].Entries[off:]; len(rest) > maxChunk {
-				reqs[site].Entries = rest[:maxChunk]
-			} else {
-				reqs[site].Entries = rest
-			}
+	replies := fanout(w.t, sites, appends)
+	for _, site := range sites {
+		switch replies[site].Type {
+		case MsgAck:
+			acked = append(acked, site)
+		case MsgStale:
+			stale = append(stale, site)
 		}
-		replies := fanout(w.t, sites, reqs)
-		var unsent []int
-		for _, site := range sites {
-			switch {
-			case replies[site].Type == MsgStale:
-				stale = append(stale, site)
-			case replies[site].Type != MsgAck:
-			case off+maxChunk < len(appends[site].Entries):
-				unsent = append(unsent, site)
-			default:
-				acked = append(acked, site)
-			}
-		}
-		sites = unsent
 	}
 	return acked, stale
 }

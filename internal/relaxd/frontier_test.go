@@ -209,15 +209,83 @@ func TestUnansweredAppendDoesNotAdvanceKnowledge(t *testing.T) {
 	}
 }
 
-// TestChunkedExchange lowers the per-message entry cap to 3. A cold
-// client reads each 10-entry site in 4 round trips, re-asking from its
-// advancing frontier, and lands on the sites' logs; a whole-view resend
-// to a restarted site travels in chunks, and the site counts as having
-// recorded it only when every chunk was acknowledged.
-func TestChunkedExchange(t *testing.T) {
-	defer func(old int) { maxChunk = old }(maxChunk)
-	maxChunk = 3
+// An ephemeral replica (no store, relaxd's default) answers GetLog with
+// its whole log every time. A log whose one-frame body is past MaxFrame
+// used to fail that exchange — in process with "exceeds MaxFrame", over
+// TCP by closing the connection and every request on it — so the site
+// looked dead to every client. It streams as frames over both
+// transports.
+func TestEphemeralLogSpansFrames(t *testing.T) {
+	entries := bigEntries(MaxFrame/3900 + 50)
+	r, _, err := OpenReplica(0, "", StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := r.Handle(Message{Type: MsgAppend, Entries: entries}); err != nil || resp.Type != MsgAck {
+		t.Fatalf("preload: %+v, %v", resp, err)
+	}
+	reply, err := r.Handle(Message{Type: MsgGetLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body, err := AppendMessage(nil, reply); err != nil || len(body) <= MaxFrame {
+		t.Fatalf("the log is one %d-byte body (%v): the test needs one past MaxFrame", len(body), err)
+	}
+	for name, tr := range map[string]Transport{
+		"local":  NewLocal([]*Replica{r}),
+		"pooled": servePooled(t, r, 1),
+	} {
+		got, err := tr.RoundTrip(0, Message{Type: MsgGetLog})
+		if err != nil || got.Type != MsgLog || got.Delta {
+			t.Fatalf("%s: GetLog answered %d delta=%v, %v", name, got.Type, got.Delta, err)
+		}
+		requireSameEntries(t, name, got.Entries, entries)
+	}
+}
 
+// A cold read of logs many frames long is one GetLog per site, over
+// Local and over TCP, answered from the start of each log.
+func TestColdReadIsOneRoundTripPerSite(t *testing.T) {
+	lowerStreamFrames(t, 1)
+	replicas := durableSites(t, 3, 40)
+	addrs := make([]string, len(replicas))
+	for i, r := range replicas {
+		srv, err := ListenSite("127.0.0.1:0", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs[i] = srv.Addr()
+	}
+	pooled := NewPooledTransport(addrs, 0)
+	t.Cleanup(func() { pooled.Close() })
+	for name, tr := range map[string]Transport{"local": NewLocal(replicas), "pooled": pooled} {
+		rt := &recordingTransport{Transport: tr}
+		got := pqClient(rt, 4).sites.Read()
+		if len(got) != 3 {
+			t.Fatalf("%s: %d sites answered, want 3", name, len(got))
+		}
+		for _, a := range got {
+			reads := rt.of(MsgGetLog, a.Site)
+			if len(reads) != 1 || reads[0].resp.Delta || len(reads[0].resp.Entries) != 40 {
+				t.Fatalf("%s: site %d: %d round trips, want one answering the whole log", name, a.Site, len(reads))
+			}
+			if n := len(streamFrames(t, reads[0].resp)); n != 40 {
+				t.Fatalf("%s: site %d: the reply streamed as %d frames, want 40", name, a.Site, n)
+			}
+			if !a.Log.Equal(replicas[a.Site].Log()) {
+				t.Fatalf("%s: site %d: read\n%s\nsite holds\n%s", name, a.Site, a.Log, replicas[a.Site].Log())
+			}
+		}
+	}
+}
+
+// Sites 1 and 2 restart between step 1 and step 3, so the tagged delta
+// is stale at both and the whole view, many frames long, is resent
+// untagged: one MsgAppend, acknowledged once. Site 1's resend is lost,
+// and a site whose resend went unanswered is not recorded.
+func TestStaleResendIsOneAppend(t *testing.T) {
+	lowerStreamFrames(t, 1)
 	replicas := durableSites(t, 3, 10)
 	rt := &recordingTransport{Transport: NewLocal(replicas)}
 	c := pqClient(rt, 4)
@@ -225,56 +293,39 @@ func TestChunkedExchange(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("%d sites answered, want 3", len(got))
 	}
-	for _, a := range got {
-		reads := rt.of(MsgGetLog, a.Site)
-		if len(reads) != 4 {
-			t.Fatalf("site %d: %d round trips for 10 entries at 3 a message, want 4", a.Site, len(reads))
-		}
-		for i, x := range reads {
-			if x.req.Have != 3*i || x.resp.Delta != (i > 0) || x.resp.More != (i < 3) {
-				t.Fatalf("site %d chunk %d: asked from %d, answered delta=%v more=%v",
-					a.Site, i, x.req.Have, x.resp.Delta, x.resp.More)
-			}
-		}
-		if !a.Log.Equal(replicas[a.Site].Log()) {
-			t.Fatalf("site %d: chunked read assembled\n%s\nsite holds\n%s", a.Site, a.Log, replicas[a.Site].Log())
-		}
-	}
-
-	// Site 2 restarts between step 1 and step 3: the tagged delta is
-	// stale, the whole 11-entry view follows in 4 untagged chunks. Site 1
-	// loses the second chunk of its (forced) resend and must not count.
-	view := got[0].Log.Append(quorum.Entry{TS: ts(11, 4), Op: history.Enq(7)})
+	added := quorum.Entry{TS: ts(11, 4), Op: history.Enq(7)}
+	view := got[0].Log.Append(added)
 	for _, site := range []int{1, 2} {
 		replicas[site].Crash()
 		if _, err := replicas[site].Restart(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	untagged := 0
 	rt.drop = func(site int, req Message) bool {
-		if site != 1 || req.Type != MsgAppend || req.Inc != 0 {
-			return false
-		}
-		untagged++
-		return untagged == 2
+		return site == 1 && req.Type == MsgAppend && req.Inc == 0
 	}
 	rt.log = rt.log[:0]
 	acked := c.sites.Record([]int{0, 1, 2}, view, 0)
 	if fmt.Sprint(acked) != "[0 2]" {
-		t.Fatalf("recorded at %v, want [0 2]: site 1 lost a chunk", acked)
+		t.Fatalf("recorded at %v, want [0 2]: site 1's resend was lost", acked)
 	}
 	sent := rt.of(MsgAppend, 2)
-	if len(sent) != 5 || sent[0].resp.Type != MsgStale {
-		t.Fatalf("site 2 saw %d requests, first answered type %d; want the stale delta then 4 chunks", len(sent), sent[0].resp.Type)
+	if len(sent) != 2 || sent[0].resp.Type != MsgStale {
+		t.Fatalf("site 2 saw %d requests; want the stale delta then one resend", len(sent))
 	}
-	for _, x := range sent[1:] {
-		if x.req.Inc != 0 || len(x.req.Entries) > 3 || x.resp.Type != MsgAck {
-			t.Fatalf("resend chunk %+v", x)
-		}
+	resend := sent[1]
+	if resend.req.Inc != 0 || len(resend.req.Entries) != view.Len() || resend.resp.Type != MsgAck {
+		t.Fatalf("resend: tag %d, %d entries, answered type %d; want the untagged %d-entry view acked",
+			resend.req.Inc, len(resend.req.Entries), resend.resp.Type, view.Len())
+	}
+	if n := len(streamFrames(t, resend.req)); n != view.Len() {
+		t.Fatalf("the resend streamed as %d frames, want %d", n, view.Len())
 	}
 	if !replicas[2].Log().Equal(view) {
 		t.Fatalf("site 2 acknowledged the view but holds\n%s", replicas[2].Log())
+	}
+	if lost := rt.of(MsgAppend, 1); len(lost) != 2 || !lost[1].failed || replicas[1].Log().Contains(added.TS) {
+		t.Fatalf("site 1 saw %d requests and holds %s; want its resend lost", len(lost), replicas[1].Log())
 	}
 	if c.sites.known[2].inc != 0 || c.sites.known[1].inc != 0 {
 		t.Fatal("knowledge of a site that answered stale must start over")

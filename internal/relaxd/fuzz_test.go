@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,16 +13,16 @@ import (
 )
 
 // FuzzDecodeFrame hardens the wire decoder, both as a frame stream
-// (ReadMuxFrame) and as a bare message body (DecodeMessage): arbitrary
-// bytes must never panic, never allocate past the declared caps, and
-// anything that does decode must re-encode to a frame that decodes back
-// to the same correlation id and message (the codec is a bijection on
-// its valid range).
+// (the frame reader a server runs) and as a bare message body
+// (DecodeMessage): arbitrary bytes must never panic, never allocate past
+// the declared caps, and anything that does decode must re-encode to
+// frames that read back to the same correlation id and message (the
+// codec is a bijection on its valid range).
 func FuzzDecodeFrame(f *testing.F) {
 	// One well-formed frame of each message kind, plus hostile shapes.
 	for _, m := range fuzzFrameSeeds() {
 		var b bytes.Buffer
-		if err := WriteMuxFrame(&b, 7, m); err != nil {
+		if err := writeMessage(to(&b), nil, 7, m); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b.Bytes())
@@ -30,35 +31,39 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0, 7, MsgLog, 0xff})
 	// A hostile entry count behind a well-formed incarnation and flags,
 	// and a frontier whose count overflows int.
-	f.Add(append([]byte{0, 0, 0, 24, 0, 0, 0, 0, 0, 0, 0, 7, MsgLog, 1, 2, 3, 4, 5, 6, 7, 8, 3},
+	f.Add(append([]byte{0, 0, 0, 24, 0, 0, 0, 0, 0, 0, 0, 7, MsgLog, 1, 2, 3, 4, 5, 6, 7, 8, 1},
 		0xff, 0xff, 0xff, 0xff, 0xff, 0x0f))
 	f.Add(append([]byte{0, 0, 0, 29, 0, 0, 0, 0, 0, 0, 0, 7, MsgGetLog, 1, 2, 3, 4, 5, 6, 7, 8},
 		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1, 1))
+	// A Log streamed one entry a frame.
+	var b bytes.Buffer
+	old := streamFrameBytes
+	streamFrameBytes = 1
+	err := writeMessage(to(&b), nil, 7, Message{Type: MsgLog, Inc: 1, Entries: sampleEntries()})
+	streamFrameBytes = old
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b.Bytes())
 
 	stable := func(t *testing.T, data []byte, id uint64, m Message) {
-		if len(m.Entries) > len(data)/minEntryLen {
-			t.Fatalf("decoded %d entries from %d bytes — over-allocation past the cap", len(m.Entries), len(data))
+		if len(m.Entries)+len(m.Wal) > len(data)/minEntryLen {
+			t.Fatalf("decoded %d entries from %d bytes — over-allocation past the cap", len(m.Entries)+len(m.Wal), len(data))
 		}
 		var b bytes.Buffer
-		if err := WriteMuxFrame(&b, id, m); err != nil {
+		if err := writeMessage(to(&b), nil, id, m); err != nil {
 			t.Fatalf("decoded message does not re-encode: %v", err)
 		}
-		id2, m2, err := ReadMuxFrame(&b)
+		id2, m2, err := readMessage(&b)
 		if err != nil {
-			t.Fatalf("re-encoded frame does not decode: %v", err)
+			t.Fatalf("re-encoded frames do not decode: %v", err)
 		}
-		if id2 != id || m2.Type != m.Type || m2.N != m.N || m2.Err != m.Err || len(m2.Entries) != len(m.Entries) || len(m2.Wal) != len(m.Wal) ||
-			m2.Inc != m.Inc || m2.Have != m.Have || m2.Max != m.Max || m2.Delta != m.Delta || m2.More != m.More {
+		if id2 != id || !sameMessage(m2, m) {
 			t.Fatalf("codec not stable: %d %+v vs %d %+v", id, m, id2, m2)
-		}
-		for i := range m.Entries {
-			if m2.Entries[i].TS != m.Entries[i].TS || !m2.Entries[i].Op.Equal(m.Entries[i].Op) {
-				t.Fatalf("entry %d not stable: %v vs %v", i, m.Entries[i], m2.Entries[i])
-			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if id, m, err := ReadMuxFrame(bytes.NewReader(data)); err == nil {
+		if id, m, err := readMessage(bytes.NewReader(data)); err == nil {
 			stable(t, data, id, m)
 		}
 		if m, err := DecodeMessage(data); err == nil && len(data) <= MaxFrame {
@@ -67,10 +72,28 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
+// sameMessage reports whether a and b carry the same fields and the
+// same entries.
+func sameMessage(a, b Message) bool {
+	same := func(x, y []quorum.Entry) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if x[i].TS != y[i].TS || !x[i].Op.Equal(y[i].Op) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Type == b.Type && a.N == b.N && a.Err == b.Err && a.Inc == b.Inc && a.Have == b.Have &&
+		a.Max == b.Max && a.Delta == b.Delta && same(a.Entries, b.Entries) && same(a.Wal, b.Wal)
+}
+
 // fuzzFrameSeeds is one well-formed message of each kind and shape:
-// the zero and a frontier-bearing GetLog, a whole, a delta and a cut
-// Log, a tagged and an untagged Append, the stale refusal, and a state
-// that fits one frame.
+// the zero and a frontier-bearing GetLog, a whole and a delta Log, a
+// tagged and an untagged Append, the stale refusal, and a state that
+// fits one frame.
 func fuzzFrameSeeds() []Message {
 	const inc = 0x0102030405060708
 	entries := sampleEntries()
@@ -83,7 +106,6 @@ func fuzzFrameSeeds() []Message {
 		{Type: MsgErr, Err: "no"},
 		{Type: MsgLog, Inc: inc, Entries: entries},
 		{Type: MsgLog, Inc: inc, Delta: true, Entries: entries[2:]},
-		{Type: MsgLog, Inc: inc, More: true, Entries: entries[:2]},
 		{Type: MsgAppend, Entries: entries[:2]},
 		{Type: MsgAppend, Inc: inc, Entries: entries[2:]},
 		{Type: MsgStale},
@@ -91,73 +113,64 @@ func fuzzFrameSeeds() []Message {
 	}
 }
 
-// FuzzStateStream hardens the MsgState stream assembler. An input is a
-// sequence of frames under one exchange, each a uvarint length and then
-// that many bytes of a frame body after its type byte, fed in order to
-// one stream. Every sequence either assembles, or is refused with
-// ErrFrame, or stops before its last frame (a stream still arriving).
-// It never panics; the entry array is never sized past statePrealloc
-// (lowered here so every input stays cheap) except as far as the
-// entries delivered so far need; a frame after the last is refused;
-// and an assembled stream holds exactly the counts it declared and
-// streams out again to the same entries.
+// FuzzStateStream hardens the reading of streams, of all three types
+// (MsgState streamed first). An input is a sequence of frame bodies
+// under one exchange, each a uvarint length and then that many bytes,
+// read to its end by a reader of replies and by a reader of requests.
+// Neither panics; each stops at the input's end (io.EOF) or refuses with
+// ErrFrame; every message it returns streams out again and reads back
+// the same; and its array is never sized past what the entries
+// delivered need, what one frame's bytes can hold, or — replies only —
+// streamPrealloc (lowered here so every input stays cheap).
 func FuzzStateStream(f *testing.F) {
 	for _, seed := range stateStreamSeeds(f) {
 		f.Add(seed)
 	}
-	old := statePrealloc
-	statePrealloc = 64
-	f.Cleanup(func() { statePrealloc = old })
+	old := streamPrealloc
+	streamPrealloc = 64
+	f.Cleanup(func() { streamPrealloc = old })
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var st stateStream
-		last := false
+		var bodies [][]byte
+		longest := 0
 		for len(data) > 0 {
 			n, rest, err := readUvarint(data)
 			if err != nil || n > uint64(len(rest)) {
 				break
 			}
-			frame := rest[:n]
+			bodies = append(bodies, rest[:n])
+			longest = max(longest, int(n))
 			data = rest[n:]
-			if last {
-				if _, err := st.add(frame); !errors.Is(err, ErrFrame) {
-					t.Fatalf("a frame past the last: got %v, want ErrFrame", err)
+		}
+		framed := frameSeq(9, bodies...)
+		for _, replies := range []bool{true, false} {
+			fr, msgs, err := readFrames(framed, replies)
+			if err != io.EOF && !errors.Is(err, ErrFrame) {
+				t.Fatalf("replies=%v: refused without ErrFrame: %v", replies, err)
+			}
+			limit := longest / minEntryLen
+			if replies {
+				limit = max(limit, streamPrealloc)
+			}
+			if c := cap(fr.st.entries); c > max(limit, 2*len(fr.st.entries)) {
+				t.Fatalf("replies=%v: array sized for %d entries holding %d", replies, c, len(fr.st.entries))
+			}
+			for _, m := range msgs {
+				var b bytes.Buffer
+				if err := writeMessage(to(&b), nil, 9, m); err != nil {
+					t.Fatalf("a message read does not stream out again: %v", err)
 				}
-				break
-			}
-			if last, err = st.add(frame); err != nil {
-				if !errors.Is(err, ErrFrame) {
-					t.Fatalf("refused without ErrFrame: %v", err)
+				if _, again, err := readMessage(&b); err != nil || !sameMessage(again, m) {
+					t.Fatalf("streamed out again as %+v (%v), was %+v", again, err, m)
 				}
-				return
-			}
-			if c := cap(st.entries); c > max(statePrealloc, 2*len(st.entries)) {
-				t.Fatalf("array sized for %d entries holding %d", c, len(st.entries))
-			}
-		}
-		if !last {
-			return
-		}
-		m := st.message()
-		if len(m.Entries) != st.snap || len(m.Entries)+len(m.Wal) != st.total {
-			t.Fatalf("assembled %d + %d entries, declared %d of %d", len(m.Entries), len(m.Wal), st.snap, st.total)
-		}
-		again, last, err := assemble(stateFrames(t, m))
-		if err != nil || !last {
-			t.Fatalf("assembled state does not stream again: last=%v, %v", last, err)
-		}
-		got := again.message()
-		for i, e := range append(got.Entries, got.Wal...) {
-			want := st.entries[i]
-			if e.TS != want.TS || !e.Op.Equal(want.Op) {
-				t.Fatalf("entry %d streamed again as %s, was %s", i, e, want)
 			}
 		}
 	})
 }
 
 // stateStreamSeeds are FuzzStateStream inputs: a state streamed one
-// entry a frame, the same state in one frame, the empty state, and
-// the shapes the assembler must refuse.
+// entry a frame, the same state in one frame, the empty state, the
+// shapes a reader must refuse or wait past, and a log and an append
+// streamed one entry a frame, once with another message inside.
 func stateStreamSeeds(f *testing.F) [][]byte {
 	seq := func(frames ...[]byte) []byte {
 		var b []byte
@@ -168,19 +181,26 @@ func stateStreamSeeds(f *testing.F) [][]byte {
 	}
 	entries := sampleEntries()
 	state := Message{Type: MsgState, Entries: entries[:2], Wal: entries[2:]}
-	whole := stateFrames(f, state)
-	old := stateFrameBytes
-	stateFrameBytes = 1
-	split := stateFrames(f, state)
-	stateFrameBytes = old
+	log := Message{Type: MsgLog, Inc: 5, Delta: true, Entries: entries}
+	whole := streamFrames(f, state)
+	old := streamFrameBytes
+	streamFrameBytes = 1
+	split := streamFrames(f, state)
+	logSplit := streamFrames(f, log)
+	appendSplit := streamFrames(f, Message{Type: MsgAppend, Inc: 6, Entries: entries})
+	streamFrameBytes = old
 	return [][]byte{
 		seq(split...),
 		seq(whole...),
-		seq(stateFrames(f, Message{Type: MsgState})...),
-		seq(split[0], []byte{flagMore}, split[1]),
+		seq(streamFrames(f, Message{Type: MsgState})...),
+		seq(split[0], []byte{msgMore}, split[1]),
 		seq(append(split, split[len(split)-1])...),
 		seq(split[0], split[len(split)-1]),
-		seq(append([]byte{flagFirst | flagMore, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 0}, split[1][1:]...)),
+		seq(append([]byte{MsgState, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 0}, split[1][1:]...)),
+		seq(logSplit...),
+		seq(appendSplit...),
+		seq(streamFrames(f, log)...),
+		seq(logSplit[0], []byte{MsgPong}, logSplit[1]),
 	}
 }
 

@@ -209,13 +209,7 @@ func (r *Replica) Handle(req Message) (Message, error) {
 		if r.inc != 0 && req.Inc == r.inc && req.Have > 0 && req.Have <= n && r.log.Entry(req.Have-1).TS == req.Max {
 			start = req.Have
 		}
-		// A reader fetches the next chunk by frontier, so a replica with
-		// no incarnation answers in one piece.
-		end := n
-		if r.inc != 0 && end-start > maxChunk {
-			end = start + maxChunk
-		}
-		return Message{Type: MsgLog, Inc: r.inc, Delta: start > 0, More: end < n, Entries: r.log.Slice(start, end)}, nil
+		return Message{Type: MsgLog, Inc: r.inc, Delta: start > 0, Entries: r.log.Slice(start, n)}, nil
 	case MsgFetchState:
 		// Snapshot shipping: the resident log split at the published-
 		// snapshot boundary, so a joiner can account for what came from

@@ -551,7 +551,7 @@ func TestJoinRefusalLeavesStoreUntouched(t *testing.T) {
 // 16 entries) a frame, the donor is still streaming while the appends go
 // on.
 func TestShipStateRacesAppendsPooled(t *testing.T) {
-	lowerStateFrames(t, 160)
+	lowerStreamFrames(t, 160)
 	r, _, err := OpenReplica(0, t.TempDir(), StoreOptions{SegmentRecords: 4})
 	if err != nil {
 		t.Fatal(err)

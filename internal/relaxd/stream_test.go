@@ -2,7 +2,9 @@ package relaxd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"maps"
 	"net"
 	"runtime"
@@ -14,44 +16,65 @@ import (
 	"relaxlattice/internal/quorum"
 )
 
-// lowerStateFrames sets the MsgState per-frame byte bound for one test,
-// as TestChunkedExchange lowers maxChunk. At 1 byte every frame carries
-// one entry.
-func lowerStateFrames(t *testing.T, bytes int) {
-	old := stateFrameBytes
-	stateFrameBytes = bytes
-	t.Cleanup(func() { stateFrameBytes = old })
+// lowerStreamFrames sets the per-frame byte bound of the streams for
+// one test. At 1 byte every frame carries one entry.
+func lowerStreamFrames(t *testing.T, bytes int) {
+	old := streamFrameBytes
+	streamFrameBytes = bytes
+	t.Cleanup(func() { streamFrameBytes = old })
 }
 
-// stateFrames returns the frame bodies, after the type byte, that
-// writeState sends for m.
-func stateFrames(t testing.TB, m Message) [][]byte {
+// streamFrames returns the frame bodies writeMessage sends for m.
+func streamFrames(t testing.TB, m Message) [][]byte {
 	t.Helper()
-	var frames [][]byte
-	err := writeState(func(frame []byte) error {
-		if frame[4+muxHdrLen] != MsgState {
-			t.Fatalf("state stream frame of type %d", frame[4+muxHdrLen])
-		}
-		frames = append(frames, append([]byte(nil), frame[4+muxHdrLen+1:]...))
-		return nil
-	}, 9, m)
-	if err != nil {
+	var b bytes.Buffer
+	if err := writeMessage(to(&b), nil, 9, m); err != nil {
 		t.Fatal(err)
+	}
+	var frames [][]byte
+	for data := b.Bytes(); len(data) > 0; {
+		n := 4 + int(binary.BigEndian.Uint32(data))
+		frames = append(frames, data[4+muxHdrLen:n])
+		data = data[n:]
 	}
 	return frames
 }
 
-// assemble feeds frames to a fresh stream, stopping at the first error.
-func assemble(frames [][]byte) (*stateStream, bool, error) {
-	var st stateStream
-	last := false
-	for _, f := range frames {
-		var err error
-		if last, err = st.add(f); err != nil {
-			return &st, last, err
-		}
+// frameSeq frames bodies under id, as a connection carries them.
+func frameSeq(id uint64, bodies ...[]byte) []byte {
+	var b []byte
+	for _, body := range bodies {
+		b = binary.BigEndian.AppendUint32(b, uint32(muxHdrLen+len(body)))
+		b = binary.BigEndian.AppendUint64(b, id)
+		b = append(b, body...)
 	}
-	return &st, last, nil
+	return b
+}
+
+// readFrames reads data to its end with one reader, of replies or of
+// requests, and returns the whole messages and the error that stopped
+// it: io.EOF after a clean end, a stream still arriving otherwise.
+func readFrames(data []byte, replies bool) (*frameReader, []Message, error) {
+	fr := &frameReader{r: bytes.NewReader(data), replies: replies}
+	var msgs []Message
+	for {
+		_, m, err := fr.next()
+		if err != nil {
+			return fr, msgs, err
+		}
+		msgs = append(msgs, m)
+	}
+}
+
+// assemble reads the frame bodies under one exchange as a client reads
+// a reply, and returns the one message they make.
+func assemble(t testing.TB, frames [][]byte) Message {
+	t.Helper()
+	_, msgs, err := readFrames(frameSeq(9, frames...), true)
+	if err != io.EOF || len(msgs) != 1 {
+		t.Fatalf("%d frames read as %d messages, then %v", len(frames), len(msgs), err)
+	}
+	return msgs[0]
 }
 
 // shippedEntries is a reply's two parts in order.
@@ -144,7 +167,7 @@ func servePooled(t *testing.T, r *Replica, sites int) *PooledTransport {
 // per-frame bound lowered to one entry, the donor's 40-entry state
 // streams as 40 frames.
 func TestJoinStreamsManyFrames(t *testing.T) {
-	lowerStateFrames(t, 1)
+	lowerStreamFrames(t, 1)
 	donor := donorWithSuffix(t, 0, serialPQEntries(40))
 	state, err := donor.Handle(Message{Type: MsgFetchState})
 	if err != nil {
@@ -153,7 +176,7 @@ func TestJoinStreamsManyFrames(t *testing.T) {
 	if len(state.Wal) == 0 || len(state.Entries) == 0 {
 		t.Fatalf("donor state %d + %d, want both parts", len(state.Entries), len(state.Wal))
 	}
-	if n := len(stateFrames(t, state)); n != 40 {
+	if n := len(streamFrames(t, state)); n != 40 {
 		t.Fatalf("40 entries at one a frame streamed as %d frames, want 40", n)
 	}
 	joinEach(t, donor, PQCertify(), map[string]Transport{
@@ -188,8 +211,8 @@ func TestJoinLargerThanMaxFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMuxFrame(&bytes.Buffer{}, 0, state); !errors.Is(err, ErrFrame) {
-		t.Fatalf("the state fits one frame (%v): the test needs a larger one", err)
+	if body, err := AppendMessage(nil, state); err != nil || len(body) <= MaxFrame {
+		t.Fatalf("the state is one %d-byte body (%v): the test needs one past MaxFrame", len(body), err)
 	}
 	joinEach(t, donor, nil, map[string]Transport{
 		"local":  NewLocal([]*Replica{donor, nil}),
@@ -198,7 +221,8 @@ func TestJoinLargerThanMaxFrame(t *testing.T) {
 }
 
 // killListener hands out connections that die when they are about to
-// write their (frames+1)-th MsgState frame: a donor killed mid-stream.
+// write their (frames+1)-th frame of a MsgState stream: a donor killed
+// mid-stream.
 type killListener struct {
 	net.Listener
 	frames int
@@ -220,7 +244,7 @@ type killConn struct {
 }
 
 func (c *killConn) Write(b []byte) (int, error) {
-	if len(b) > 4+muxHdrLen && b[4+muxHdrLen] == MsgState {
+	if len(b) > 4+muxHdrLen && (b[4+muxHdrLen] == MsgState || b[4+muxHdrLen] == msgMore) {
 		if c.left == 0 {
 			close(c.l.killed)
 			c.Conn.Close()
@@ -246,7 +270,7 @@ func (p peekTransport) RoundTrip(site int, req Message) (Message, error) {
 // joiner's directory and resident log are untouched when the next peer
 // is asked, and the join completes from that peer.
 func TestJoinSurvivesDonorKilledMidStream(t *testing.T) {
-	lowerStateFrames(t, 1)
+	lowerStreamFrames(t, 1)
 	entries := serialPQEntries(30)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -255,7 +279,7 @@ func TestJoinSurvivesDonorKilledMidStream(t *testing.T) {
 	kl := &killListener{Listener: lis, frames: 4, killed: make(chan struct{})}
 	go Serve(kl, honestDonor(t, 0, entries))
 	t.Cleanup(func() { lis.Close() })
-	if n := len(stateFrames(t, Message{Type: MsgState, Wal: entries})); n != 30 {
+	if n := len(streamFrames(t, Message{Type: MsgState, Wal: entries})); n != 30 {
 		t.Fatalf("30 entries streamed as %d frames, want 30", n)
 	}
 	honest := honestDonor(t, 1, entries)
@@ -302,21 +326,18 @@ func TestJoinSurvivesDonorKilledMidStream(t *testing.T) {
 	}
 }
 
-// Every malformed frame sequence is refused with ErrFrame, and the
-// well-formed one assembles to the state it was written from.
+// Every malformed frame sequence is refused with ErrFrame, a sequence
+// that stops short of its count is a stream still arriving, and the
+// well-formed one assembles to the message it was written from.
 func TestStateStreamRefusals(t *testing.T) {
-	lowerStateFrames(t, 1)
+	lowerStreamFrames(t, 1)
 	entries := sampleEntries()[:2]
 	state := Message{Type: MsgState, Entries: entries[:1], Wal: entries}
-	good := stateFrames(t, state) // 3 entries, one a frame
+	good := streamFrames(t, state) // 3 entries, one a frame
 	if len(good) != 3 {
 		t.Fatalf("3 entries streamed as %d frames, want 3", len(good))
 	}
-	st, last, err := assemble(good)
-	if err != nil || !last {
-		t.Fatalf("well-formed stream: last=%v, %v", last, err)
-	}
-	got := st.message()
+	got := assemble(t, good)
 	requireSameEntries(t, "snapshot part", got.Entries, state.Entries)
 	requireSameEntries(t, "WAL part", got.Wal, state.Wal)
 
@@ -325,109 +346,140 @@ func TestStateStreamRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	logFirst := join([]byte{MsgLog}, incBytes, []byte{0, 2}, entry)
+	appendFirst := join([]byte{MsgAppend}, incBytes, []byte{2}, entry)
+	more := join([]byte{msgMore}, entry)
 	bad := map[string][][]byte{
-		"empty frame promising more": {good[0], {flagMore}, good[1], good[2]},
-		"empty first frame, more":    {{flagFirst | flagMore, 1, 0}, join([]byte{0}, entry)},
-		"a frame missing":            {good[0], good[2]},
-		"last frame short of counts": {join([]byte{flagFirst | flagMore, 3, 0}, entry), join([]byte{0}, entry)},
-		"more entries than declared": {join([]byte{flagFirst, 1, 0}, entry, entry)},
-		"more than declared, more":   {join([]byte{flagFirst | flagMore, 1, 0}, entry, entry)},
-		"frame past the last":        {good[0], good[1], good[2], good[2]},
-		"continuation first":         {good[1], good[2]},
-		"a second first frame":       {good[0], good[0]},
-		"first without flagFirst":    {{0, 0, 0}},
-		"empty frame past the last":  {good[0], good[1], good[2], {0}},
-		"unknown flag":               {join([]byte{flagFirst | 4, 1, 0}, entry)},
-		"no flags":                   {{}},
-		"counts overflow":            {join([]byte{flagFirst, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0}, entry)},
-		"truncated counts":           {{flagFirst, 0x80}},
-		"one frame, 2^40 in 5 bytes": {join([]byte{flagFirst, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 0}, entry)},
-		"undecodable entry":          {{flagFirst, 1, 0, 1, 1, 3, 'x', 'y', 'z'}},
-		"entry past the frame's end": {{flagFirst, 1, 0, 1, 1, 40, 'E'}},
-		"a count and no entries":     {{flagFirst, 0, 1}},
+		"empty frame short of the count": {good[0], {msgMore}, good[1], good[2]},
+		"empty first frame, a count":     {{MsgState, 1, 0}, more},
+		"more entries than declared":     {join([]byte{MsgState, 1, 0}, entry, entry)},
+		"a continuation too many":        {join([]byte{MsgState, 2, 0}, entry), join(more, entry)},
+		"frame past the last":            {good[0], good[1], good[2], good[2]},
+		"continuation first":             {good[1], good[2]},
+		"a second first frame":           {good[0], good[0]},
+		"a log's second first frame":     {logFirst, logFirst},
+		"a whole message inside it":      {good[0], {MsgPong}, good[1], good[2]},
+		"an append past its count":       {appendFirst, more, more},
+		"no counts":                      {{MsgState}},
+		"counts overflow":                {join([]byte{MsgState, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0}, entry)},
+		"counts overflow together":       {join([]byte{MsgState}, binary.AppendUvarint(nil, uint64(maxStream)), []byte{1}, entry)},
+		"truncated counts":               {{MsgState, 0x80}},
+		"undecodable entry":              {{MsgState, 1, 0, 1, 1, 3, 'x', 'y', 'z'}},
+		"entry past the frame's end":     {{MsgState, 1, 0, 1, 1, 40, 'E'}},
+		"a count and no entries":         {{MsgState, 0, 1}},
 	}
 	for name, frames := range bad {
-		if _, _, err := assemble(frames); !errors.Is(err, ErrFrame) {
+		if _, _, err := readFrames(frameSeq(9, frames...), true); !errors.Is(err, ErrFrame) {
 			t.Errorf("%s: got %v, want ErrFrame", name, err)
+		}
+	}
+	unfinished := map[string][][]byte{
+		"a frame missing":          {good[0], good[2]},
+		"a log short of its count": {logFirst},
+		"an append short":          {appendFirst},
+	}
+	for name, frames := range unfinished {
+		if _, msgs, err := readFrames(frameSeq(9, frames...), true); err != io.EOF || len(msgs) != 0 {
+			t.Errorf("%s: %d messages, then %v; want none and io.EOF", name, len(msgs), err)
 		}
 	}
 }
 
-// A reply reader assembles a stream while other replies arrive between
-// its frames, and refuses a state frame of another exchange inside it.
-func TestReplyReaderInterleaves(t *testing.T) {
-	lowerStateFrames(t, 1)
-	state := Message{Type: MsgState, Entries: sampleEntries()[:1], Wal: sampleEntries()[1:2]}
-	var frames [][]byte
-	if err := writeState(func(f []byte) error {
-		frames = append(frames, append([]byte(nil), f...))
-		return nil
-	}, 5, state); err != nil {
-		t.Fatal(err)
+// streamKinds is one message of each streamed type, two entries long
+// (the state's one of each part), so at one entry a frame each streams
+// as two frames.
+func streamKinds() []Message {
+	entries := sampleEntries()
+	return []Message{
+		{Type: MsgState, Entries: entries[:1], Wal: entries[1:2]},
+		{Type: MsgLog, Inc: 3, Delta: true, Entries: entries[:2]},
+		{Type: MsgAppend, Inc: 4, Entries: entries[:2]},
 	}
-	var pong bytes.Buffer
-	if err := WriteMuxFrame(&pong, 6, Message{Type: MsgPong}); err != nil {
-		t.Fatal(err)
-	}
-	rr := replyReader{r: bytes.NewReader(join3(frames[0], pong.Bytes(), frames[1]))}
-	if id, m, err := rr.next(); err != nil || id != 6 || m.Type != MsgPong {
-		t.Fatalf("interleaved reply: %d %+v %v", id, m, err)
-	}
-	id, m, err := rr.next()
-	if err != nil || id != 5 {
-		t.Fatalf("stream: %d %v", id, err)
-	}
-	requireSameEntries(t, "interleaved stream", shippedEntries(m), shippedEntries(state))
+}
 
-	other := append([]byte(nil), frames[1]...)
-	other[4+muxHdrLen-1] = 7 // the same frame under exchange 7
-	rr = replyReader{r: bytes.NewReader(join3(frames[0], other, nil))}
-	if _, _, err := rr.next(); !errors.Is(err, ErrFrame) {
-		t.Fatalf("another exchange's state frame inside a stream: got %v, want ErrFrame", err)
+// A reader, of replies or of requests, assembles a stream of any of the
+// three types while other messages arrive between its frames, and
+// refuses a continuation frame of another exchange inside it.
+func TestReplyReaderInterleaves(t *testing.T) {
+	lowerStreamFrames(t, 1)
+	pong := frameSeq(6, []byte{MsgPong})
+	for _, m := range streamKinds() {
+		frames := streamFrames(t, m)
+		if len(frames) != 2 {
+			t.Fatalf("type %d: %d frames, want 2", m.Type, len(frames))
+		}
+		for _, replies := range []bool{true, false} {
+			data := join3(frameSeq(5, frames[0]), pong, frameSeq(5, frames[1]))
+			fr := &frameReader{r: bytes.NewReader(data), replies: replies}
+			if id, got, err := fr.next(); err != nil || id != 6 || got.Type != MsgPong {
+				t.Fatalf("type %d: interleaved reply: %d %+v %v", m.Type, id, got, err)
+			}
+			id, got, err := fr.next()
+			if err != nil || id != 5 || got.Type != m.Type || got.Inc != m.Inc || got.Delta != m.Delta {
+				t.Fatalf("type %d: stream: %d %+v %v", m.Type, id, got, err)
+			}
+			requireSameEntries(t, "interleaved stream", shippedEntries(got), shippedEntries(m))
+
+			data = join3(frameSeq(5, frames[0]), frameSeq(7, frames[1]), nil)
+			if _, _, err := readFrames(data, replies); !errors.Is(err, ErrFrame) {
+				t.Fatalf("type %d: another exchange's continuation inside a stream: got %v, want ErrFrame", m.Type, err)
+			}
+		}
 	}
 }
 
 func join3(a, b, c []byte) []byte { return append(append(append([]byte(nil), a...), b...), c...) }
 
-// A first frame declaring 2^40 entries allocates no more than one
-// MaxFrame of entries could; the same count in a frame that claims to
-// hold the whole state is refused before anything is sized from it.
+// A first frame declaring 2^40 entries, of any streamed type: a reply
+// reader allocates no more than one MaxFrame of entries could; a request
+// reader, which a server runs, only as the frames deliver entries, over
+// a stream of many continuation frames as well; and DecodeMessage, for
+// which the same count in one body is not whole, sizes nothing from it.
 func TestStateStreamDoesNotOverAllocate(t *testing.T) {
 	entry, err := appendEntry(nil, sampleEntries()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	huge := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20} // 2^40
-	first := append(append(append([]byte{flagFirst | flagMore}, huge...), 0), entry...)
+	headers := map[string][]byte{
+		"state":  append(append([]byte{MsgState}, huge...), 0),
+		"log":    append(append(append([]byte{MsgLog}, incBytes...), 0), huge...),
+		"append": append(append([]byte{MsgAppend}, incBytes...), huge...),
+	}
 	bound := uint64(MaxFrame/minEntryLen) * uint64(unsafe.Sizeof(quorum.Entry{}))
-	var st stateStream
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if last, err := st.add(first); err != nil || last {
-		t.Fatalf("first frame: last=%v, %v", last, err)
-	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > bound+1<<20 {
-		t.Fatalf("a declared 2^40 entries allocated %d bytes, bound %d", got, bound)
-	}
-	if cap(st.entries) > MaxFrame/minEntryLen {
-		t.Fatalf("stream sized for %d entries", cap(st.entries))
-	}
-	st = stateStream{}
-
-	// DecodeMessage, which a server runs on every request, sizes
-	// nothing from declared counts: a body that is a whole state is
-	// checked against its bytes, and a first frame promising more is
-	// refused outright.
-	for _, flags := range []byte{flagFirst, flagFirst | flagMore} {
-		body := append(append(append([]byte{MsgState, flags}, huge...), 0), entry...)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := DecodeMessage(body); !errors.Is(err, ErrFrame) {
-			t.Fatalf("state body with flags %#x declaring 2^40 entries: got %v, want ErrFrame", flags, err)
-		}
+		f()
 		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
-			t.Fatalf("a refused state body with flags %#x allocated %d bytes", flags, got)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const conts = 1000
+	for name, hdr := range headers {
+		first := append(append([]byte(nil), hdr...), entry...)
+		var fr *frameReader
+		var err error
+		if got := allocated(func() { fr, _, err = readFrames(frameSeq(9, first), true) }); got > bound+1<<20 {
+			t.Fatalf("%s: a reply declaring 2^40 entries allocated %d bytes, bound %d", name, got, bound)
+		}
+		if err != io.EOF || cap(fr.st.entries) > MaxFrame/minEntryLen {
+			t.Fatalf("%s: reply stream sized for %d entries, then %v", name, cap(fr.st.entries), err)
+		}
+
+		frames := [][]byte{first}
+		for range conts {
+			frames = append(frames, append([]byte{msgMore}, entry...))
+		}
+		data := frameSeq(9, frames...)
+		if got := allocated(func() { fr, _, err = readFrames(data, false) }); got > 1<<20 {
+			t.Fatalf("%s: a request declaring 2^40 entries in %d bytes allocated %d bytes", name, len(data), got)
+		}
+		if n := len(fr.st.entries); err != io.EOF || n != conts+1 || cap(fr.st.entries) > 2*n {
+			t.Fatalf("%s: request stream of %d entries sized for %d, then %v", name, n, cap(fr.st.entries), err)
+		}
+
+		if got := allocated(func() { _, err = DecodeMessage(first) }); !errors.Is(err, ErrFrame) || got > 1<<16 {
+			t.Fatalf("%s: a body declaring 2^40 entries: %v after %d bytes allocated, want ErrFrame", name, err, got)
 		}
 	}
 }
@@ -455,11 +507,7 @@ func TestDecodedOpsShareSafely(t *testing.T) {
 		distinct[i] = quorum.Entry{TS: ts(i+1, 2), Op: history.Enq(i)}
 	}
 	for _, entries := range [][]quorum.Entry{entries, twoSided, distinct} {
-		st, last, err := assemble(stateFrames(t, Message{Type: MsgState, Entries: entries[:len(entries)/2], Wal: entries[len(entries)/2:]}))
-		if err != nil || !last {
-			t.Fatalf("stream: last=%v, %v", last, err)
-		}
-		got := shippedEntries(st.message())
+		got := shippedEntries(assemble(t, streamFrames(t, Message{Type: MsgState, Entries: entries[:len(entries)/2], Wal: entries[len(entries)/2:]})))
 		for i, e := range got {
 			want, err := history.ParseOp(entries[i].Op.String())
 			if err != nil || e.TS != entries[i].TS || !e.Op.Equal(want) {
@@ -490,9 +538,9 @@ func TestDecodedOpsShareSafely(t *testing.T) {
 		// Past a full table an entry costs its integers alone.
 		{distinct, len(distinct) + 2*maxOpTable + 32},
 	} {
-		frames := stateFrames(t, Message{Type: MsgState, Wal: c.entries})
+		data := frameSeq(9, streamFrames(t, Message{Type: MsgState, Wal: c.entries})...)
 		if n := testing.AllocsPerRun(3, func() {
-			if _, _, err := assemble(frames); err != nil {
+			if _, _, err := readFrames(data, true); err != io.EOF {
 				t.Fatal(err)
 			}
 		}); n > float64(c.limit) {
@@ -518,31 +566,52 @@ func TestShortListsGetNoOpTable(t *testing.T) {
 	}
 }
 
-// A state that fits one frame is the same bytes whether AppendMessage
-// encodes it or writeState streams it, and a one-frame body round-trips
-// through AppendMessage and DecodeMessage with both parts; a body that
-// is only the first frame of a longer stream is not a whole message.
+// A message of any streamed type that fits one frame is that frame
+// alone, the body AppendMessage encodes — for a MsgLog and a MsgAppend
+// the bytes they had before they streamed: header, count, entries — and
+// the body round-trips through DecodeMessage; a body that is only the
+// first frame of a longer stream is not a whole message.
 func TestOneFrameStateIsAMessage(t *testing.T) {
-	state := Message{Type: MsgState, Entries: sampleEntries()[:3], Wal: sampleEntries()[3:]}
-	body, err := AppendMessage(nil, state)
-	if err != nil {
-		t.Fatal(err)
+	entries := sampleEntries()
+	var list []byte
+	for _, e := range entries {
+		var err error
+		if list, err = appendEntry(list, e); err != nil {
+			t.Fatal(err)
+		}
 	}
-	frames := stateFrames(t, state)
-	if len(frames) != 1 || !bytes.Equal(append([]byte{MsgState}, frames[0]...), body) {
-		t.Fatalf("streamed %d frames, first %x; AppendMessage body %x", len(frames), frames[0], body)
+	inc := []byte{0, 0, 0, 0, 0, 0, 0, 7}
+	kinds := []struct {
+		m    Message
+		want []byte // nil: no layout predates the stream
+	}{
+		{Message{Type: MsgState, Entries: entries[:3], Wal: entries[3:]}, nil},
+		{Message{Type: MsgLog, Inc: 7, Delta: true, Entries: entries}, bytes.Join([][]byte{{MsgLog}, inc, {flagDelta, 4}, list}, nil)},
+		{Message{Type: MsgAppend, Inc: 7, Entries: entries}, bytes.Join([][]byte{{MsgAppend}, inc, {4}, list}, nil)},
 	}
-	got, err := DecodeMessage(body)
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range kinds {
+		body, err := AppendMessage(nil, k.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := streamFrames(t, k.m)
+		if len(frames) != 1 || !bytes.Equal(frames[0], body) || (k.want != nil && !bytes.Equal(body, k.want)) {
+			t.Fatalf("type %d: streamed %d frames, first %x; AppendMessage body %x, want %x", k.m.Type, len(frames), frames[0], body, k.want)
+		}
+		got, err := DecodeMessage(body)
+		if err != nil || got.Inc != k.m.Inc || got.Delta != k.m.Delta {
+			t.Fatalf("type %d: decoded %+v, %v", k.m.Type, got, err)
+		}
+		requireSameEntries(t, "first part", got.Entries, k.m.Entries)
+		requireSameEntries(t, "WAL part", got.Wal, k.m.Wal)
 	}
-	requireSameEntries(t, "snapshot part", got.Entries, state.Entries)
-	requireSameEntries(t, "WAL part", got.Wal, state.Wal)
 
-	lowerStateFrames(t, 1)
-	first := stateFrames(t, state)[0]
-	if _, err := DecodeMessage(append([]byte{MsgState}, first...)); !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "more to come") {
-		t.Fatalf("first frame of a stream as a message: got %v, want ErrFrame", err)
+	lowerStreamFrames(t, 1)
+	for _, k := range kinds {
+		first := streamFrames(t, k.m)[0]
+		if _, err := DecodeMessage(first); !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "more to come") {
+			t.Fatalf("type %d: first frame of a stream as a message: got %v, want ErrFrame", k.m.Type, err)
+		}
 	}
 }
 
@@ -595,7 +664,7 @@ func TestJoinAdoptsPartsAsTheirMerge(t *testing.T) {
 // whole state: the donor writes one stream at a time, so their frames
 // never interleave, and every fetch is one round trip.
 func TestConcurrentStateFetchesPooled(t *testing.T) {
-	lowerStateFrames(t, 1)
+	lowerStreamFrames(t, 1)
 	donor := donorWithSuffix(t, 0, serialPQEntries(30))
 	want, err := donor.Handle(Message{Type: MsgFetchState})
 	if err != nil {

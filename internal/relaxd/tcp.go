@@ -42,19 +42,20 @@ func serveConn(conn net.Conn, r *Replica) {
 	serveMux(conn, br, r)
 }
 
-// serveMux runs the multiplexed request loop: frames are read in
-// order, handled concurrently (bounded by maxInFlight), and replies
-// are written back in completion order, each frame in one write under
-// a write lock — the correlation ids let the client pair them up. A
-// MsgState reply streams its frames under a second lock, so the other
-// replies go on between them but two streams never interleave. The
-// pipelined-append path depends on this concurrency: many in-flight
-// MsgAppends on one connection ride a shared group-commit fsync window
-// instead of serializing round trips.
+// serveMux runs the multiplexed request loop: requests are read in
+// order, each a whole message however many frames it came in, handled
+// concurrently (bounded by maxInFlight), and replies are written back in
+// completion order, each frame in one write under a write lock — the
+// correlation ids let the client pair them up. A reply streamed as
+// several frames holds a second lock from its first frame to its last,
+// so the other replies go on between them but two streams never
+// interleave. The pipelined-append path depends on this concurrency:
+// many in-flight MsgAppends on one connection ride a shared group-commit
+// fsync window instead of serializing round trips.
 func serveMux(conn net.Conn, br *bufio.Reader, r *Replica) {
 	var (
 		wmu  sync.Mutex
-		smu  sync.Mutex // held for a whole MsgState stream
+		smu  sync.Mutex // held for a whole multi-frame reply
 		wg   sync.WaitGroup
 		slot = make(chan struct{}, maxInFlight)
 	)
@@ -65,8 +66,9 @@ func serveMux(conn net.Conn, br *bufio.Reader, r *Replica) {
 		return err
 	}
 	defer wg.Wait()
+	fr := frameReader{r: br}
 	for {
-		id, req, err := ReadMuxFrame(br)
+		id, req, err := fr.next()
 		if err != nil {
 			return
 		}
@@ -80,11 +82,7 @@ func serveMux(conn net.Conn, br *bufio.Reader, r *Replica) {
 				conn.Close() // down / crash hook: vanish like a dead site
 				return
 			}
-			if resp.Type == MsgState {
-				smu.Lock()
-				defer smu.Unlock()
-			}
-			if err := writeMessage(write, id, resp); err != nil {
+			if err := writeMessage(write, &smu, id, resp); err != nil {
 				conn.Close()
 			}
 		}(id, req)
@@ -199,11 +197,11 @@ func (t *PooledTransport) Close() error {
 
 // muxConn is one multiplexed connection: a writer side issuing
 // correlation ids and a reader goroutine pairing replies back to the
-// in-flight requests. The reader decodes a streamed MsgState frame by
+// in-flight requests. The reader decodes a streamed reply frame by
 // frame as it arrives and hands the request its whole reply.
 type muxConn struct {
 	c   net.Conn
-	wmu sync.Mutex // serializes frame writes
+	wmu sync.Mutex // held for each request's frames
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -224,9 +222,9 @@ func newMuxConn(c net.Conn) (*muxConn, error) {
 // readLoop dispatches replies to their waiting requests until the
 // connection dies, then fails every in-flight request.
 func (mc *muxConn) readLoop() {
-	rr := replyReader{r: bufio.NewReader(mc.c)}
+	fr := frameReader{r: bufio.NewReader(mc.c), replies: true}
 	for {
-		id, m, err := rr.next()
+		id, m, err := fr.next()
 		if err != nil {
 			mc.fail(err)
 			return
@@ -264,7 +262,8 @@ func (mc *muxConn) failed() bool {
 	return mc.err != nil
 }
 
-// roundTrip issues one correlated exchange. A timeout fails the whole
+// roundTrip issues one correlated exchange, its request written whole
+// — every frame of a stream — under wmu. A timeout fails the whole
 // connection: an unresponsive site is indistinguishable from a dead
 // one, and the stream's remaining replies can no longer be trusted to
 // arrive.
@@ -283,7 +282,10 @@ func (mc *muxConn) roundTrip(req Message, timeout time.Duration) (Message, error
 
 	mc.wmu.Lock()
 	mc.c.SetWriteDeadline(time.Now().Add(timeout))
-	err := WriteMuxFrame(mc.c, id, req)
+	err := writeMessage(func(frame []byte) error {
+		_, err := mc.c.Write(frame)
+		return err
+	}, nil, id, req)
 	mc.wmu.Unlock()
 	if err != nil {
 		mc.forget(id)

@@ -56,7 +56,7 @@ func (t *Local) RoundTrip(site int, req Message) (Message, error) {
 	if site < 0 || site >= len(t.replicas) {
 		return Message{}, fmt.Errorf("relaxd: site %d out of range", site)
 	}
-	decoded, err := reencode(req)
+	decoded, err := reencode(req, false)
 	if err != nil {
 		return Message{}, err
 	}
@@ -64,22 +64,23 @@ func (t *Local) RoundTrip(site int, req Message) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	return reencode(resp)
+	return reencode(resp, true)
 }
 
 // reencode pushes a message through the wire codec (frames out, frames
-// back in), so in-process calls see exactly the bytes — the MaxFrame
-// bound and a MsgState reply's stream — TCP would.
-func reencode(m Message) (Message, error) {
+// back in through the reader a server or a client runs, as replies
+// says), so in-process calls see exactly the bytes — the MaxFrame bound
+// and the streams — TCP would.
+func reencode(m Message, replies bool) (Message, error) {
 	var b bytes.Buffer
 	err := writeMessage(func(frame []byte) error {
 		_, err := b.Write(frame)
 		return err
-	}, 0, m)
+	}, nil, 0, m)
 	if err != nil {
 		return Message{}, err
 	}
-	rr := replyReader{r: &b}
-	_, decoded, err := rr.next()
+	fr := frameReader{r: &b, replies: replies}
+	_, decoded, err := fr.next()
 	return decoded, err
 }

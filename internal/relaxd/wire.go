@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"relaxlattice/internal/history"
 	"relaxlattice/internal/quorum"
@@ -45,26 +46,25 @@ const (
 	minEntryLen = 4
 )
 
-// maxChunk is the most entries one MsgLog reply or one MsgAppend
-// request carries; a longer log or view travels as several, so no
-// healthy exchange can outgrow MaxFrame however long the history (at
-// ~15 bytes an entry a chunk is ~1 MiB). A variable only so that the
-// chunking test can lower it.
-var maxChunk = 1 << 16
+// A MsgLog, MsgAppend or MsgState travels as a stream of frames under
+// its exchange's correlation id (writeMessage). The writer cuts a frame
+// once it holds streamFrameBytes (about 4 400 of the taxi queue's
+// entries), so a frame stays far below MaxFrame (one entry is at most
+// maxOpLen bytes plus its varints) and the reader decodes one while the
+// writer encodes the next. A variable only so that the stream tests can
+// lower it.
+var streamFrameBytes = 64 << 10
 
-// A MsgState reply travels as a stream of frames under its request's
-// correlation id (writeState). The donor cuts a frame once it holds
-// stateFrameBytes (about 4 400 of the taxi queue's entries), so a frame
-// stays far below MaxFrame (one entry is at most maxOpLen bytes plus its
-// varints) and the joiner decodes one while the donor encodes the next.
-// A variable only so that the streaming tests can lower it.
-var stateFrameBytes = 64 << 10
-
-// statePrealloc caps the entries a state stream allocates up front
-// from the counts its first frame declares: no more than one MaxFrame
-// of entries could make. A longer stream grows its array as the frames
+// streamPrealloc caps the entries a reply's stream allocates up front
+// from the counts its first frame declares: no more than one MaxFrame of
+// entries could make. A longer stream grows its array as the frames
 // deliver. A variable only so that the stream fuzz target can lower it.
-var statePrealloc = MaxFrame / minEntryLen
+var streamPrealloc = MaxFrame / minEntryLen
+
+// maxStream bounds the entries one stream declares (a MsgState's two
+// counts together), and so a MsgAck's count: past it a count could
+// overflow an int.
+const maxStream = maxInt / 2
 
 // Message types, one per frame kind.
 const (
@@ -74,7 +74,7 @@ const (
 	MsgGetLog byte = iota + 1
 	// MsgLog is the reply to MsgGetLog: the entries past the frontier
 	// when the site can vouch for it (Delta), else the log from its
-	// start; at most maxChunk of them, More saying the log goes on.
+	// start.
 	MsgLog
 	// MsgAppend sends a replica the entries of the client's updated
 	// view it is not known to hold (protocol step 3), tagged with the
@@ -93,15 +93,18 @@ const (
 	// shipping (a joining or wiped site rebuilding its store).
 	MsgFetchState
 	// MsgState is the reply to MsgFetchState: the entries the site's
-	// published snapshot covers plus its WAL suffix, streamed as bounded
-	// frames under the request's id that the reader assembles into one
-	// Message.
+	// published snapshot covers plus its WAL suffix.
 	MsgState
 	// MsgStale refuses a MsgAppend whose tag is not the site's current
 	// incarnation: the site restarted since the client learned what it
 	// holds, so the delta proves nothing. Never an acknowledgement.
 	MsgStale
 )
+
+// msgMore is the type byte of a stream's continuation frame: more
+// entries of the message whose first frame went under the same id. It
+// is a frame kind, never a message.
+const msgMore = MsgStale + 1
 
 // ErrFrame is returned for any malformed frame or message payload. It
 // is the decoder's single typed refusal: a reader that sees it knows
@@ -111,8 +114,8 @@ var ErrFrame = errors.New("relaxd: malformed frame")
 // Message is one protocol message in decoded form.
 type Message struct {
 	Type byte
-	// Entries carries the log (part) for MsgLog, the view (part) for
-	// MsgAppend, and the snapshot-covered part for MsgState.
+	// Entries carries the log for MsgLog, the view for MsgAppend, and
+	// the snapshot-covered part for MsgState.
 	Entries []quorum.Entry
 	// Inc is a site incarnation — 64 random bits a replica draws each
 	// time it opens its store, never 0. On MsgLog it is the answering
@@ -127,9 +130,6 @@ type Message struct {
 	// Delta marks a MsgLog whose Entries start right after the frontier
 	// the request named rather than at the start of the site's log.
 	Delta bool
-	// More marks a MsgLog cut at maxChunk: the site holds entries past
-	// the last one sent.
-	More bool
 	// Wal is the MsgState WAL suffix — the entries past the published
 	// snapshot. A decoded MsgState holds both parts in one array, Wal
 	// right after Entries, so append(Entries, Wal...) copies nothing.
@@ -154,21 +154,9 @@ func AppendMessage(b []byte, m Message) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(m.Have))
 		b = binary.AppendUvarint(b, uint64(m.Max.Time))
 		return binary.AppendUvarint(b, uint64(m.Max.Site)), nil
-	case MsgLog:
-		b = binary.BigEndian.AppendUint64(b, m.Inc)
-		var flags byte
-		if m.Delta {
-			flags |= flagDelta
-		}
-		if m.More {
-			flags |= flagMore
-		}
-		return appendEntryList(append(b, flags), m.Entries)
-	case MsgAppend:
-		return appendEntryList(binary.BigEndian.AppendUint64(b, m.Inc), m.Entries)
-	case MsgState:
-		// The whole state as a one-frame stream.
-		b, _, err := appendStateFrame(b, m, 0, maxInt)
+	case MsgLog, MsgAppend, MsgState:
+		// The whole message as a one-frame stream.
+		b, _, err := appendStreamFrame(b, m, 0, maxInt)
 		return b, err
 	case MsgAck:
 		if m.N < 0 {
@@ -218,42 +206,17 @@ func DecodeMessage(body []byte) (Message, error) {
 		}
 		m.Inc, m.Have, m.Max = inc, f[0], quorum.Timestamp{Time: f[1], Site: f[2]}
 		return m, nil
-	case MsgLog, MsgAppend:
-		inc, p, err := readIncarnation(p)
+	case MsgLog, MsgAppend, MsgState:
+		// One body is a whole message only as a one-frame stream; the
+		// frames of a longer one are assembled by a frameReader. Nothing
+		// is sized past what the body's bytes can hold.
+		var st entryStream
+		done, err := st.start(body, 0)
 		if err != nil {
 			return Message{}, err
 		}
-		if m.Type == MsgLog {
-			if len(p) == 0 || p[0]&^(flagDelta|flagMore) != 0 {
-				return Message{}, fmt.Errorf("%w: bad log flags", ErrFrame)
-			}
-			m.Delta, m.More = p[0]&flagDelta != 0, p[0]&flagMore != 0
-			p = p[1:]
-		}
-		entries, rest, err := decodeEntryList(p)
-		if err != nil {
-			return Message{}, err
-		}
-		if len(rest) != 0 {
-			return Message{}, fmt.Errorf("%w: %d trailing bytes", ErrFrame, len(rest))
-		}
-		if m.More && len(entries) == 0 {
-			// A reader re-asks from where the chunk ended; an empty chunk
-			// promising more would have it re-ask forever.
-			return Message{}, fmt.Errorf("%w: empty log chunk with more to come", ErrFrame)
-		}
-		m.Inc, m.Entries = inc, entries
-		return m, nil
-	case MsgState:
-		// One body is a whole state only as a one-frame stream; the
-		// frames of a longer one are assembled by a replyReader. A frame
-		// promising more is refused before its counts size anything.
-		if len(p) > 0 && p[0]&flagMore != 0 {
-			return Message{}, fmt.Errorf("%w: state frame with more to come", ErrFrame)
-		}
-		var st stateStream
-		if _, err := st.add(p); err != nil {
-			return Message{}, err
+		if !done {
+			return Message{}, fmt.Errorf("%w: %d of %d entries, more to come", ErrFrame, len(st.entries), st.total)
 		}
 		return st.message(), nil
 	case MsgAck:
@@ -261,7 +224,7 @@ func DecodeMessage(body []byte) (Message, error) {
 		if err != nil {
 			return Message{}, err
 		}
-		if len(rest) != 0 || n > uint64(MaxFrame) {
+		if len(rest) != 0 || n > uint64(maxStream) {
 			return Message{}, fmt.Errorf("%w: bad ack payload", ErrFrame)
 		}
 		m.N = int(n)
@@ -280,40 +243,6 @@ func DecodeMessage(body []byte) (Message, error) {
 	return Message{}, fmt.Errorf("%w: unknown message type %d", ErrFrame, m.Type)
 }
 
-// appendEntryList encodes a uvarint count followed by the entries.
-func appendEntryList(b []byte, entries []quorum.Entry) ([]byte, error) {
-	b = binary.AppendUvarint(b, uint64(len(entries)))
-	for _, e := range entries {
-		var err error
-		b, err = appendEntry(b, e)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// decodeEntryList is the inverse of appendEntryList. Each entry needs
-// at least minEntryLen bytes, so the declared count is capped by the
-// bytes that are actually present — a hostile count can never force an
-// over-allocation.
-func decodeEntryList(p []byte) ([]quorum.Entry, []byte, error) {
-	n, rest, err := readUvarint(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(rest)/minEntryLen) {
-		return nil, nil, fmt.Errorf("%w: %d entries declared in %d bytes", ErrFrame, n, len(rest))
-	}
-	entries := make([]quorum.Entry, n)
-	for i := range entries {
-		if rest, err = decodeEntry(&entries[i], rest, nil); err != nil {
-			return nil, nil, err
-		}
-	}
-	return entries, rest, nil
-}
-
 // opTable shares parsed operations across the entries of one state
 // stream or one store open, where a rejoin or a restart decodes a whole
 // log: a log repeats a handful of operation texts (the taxi queue's are
@@ -321,7 +250,7 @@ func decodeEntryList(p []byte) ([]quorum.Entry, []byte, error) {
 // and every entry carrying it gets the same history.Op. Sharing is safe
 // because ParseOp caps Args and Res at their lengths — an append to one
 // entry's reallocates rather than writing into another's — and nothing
-// writes an Op's integers in place. MsgLog and MsgAppend lists decode
+// writes an Op's integers in place. MsgLog and MsgAppend streams decode
 // with no table.
 type opTable map[string]*history.Op
 
@@ -421,16 +350,8 @@ func decodeEntry(e *quorum.Entry, b []byte, ops opTable) ([]byte, error) {
 
 const maxInt = int(^uint(0) >> 1)
 
-// Flag bits: flagDelta and flagMore on a MsgLog; flagFirst and
-// flagMore on a MsgState frame.
-const (
-	flagDelta byte = 1 << iota
-	flagMore
-)
-
-// flagFirst marks the MsgState frame that opens a stream and declares
-// its counts.
-const flagFirst byte = 1
+// flagDelta is the one flag bit of a MsgLog.
+const flagDelta byte = 1
 
 // readIncarnation decodes the fixed 8-byte incarnation off the front
 // of b.
@@ -457,32 +378,18 @@ func readUvarint(b []byte) (uint64, []byte, error) {
 //	frame: [4-byte BE length of (id+body)][8-byte BE id][body]
 //
 // Replies may arrive in any order; the id pairs them with requests, so
-// one connection carries many concurrent in-flight exchanges. A
-// MsgState reply is several frames under its request's id (writeState);
-// every other message is one frame.
+// one connection carries many concurrent in-flight exchanges.
+//
+// A MsgLog, MsgAppend or MsgState is a stream. Its first frame is the
+// message's header and declared count (a MsgState's two) followed by
+// the entries that fit; while the count is not reached, continuation
+// frames under the same id, type msgMore, carry at least one entry each.
+// A message that fits one frame is that frame alone, the body
+// AppendMessage encodes. Every other message is one frame.
 const (
 	muxMagic  = "rlxmux1\n"
 	muxHdrLen = 8
 )
-
-// WriteMuxFrame writes one frame.
-func WriteMuxFrame(w io.Writer, id uint64, m Message) error {
-	frame, err := appendFrame(id, m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
-}
-
-// appendFrame encodes m as one frame under id.
-func appendFrame(id uint64, m Message) ([]byte, error) {
-	frame, err := AppendMessage(make([]byte, 4+muxHdrLen, 64), m)
-	if err != nil {
-		return nil, err
-	}
-	return frame, sealFrame(frame, id)
-}
 
 // sealFrame fills in the length prefix and correlation id of a frame
 // whose body follows its 4+muxHdrLen header bytes, refusing a body the
@@ -497,36 +404,35 @@ func sealFrame(frame []byte, id uint64) error {
 	return nil
 }
 
-// writeMessage writes m under id, each frame in one call of write: a
-// MsgState reply as its stream, anything else as one frame.
-func writeMessage(write func([]byte) error, id uint64, m Message) error {
-	if m.Type == MsgState {
-		return writeState(write, id, m)
-	}
-	frame, err := appendFrame(id, m)
-	if err != nil {
-		return err
-	}
-	return write(frame)
-}
-
-// writeState writes a MsgState reply as a stream of frames under id,
-// each encoded in turn into one reused buffer: the first declares the
-// snapshot and WAL counts, each stops growing at stateFrameBytes, and
-// only the last lacks flagMore. Over a socket the reader decodes one
-// frame while the next is encoded, and no state is too long to send.
-func writeState(write func([]byte) error, id uint64, m Message) error {
-	buf := make([]byte, 0, 4+muxHdrLen+stateFrameBytes+maxOpLen+64)
-	for from, total := 0, len(m.Entries)+len(m.Wal); ; {
+// writeMessage writes m under id, each frame in one call of write,
+// encoded in turn into one buffer that grows only as far as the frames
+// need. A stream longer than one frame holds stream (when not nil) from
+// its first frame to its last, so two streams never interleave on one
+// connection while other messages' frames still go between its own.
+func writeMessage(write func([]byte) error, stream sync.Locker, id uint64, m Message) error {
+	frame := make([]byte, 4+muxHdrLen, 64)
+	for from, total := 0, streamLen(m); ; {
+		start := from
 		var err error
-		buf = append(buf[:0], make([]byte, 4+muxHdrLen)...)
-		if buf, from, err = appendStateFrame(append(buf, MsgState), m, from, stateFrameBytes); err != nil {
+		frame = frame[:4+muxHdrLen]
+		if !streamed(m.Type) {
+			frame, err = AppendMessage(frame, m)
+		} else if start == 0 {
+			frame, from, err = appendStreamFrame(append(frame, m.Type), m, 0, streamFrameBytes)
+		} else {
+			frame, from, err = appendStreamFrame(append(frame, msgMore), m, start, streamFrameBytes)
+		}
+		if err != nil {
 			return err
 		}
-		if err := sealFrame(buf, id); err != nil {
+		if err := sealFrame(frame, id); err != nil {
 			return err
 		}
-		if err := write(buf); err != nil {
+		if start == 0 && from < total && stream != nil {
+			stream.Lock()
+			defer stream.Unlock()
+		}
+		if err := write(frame); err != nil {
 			return err
 		}
 		if from == total {
@@ -535,51 +441,62 @@ func writeState(write func([]byte) error, id uint64, m Message) error {
 	}
 }
 
-// appendStateFrame encodes, after the type byte, the frame of m's state
-// stream that starts at entry from (counting the snapshot part, then the
-// WAL part): at least one entry, and none past the first that takes the
-// frame to maxBytes. The frame at entry 0 carries flagFirst and the two
-// counts; flagMore says entries remain. It returns the index past the
-// frame's last entry.
-func appendStateFrame(b []byte, m Message, from, maxBytes int) ([]byte, int, error) {
-	snap, total := len(m.Entries), len(m.Entries)+len(m.Wal)
+// streamed reports whether messages of type typ are entry streams.
+func streamed(typ byte) bool {
+	return typ == MsgLog || typ == MsgAppend || typ == MsgState
+}
+
+// streamLen is how many entries m's stream carries: a MsgState's two
+// parts, a MsgLog's or MsgAppend's entries, 0 for any other type.
+func streamLen(m Message) int {
+	switch m.Type {
+	case MsgState:
+		return len(m.Entries) + len(m.Wal)
+	case MsgLog, MsgAppend:
+		return len(m.Entries)
+	}
+	return 0
+}
+
+// appendStreamFrame encodes, after the type byte, the frame of m's
+// stream that starts at entry from (for a MsgState, counting the
+// snapshot part, then the WAL part): at least one entry, and none past
+// the first that takes the frame to maxBytes. The frame at entry 0 is
+// the first, carrying m's header and count(s). It returns the index past
+// the frame's last entry.
+func appendStreamFrame(b []byte, m Message, from, maxBytes int) ([]byte, int, error) {
+	snap, total := len(m.Entries), streamLen(m)
 	start := len(b)
-	b = append(b, 0)
-	flags := byte(0)
 	if from == 0 {
-		flags = flagFirst
-		b = binary.AppendUvarint(b, uint64(snap))
-		b = binary.AppendUvarint(b, uint64(len(m.Wal)))
+		switch m.Type {
+		case MsgLog:
+			var flags byte
+			if m.Delta {
+				flags = flagDelta
+			}
+			b = append(binary.BigEndian.AppendUint64(b, m.Inc), flags)
+			b = binary.AppendUvarint(b, uint64(total))
+		case MsgAppend:
+			b = binary.BigEndian.AppendUint64(b, m.Inc)
+			b = binary.AppendUvarint(b, uint64(total))
+		case MsgState:
+			b = binary.AppendUvarint(b, uint64(snap))
+			b = binary.AppendUvarint(b, uint64(len(m.Wal)))
+		}
 	}
 	i := from
 	for ; i < total && (i == from || len(b)-start < maxBytes); i++ {
-		part, k := m.Entries, i
+		e := m.Entries
+		k := i
 		if i >= snap {
-			part, k = m.Wal, i-snap
+			e, k = m.Wal, i-snap
 		}
 		var err error
-		if b, err = appendEntry(b, part[k]); err != nil {
+		if b, err = appendEntry(b, e[k]); err != nil {
 			return nil, 0, err
 		}
 	}
-	if i < total {
-		flags |= flagMore
-	}
-	b[start] = flags
 	return b, i, nil
-}
-
-// ReadMuxFrame reads one frame and decodes its body. The declared
-// length is validated against MaxFrame before any allocation, so a
-// hostile header cannot force an over-allocation past the cap.
-func ReadMuxFrame(r io.Reader) (uint64, Message, error) {
-	var buf []byte
-	id, body, err := readMuxBody(r, &buf)
-	if err != nil {
-		return 0, Message{}, err
-	}
-	m, err := DecodeMessage(body)
-	return id, m, err
 }
 
 // readMuxBody reads one frame into *buf, growing it only as the frame
@@ -609,111 +526,131 @@ func readMuxBody(r io.Reader, buf *[]byte) (uint64, []byte, error) {
 	return id, body, nil
 }
 
-// replyReader reads the reply frames of one connection and returns
-// whole messages: the frames of a MsgState stream assembled into one,
-// any other frame as itself. A server writes one stream at a time on a
-// connection, so the reader assembles one at a time; other replies may
-// arrive between its frames. The frame buffer is reused from frame to
-// frame: nothing decoded aliases it.
-type replyReader struct {
-	r   io.Reader
-	buf []byte
-	id  uint64       // the id of the stream in progress
-	st  *stateStream // the stream in progress; nil between streams
+// frameReader reads the frames of one direction of a connection and
+// returns whole messages: a stream's frames assembled into one, any
+// other frame as itself. A writer sends one stream at a time, so the
+// reader assembles one at a time; one-frame messages of other exchanges
+// may arrive between its frames. The frame buffer is reused from frame
+// to frame: nothing decoded aliases it.
+//
+// Only a reader of replies sizes a stream's array from the counts its
+// first frame declares, and no further than streamPrealloc. A request's
+// array grows only as its frames deliver entries, so a peer cannot make
+// a server allocate more than it has sent.
+type frameReader struct {
+	r       io.Reader
+	replies bool
+	buf     []byte
+	id      uint64      // the exchange whose stream is in progress
+	st      entryStream // the stream in progress, if st.started
 }
 
 // next returns the next whole message and its correlation id. An error
 // leaves the reader unusable.
-func (rr *replyReader) next() (uint64, Message, error) {
+func (fr *frameReader) next() (uint64, Message, error) {
 	for {
-		id, body, err := readMuxBody(rr.r, &rr.buf)
+		id, body, err := readMuxBody(fr.r, &fr.buf)
 		if err != nil {
 			return 0, Message{}, err
 		}
-		if body[0] != MsgState {
+		var done bool
+		switch {
+		case body[0] == msgMore:
+			if !fr.st.started || id != fr.id {
+				return 0, Message{}, fmt.Errorf("%w: continuation frame for exchange %d outside its stream", ErrFrame, id)
+			}
+			done, err = fr.st.decode(body[1:])
+		case fr.st.started && id == fr.id:
+			return 0, Message{}, fmt.Errorf("%w: type %d frame inside the stream for exchange %d", ErrFrame, body[0], id)
+		case fr.st.started || !streamed(body[0]):
+			// A message of another exchange, which is whole in one frame
+			// while a stream is in progress.
 			m, err := DecodeMessage(body)
 			return id, m, err
+		default:
+			prealloc := 0
+			if fr.replies {
+				prealloc = streamPrealloc
+			}
+			fr.id = id
+			done, err = fr.st.start(body, prealloc)
 		}
-		if rr.st == nil {
-			rr.st, rr.id = &stateStream{}, id
-		} else if id != rr.id {
-			return 0, Message{}, fmt.Errorf("%w: state frame for exchange %d inside the stream for %d", ErrFrame, id, rr.id)
-		}
-		last, err := rr.st.add(body[1:])
 		if err != nil {
 			return 0, Message{}, err
 		}
-		if last {
-			m := rr.st.message()
-			rr.st = nil
+		if done {
+			m := fr.st.message()
+			fr.st = entryStream{}
 			return id, m, nil
 		}
 	}
 }
 
-// stateStream assembles one MsgState reply from its frames. The first
-// frame declares how many snapshot and WAL entries the stream carries;
-// every frame's entries decode straight into the one array the joiner's
-// log adopts, allocated once from those counts (capped at
-// statePrealloc), with each distinct op text parsed once per stream.
-type stateStream struct {
-	started, done bool
-	snap, total   int
-	entries       []quorum.Entry
-	ops           opTable
+// entryStream assembles one MsgLog, MsgAppend or MsgState from its
+// frames. Every frame's entries decode straight into the one array the
+// message carries (a joiner's log adopts a MsgState's), and a MsgState
+// parses each distinct op text once.
+type entryStream struct {
+	m           Message // the header: Type, Inc, Delta
+	started     bool
+	snap, total int // where a MsgState's WAL part starts; the declared count
+	entries     []quorum.Entry
+	ops         opTable
 }
 
-// add decodes one MsgState frame — its body after the type byte — and
-// reports whether it ended the stream. A frame that breaks the stream's
-// shape is refused with ErrFrame: flags other than flagFirst on the
-// first frame alone and flagMore on all but the last, an empty frame
-// promising more, more entries than declared or a last frame short of
-// them, and any frame past the last.
-func (st *stateStream) add(p []byte) (bool, error) {
-	if st.done {
-		return false, fmt.Errorf("%w: state frame past the last one", ErrFrame)
-	}
-	if len(p) == 0 {
-		return false, fmt.Errorf("%w: state frame without flags", ErrFrame)
-	}
-	flags := p[0]
-	p = p[1:]
-	if flags&^(flagFirst|flagMore) != 0 || (flags&flagFirst != 0) == st.started {
-		return false, fmt.Errorf("%w: bad state flags %#x", ErrFrame, flags)
-	}
-	more := flags&flagMore != 0
-	if !st.started {
-		var snap, wal uint64
-		var err error
-		if snap, p, err = readUvarint(p); err != nil {
+// start decodes a stream's first frame — its body, type byte included —
+// and reports whether it holds the whole message. The array is sized for
+// the declared count, but past what the frame's bytes can hold no
+// further than prealloc.
+func (st *entryStream) start(body []byte, prealloc int) (bool, error) {
+	st.m = Message{Type: body[0]}
+	p := body[1:]
+	var err error
+	if st.m.Type != MsgState {
+		if st.m.Inc, p, err = readIncarnation(p); err != nil {
 			return false, err
 		}
+	}
+	if st.m.Type == MsgLog {
+		if len(p) == 0 || p[0]&^flagDelta != 0 {
+			return false, fmt.Errorf("%w: bad log flags", ErrFrame)
+		}
+		st.m.Delta = p[0]&flagDelta != 0
+		p = p[1:]
+	}
+	var n, wal uint64
+	if n, p, err = readUvarint(p); err != nil {
+		return false, err
+	}
+	if st.m.Type == MsgState {
 		if wal, p, err = readUvarint(p); err != nil {
 			return false, err
 		}
-		if snap > uint64(maxInt/2) || wal > uint64(maxInt/2) {
-			return false, fmt.Errorf("%w: state counts overflow", ErrFrame)
-		}
-		total := snap + wal
-		size := min(total, uint64(statePrealloc))
-		if !more {
-			// The whole state is in this frame: its bytes bound the count.
-			if total > uint64(len(p)/minEntryLen) {
-				return false, fmt.Errorf("%w: %d entries declared in %d bytes", ErrFrame, total, len(p))
-			}
-			size = total
-		}
-		st.started, st.snap, st.total = true, int(snap), int(total)
-		st.entries = make([]quorum.Entry, 0, size)
+	}
+	if n > uint64(maxStream) || wal > uint64(maxStream)-n {
+		return false, fmt.Errorf("%w: stream counts overflow", ErrFrame)
+	}
+	st.started, st.snap, st.total = true, int(n), int(n+wal)
+	st.entries = make([]quorum.Entry, 0, min(st.total, max(len(p)/minEntryLen, prealloc)))
+	if st.m.Type == MsgState {
 		st.ops = make(opTable)
 	}
-	if more && len(p) == 0 {
-		return false, fmt.Errorf("%w: empty state frame with more to come", ErrFrame)
+	return st.decode(p)
+}
+
+// decode appends the entries of one frame — a first frame's after its
+// header, a continuation frame's after its type byte — and reports
+// whether they ended the stream. A frame that leaves the stream short of
+// its declared count must carry at least one entry, and none may take
+// the stream past it.
+func (st *entryStream) decode(p []byte) (bool, error) {
+	if len(p) == 0 && len(st.entries) < st.total {
+		return false, fmt.Errorf("%w: empty frame at %d of %d entries", ErrFrame, len(st.entries), st.total)
 	}
 	for len(p) > 0 {
 		n := len(st.entries)
 		if n == st.total {
-			return false, fmt.Errorf("%w: state stream past its %d declared entries", ErrFrame, st.total)
+			return false, fmt.Errorf("%w: stream past its %d declared entries", ErrFrame, st.total)
 		}
 		st.entries = append(st.entries, quorum.Entry{})
 		var err error
@@ -721,17 +658,17 @@ func (st *stateStream) add(p []byte) (bool, error) {
 			return false, err
 		}
 	}
-	if !more {
-		st.done = true
-		if len(st.entries) != st.total {
-			return false, fmt.Errorf("%w: state stream ended at %d of %d declared entries", ErrFrame, len(st.entries), st.total)
-		}
-	}
-	return !more, nil
+	return len(st.entries) == st.total, nil
 }
 
-// message returns the assembled reply: both parts in the one array,
-// the WAL part right after the snapshot part.
-func (st *stateStream) message() Message {
-	return Message{Type: MsgState, Entries: st.entries[:st.snap], Wal: st.entries[st.snap:]}
+// message returns the assembled message. A MsgState holds both parts in
+// the one array, the WAL part right after the snapshot part.
+func (st *entryStream) message() Message {
+	m := st.m
+	if m.Type == MsgState {
+		m.Entries, m.Wal = st.entries[:st.snap], st.entries[st.snap:]
+	} else {
+		m.Entries = st.entries
+	}
+	return m
 }

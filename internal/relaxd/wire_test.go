@@ -32,18 +32,18 @@ func TestMessageRoundTrip(t *testing.T) {
 	)
 	for i, m := range msgs {
 		var b bytes.Buffer
-		if err := WriteMuxFrame(&b, uint64(i)<<33, m); err != nil {
-			t.Fatalf("WriteMuxFrame(%+v): %v", m, err)
+		if err := writeMessage(to(&b), nil, uint64(i)<<33, m); err != nil {
+			t.Fatalf("writeMessage(%+v): %v", m, err)
 		}
-		id, got, err := ReadMuxFrame(&b)
+		id, got, err := readMessage(&b)
 		if err != nil {
-			t.Fatalf("ReadMuxFrame(%+v): %v", m, err)
+			t.Fatalf("readMessage(%+v): %v", m, err)
 		}
 		if id != uint64(i)<<33 {
 			t.Fatalf("correlation id: sent %d, got %d", uint64(i)<<33, id)
 		}
 		if got.Type != m.Type || got.N != m.N || got.Err != m.Err || len(got.Entries) != len(m.Entries) || len(got.Wal) != len(m.Wal) ||
-			got.Inc != m.Inc || got.Have != m.Have || got.Max != m.Max || got.Delta != m.Delta || got.More != m.More {
+			got.Inc != m.Inc || got.Have != m.Have || got.Max != m.Max || got.Delta != m.Delta {
 			t.Fatalf("round trip: sent %+v, got %+v", m, got)
 		}
 		for i := range m.Entries {
@@ -54,7 +54,21 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadMuxFrameRejectsHostileHeaders(t *testing.T) {
+// to returns a frame writer onto w.
+func to(w io.Writer) func([]byte) error {
+	return func(frame []byte) error {
+		_, err := w.Write(frame)
+		return err
+	}
+}
+
+// readMessage reads one whole message as a server reads a request.
+func readMessage(r io.Reader) (uint64, Message, error) {
+	fr := frameReader{r: r}
+	return fr.next()
+}
+
+func TestFrameReaderRejectsHostileHeaders(t *testing.T) {
 	id := []byte{0, 0, 0, 0, 0, 0, 0, 7}
 	frame := func(hdr []byte, body ...byte) []byte {
 		return append(append(append([]byte(nil), hdr...), id...), body...)
@@ -71,24 +85,24 @@ func TestReadMuxFrameRejectsHostileHeaders(t *testing.T) {
 		"trailing bytes": frame([]byte{0, 0, 0, 11}, MsgPing, 1, 2),
 	}
 	for name, data := range cases {
-		if _, _, err := ReadMuxFrame(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: ReadMuxFrame accepted %x", name, data)
+		if _, _, err := readMessage(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: the frame reader accepted %x", name, data)
 		}
 	}
 }
 
-// TestReadMuxFrameDoesNotOverAllocate pins the allocation cap: a header
+// TestFrameReaderDoesNotOverAllocate pins the allocation cap: a header
 // declaring a body over MaxFrame is rejected before any body
-// allocation, an entry count larger than the payload could hold is
-// rejected before the entries slice is sized from it, and the writer
-// refuses to emit a frame the reader would reject.
-func TestReadMuxFrameDoesNotOverAllocate(t *testing.T) {
+// allocation, a one-frame body whose entry count is larger than its
+// payload could hold is refused, and the writer refuses to emit a frame
+// the reader would reject.
+func TestFrameReaderDoesNotOverAllocate(t *testing.T) {
 	huge := make([]byte, 4)
 	binary.BigEndian.PutUint32(huge, MaxFrame+muxHdrLen+1)
 	// An infinite reader after the header: if the length were trusted,
-	// ReadMuxFrame would block allocating and reading MaxFrame+1 bytes.
+	// the reader would block allocating and reading MaxFrame+1 bytes.
 	r := io.MultiReader(bytes.NewReader(huge), neverEnding{})
-	if _, _, err := ReadMuxFrame(r); !errors.Is(err, ErrFrame) {
+	if _, _, err := readMessage(r); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversized declared length: got %v, want ErrFrame", err)
 	}
 
@@ -106,10 +120,10 @@ func TestReadMuxFrameDoesNotOverAllocate(t *testing.T) {
 	// The bound holds on the way out too — and therefore in-process,
 	// where Local re-encodes every message through these functions.
 	big := Message{Type: MsgErr, Err: strings.Repeat("x", MaxFrame)}
-	if err := WriteMuxFrame(io.Discard, 0, big); !errors.Is(err, ErrFrame) {
+	if err := writeMessage(to(io.Discard), nil, 0, big); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversized body written: got %v, want ErrFrame", err)
 	}
-	if _, err := reencode(big); !errors.Is(err, ErrFrame) {
+	if _, err := reencode(big, false); !errors.Is(err, ErrFrame) {
 		t.Fatalf("Local re-encode of an oversized body: got %v, want ErrFrame", err)
 	}
 }
@@ -153,7 +167,7 @@ func TestDecodeMessageRejectsBadFrontiers(t *testing.T) {
 	good := map[string][]byte{
 		"zero getlog":     append(append([]byte{MsgGetLog}, make([]byte, 8)...), 0, 0, 0),
 		"frontier getlog": append(append([]byte{MsgGetLog}, incBytes...), 5, 9, 4),
-		"delta+more log":  append(logHeader(flagDelta|flagMore), oneEntry...),
+		"delta log":       append(logHeader(flagDelta), oneEntry...),
 		"tagged append":   append(append([]byte{MsgAppend}, incBytes...), oneEntry...),
 		"stale":           {MsgStale},
 	}
@@ -172,7 +186,8 @@ func TestDecodeMessageRejectsBadFrontiers(t *testing.T) {
 		"the old bare log":            append([]byte{MsgLog}, oneEntry...),
 		"log without flags":           append([]byte{MsgLog}, incBytes...),
 		"log with an unknown flag":    append(logHeader(4), oneEntry...),
-		"empty log promising more":    append(logHeader(flagMore), 0),
+		"the old more flag":           append(logHeader(2), oneEntry...),
+		"log short of its count":      append(logHeader(0), append([]byte{2}, oneEntry[1:]...)...),
 		"the old bare append":         append([]byte{MsgAppend}, oneEntry...),
 		"append with a short tag":     {MsgAppend, 1, 2, 3, 4},
 		"stale with a trailing byte":  {MsgStale, 0},
@@ -182,6 +197,17 @@ func TestDecodeMessageRejectsBadFrontiers(t *testing.T) {
 	for name, body := range bad {
 		if _, err := DecodeMessage(body); !errors.Is(err, ErrFrame) {
 			t.Errorf("%s: got %v, want ErrFrame", name, err)
+		}
+	}
+}
+
+// An ack counts the entries one MsgAppend delivered, so its bound is
+// what a stream can declare, not what one frame can hold.
+func TestAckCountBoundedByStream(t *testing.T) {
+	for n, ok := range map[uint64]bool{MaxFrame + 1: true, uint64(maxStream): true, uint64(maxStream) + 1: false, 1 << 63: false} {
+		m, err := DecodeMessage(binary.AppendUvarint([]byte{MsgAck}, n))
+		if ok && (err != nil || uint64(m.N) != n) || !ok && !errors.Is(err, ErrFrame) {
+			t.Errorf("ack of %d: decoded %d, %v", n, m.N, err)
 		}
 	}
 }
@@ -213,21 +239,21 @@ func TestDecodeEntryAllocatesOnlyItsIntegers(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeEntryList32k decodes one entry list of relaxbench's
+// BenchmarkDecodeEntryList32k decodes one MsgAppend body of relaxbench's
 // recovery size — the per-entry decode every shipped log, recovered
 // WAL record and snapshot record pays.
 func BenchmarkDecodeEntryList32k(b *testing.B) {
 	entries := pqEntries(recoveryEntries)
-	p, err := appendEntryList(nil, entries)
+	body, err := AppendMessage(nil, Message{Type: MsgAppend, Entries: entries})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, rest, err := decodeEntryList(p)
-		if err != nil || len(rest) != 0 || len(got) != len(entries) {
-			b.Fatalf("decoded %d entries, %d trailing bytes, %v", len(got), len(rest), err)
+		got, err := DecodeMessage(body)
+		if err != nil || len(got.Entries) != len(entries) {
+			b.Fatalf("decoded %d entries, %v", len(got.Entries), err)
 		}
 	}
 	b.StopTimer()
