@@ -294,16 +294,19 @@ func (svc *lhService) killAndHeal(victim int, wipe bool) error {
 	}
 	if wipe {
 		// Join strictly before listening: the installed state cannot race
-		// client appends while the site is unreachable.
-		jtr := relaxd.NewPooledTransport(svc.addrs, 2*time.Second)
+		// client appends while the site is unreachable. Each attempt
+		// dials afresh: a transport holds a refused dial for its next
+		// requests, which would skip the peer on the retries.
 		var err error
 		for attempt := 0; attempt < 5; attempt++ {
-			if _, err = r.JoinFrom(relaxd.JoinConfig{Transport: jtr, Certify: relaxd.PQCertify()}); err == nil {
+			jtr := relaxd.NewPooledTransport(svc.addrs, 2*time.Second)
+			_, err = r.JoinFrom(relaxd.JoinConfig{Transport: jtr, Certify: relaxd.PQCertify()})
+			jtr.Close()
+			if err == nil {
 				break
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
-		jtr.Close()
 		if err != nil {
 			return fmt.Errorf("join: %w", err)
 		}

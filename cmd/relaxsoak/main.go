@@ -70,7 +70,7 @@ func run(args []string, w io.Writer) error {
 	dequeuers := fs.Int("dequeuers", 3, "txn-mode concurrent dequeuer bound (spool universe size)")
 	calm := fs.Bool("calm", false, "disable the stochastic background fault process (cluster mode)")
 	metricsPath := fs.String("metrics", "", "write the deterministic metrics snapshot (JSON) to this file")
-	tracePath := fs.String("trace", "", "write the logical-clock event journal (JSON Lines) to this file")
+	tracePath := fs.String("trace", "", "cluster/txn with one -workload: write the logical-clock event journal (JSON Lines) to this file")
 	spansPath := fs.String("spans", "", "cluster/txn with one -workload: write the causal span stream (JSON Lines) to this file")
 	historyPath := fs.String("history", "", "cluster/txn with one -workload: write the audited history to this file; audit: read it")
 	auditLattice := fs.String("lattice", "taxi", "audit-mode lattice: taxi (cluster histories) or spool (txn histories)")
@@ -106,6 +106,10 @@ func run(args []string, w io.Writer) error {
 		// in schedule positions, and every run starts at time 0, so spans
 		// of several runs in one stream add up to no critical path.
 		return fmt.Errorf("-spans traces one run: select it with -mode cluster or txn and a single -workload")
+	case *tracePath != "" && (*mode != "cluster" && *mode != "txn" || *workload == "all"):
+		// Each run's journal restarts at t 0: several in one file read as
+		// one journal whose clock runs backwards.
+		return fmt.Errorf("-trace journals one run: select it with -mode cluster or txn and a single -workload")
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -113,6 +113,12 @@ func TestBadSizesFail(t *testing.T) {
 		{[]string{"-mode", "txn", "-workload", "all", "-spans", "sp.jsonl"}, "-spans"},
 		{[]string{"-mode", "longhaul", "-spans", "sp.jsonl"}, "-spans"},
 		{[]string{"-mode", "audit", "-history", "h.txt", "-spans", "sp.jsonl"}, "-spans"},
+		// One journal records one run: every run's clock starts at 0.
+		{[]string{"-workload", "bursty", "-trace", "t.jsonl"}, "-trace"},
+		{[]string{"-mode", "cluster", "-workload", "all", "-trace", "t.jsonl"}, "-trace"},
+		{[]string{"-mode", "txn", "-workload", "all", "-trace", "t.jsonl"}, "-trace"},
+		{[]string{"-mode", "longhaul", "-trace", "t.jsonl"}, "-trace"},
+		{[]string{"-mode", "audit", "-history", "h.txt", "-trace", "t.jsonl"}, "-trace"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

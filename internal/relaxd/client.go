@@ -108,7 +108,9 @@ func (c *Client) ExecuteUnder(inv history.Invocation, gate quorum.Assignment, la
 	return c.execute(inv, gate, label)
 }
 
-// Ping probes one site's liveness.
+// Ping probes one site's liveness. Over a PooledTransport, a ping
+// within 8 requests (dialSkip) of a failed dial to the site does not
+// probe: it fails with ErrDown without dialling.
 func (c *Client) Ping(site int) error {
 	resp, err := c.cfg.Transport.RoundTrip(site, Message{Type: MsgPing})
 	if err != nil {

@@ -104,14 +104,28 @@ type PooledTransport struct {
 	sites   []pooledSite
 }
 
+// dialSkip is how many requests to a site fail at once, without a
+// dial, after a dial to it fails: a refusal is held as a crash
+// suspicion instead of being rechecked at socket cost on every
+// request. It counts requests, not time, so the rule needs no clock
+// and a healed site is back within dialSkip+1 requests; a dial that
+// waits out the whole timeout (a host that drops packets) delays one
+// request in dialSkip+1, not every one.
+const dialSkip = 8
+
 type pooledSite struct {
 	mu   sync.Mutex
 	conn *muxConn // nil redials lazily
+	skip int      // requests left to fail without dialling
 }
+
+// errSuspected fails a request that a recent failed dial skips.
+var errSuspected = errors.New("relaxd: not redialled since a failed dial")
 
 // NewPooledTransport builds a pooled transport over one address per
 // site. timeout bounds each dial and each request/reply exchange; 0
-// means 5 seconds.
+// means 5 seconds. A request within 8 requests (dialSkip) of a failed
+// dial to its site fails with ErrDown without a dial.
 func NewPooledTransport(addrs []string, timeout time.Duration) *PooledTransport {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
@@ -149,7 +163,8 @@ func (t *PooledTransport) RoundTrip(site int, req Message) (Message, error) {
 }
 
 // conn returns the site's live pooled connection, dialing one if
-// needed. Dials serialize per site; other sites are unaffected.
+// needed and no failed dial is being held. Dials serialize per site;
+// other sites are unaffected.
 func (t *PooledTransport) conn(site int) (*muxConn, error) {
 	ps := &t.sites[site]
 	ps.mu.Lock()
@@ -158,8 +173,13 @@ func (t *PooledTransport) conn(site int) (*muxConn, error) {
 		return ps.conn, nil
 	}
 	ps.conn = nil
+	if ps.skip > 0 {
+		ps.skip--
+		return nil, errSuspected
+	}
 	c, err := net.DialTimeout("tcp", t.addrs[site], t.timeout)
 	if err != nil {
+		ps.skip = dialSkip
 		return nil, err
 	}
 	mc, err := newMuxConn(c)
@@ -181,7 +201,7 @@ func (t *PooledTransport) drop(site int, mc *muxConn) {
 	}
 }
 
-// Close fails every pooled connection.
+// Close fails every pooled connection and forgets every failed dial.
 func (t *PooledTransport) Close() error {
 	for i := range t.sites {
 		ps := &t.sites[i]
@@ -190,6 +210,7 @@ func (t *PooledTransport) Close() error {
 			ps.conn.fail(errors.New("relaxd: transport closed"))
 			ps.conn = nil
 		}
+		ps.skip = 0
 		ps.mu.Unlock()
 	}
 	return nil

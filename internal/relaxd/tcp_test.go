@@ -1,8 +1,10 @@
 package relaxd
 
 import (
+	"errors"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,5 +131,136 @@ func TestServeClosesNonPreambleConnections(t *testing.T) {
 	defer tr.Close()
 	if resp, err := tr.RoundTrip(0, Message{Type: MsgPing}); err != nil || resp.Type != MsgPong {
 		t.Fatalf("ping after the refusals: %v (type %d)", err, resp.Type)
+	}
+}
+
+// countingListener counts the connections it accepts: a request that
+// dials the site shows as an accept, one the transport skips does not.
+type countingListener struct {
+	net.Listener
+	accepts atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepts.Add(1)
+	}
+	return c, err
+}
+
+// serveCounting serves r on addr through a countingListener.
+func serveCounting(t *testing.T, addr string, r *Replica) *countingListener {
+	t.Helper()
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("listen on %s: %v", addr, err)
+	}
+	cl := &countingListener{Listener: lis}
+	go Serve(cl, r)
+	t.Cleanup(func() { lis.Close() })
+	return cl
+}
+
+// refusedAddr reserves a loopback port and frees it, so a dial to it
+// is refused until something listens there again.
+func refusedAddr(t *testing.T) string {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lis.Addr().String()
+	lis.Close()
+	return addr
+}
+
+// openOne opens one durable replica, closed when the test ends.
+func openOne(t *testing.T) *Replica {
+	t.Helper()
+	replicas, err := OpenSites(t.TempDir(), 1, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { replicas[0].Close() })
+	return replicas[0]
+}
+
+// ping sends one MsgPing over tr to site 0.
+func ping(tr *PooledTransport) error {
+	resp, err := tr.RoundTrip(0, Message{Type: MsgPing})
+	if err == nil && resp.Type != MsgPong {
+		err = errors.New("reply is not a pong")
+	}
+	return err
+}
+
+// TestPooledSkipsRefusedSite pins the skip rule: after a refused dial
+// the site's next dialSkip requests fail with ErrDown without a dial —
+// the listener that comes up meanwhile accepts nothing — and the one
+// after dials and is answered.
+func TestPooledSkipsRefusedSite(t *testing.T) {
+	addr := refusedAddr(t)
+	tr := NewPooledTransport([]string{addr}, 0)
+	defer tr.Close()
+	if err := ping(tr); !errors.Is(err, ErrDown) {
+		t.Fatalf("request 1 to a closed port: err %v, want ErrDown", err)
+	}
+	lis := serveCounting(t, addr, openOne(t))
+	for i := 2; i <= dialSkip+1; i++ {
+		if err := ping(tr); !errors.Is(err, ErrDown) {
+			t.Fatalf("request %d within the skip: err %v, want ErrDown", i, err)
+		}
+	}
+	if n := lis.accepts.Load(); n != 0 {
+		t.Fatalf("the skipped requests dialled: %d accepts", n)
+	}
+	if err := ping(tr); err != nil {
+		t.Fatalf("request %d after the skip: %v", dialSkip+2, err)
+	}
+	if n := lis.accepts.Load(); n != 1 {
+		t.Fatalf("%d accepts after the redial, want 1", n)
+	}
+}
+
+// TestPooledRedialsAfterDeadConn: a live connection that dies starts no
+// skip. The request on it fails, and once the site is back behind the
+// listener that stayed up, the very next request dials and is answered.
+func TestPooledRedialsAfterDeadConn(t *testing.T) {
+	r := openOne(t)
+	lis := serveCounting(t, "127.0.0.1:0", r)
+	tr := NewPooledTransport([]string{lis.Addr().String()}, 0)
+	defer tr.Close()
+	if err := ping(tr); err != nil {
+		t.Fatalf("first ping: %v", err)
+	}
+	r.Crash() // the site closes the connection it is asked on
+	if err := ping(tr); !errors.Is(err, ErrDown) {
+		t.Fatalf("ping on the dead connection: err %v, want ErrDown", err)
+	}
+	if _, err := r.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ping(tr); err != nil {
+		t.Fatalf("ping after the restart: %v", err)
+	}
+	if n := lis.accepts.Load(); n != 2 {
+		t.Fatalf("%d accepts, want 2 (one dial per connection)", n)
+	}
+}
+
+// TestPooledCloseForgetsRefusal: Close clears a failed dial's skip, so
+// the transport's next request dials at once.
+func TestPooledCloseForgetsRefusal(t *testing.T) {
+	addr := refusedAddr(t)
+	tr := NewPooledTransport([]string{addr}, 0)
+	defer tr.Close()
+	if err := ping(tr); !errors.Is(err, ErrDown) {
+		t.Fatalf("ping to a closed port: err %v, want ErrDown", err)
+	}
+	serveCounting(t, addr, openOne(t))
+	tr.Close()
+	if err := ping(tr); err != nil {
+		t.Fatalf("ping after Close: %v", err)
 	}
 }
