@@ -40,7 +40,6 @@ import (
 	"relaxlattice/internal/cluster"
 	"relaxlattice/internal/core"
 	"relaxlattice/internal/history"
-	"relaxlattice/internal/lattice"
 	"relaxlattice/internal/quorum"
 	"relaxlattice/internal/relaxcheck"
 	"relaxlattice/internal/relaxd"
@@ -96,18 +95,12 @@ func run(args []string, w io.Writer) error {
 
 	var checker *relaxcheck.Checker
 	if *certify {
-		// Every client in this run executes the same rung, so the
-		// nominal per-rung constraint sets are sound claims here (mixed
-		// executions are what makes them unsound — see the discussion on
-		// relaxcheck.TaxiClaims vs TaxiRungLevels).
+		// Every client in this run executes the same rung, so what each
+		// assignment realizes alone is a sound claim here (mixed
+		// executions are what makes it unsound — see relaxcheck.TaxiClaims
+		// vs TaxiRungLevels).
 		lat := core.TaxiSimpleLattice()
-		u := lat.Universe
-		checker = relaxcheck.New(lat, relaxcheck.Options{Claims: map[string]lattice.Set{
-			"Q1Q2": u.All(),
-			"Q1":   u.Named(core.ConstraintQ1),
-			"Q2":   u.Named(core.ConstraintQ2),
-			"none": 0,
-		}})
+		checker = relaxcheck.New(lat, relaxcheck.Options{Claims: relaxcheck.TaxiRungLevels(lat.Universe, assignments)})
 		// The checker needs the object's history from genesis, not from
 		// this run's first operation: replay the accumulated export so a
 		// Deq of an element some earlier run enqueued is not misread as

@@ -104,7 +104,7 @@ func runLonghaul(w io.Writer, cfg longhaulConfig) error {
 	}()
 
 	lat := core.TaxiSimpleLattice()
-	checker := relaxcheck.New(lat, relaxcheck.Options{Claims: relaxcheck.TaxiClaims(lat.Universe)})
+	checker := relaxcheck.New(lat, relaxcheck.Options{Claims: relaxcheck.TaxiClaims(lat.Universe, cluster.TaxiLadder(cfg.sites))})
 	checker.ObserveClaim(-1, "Q1Q2")
 
 	tr := relaxd.NewPooledTransport(svc.addrs, 2*time.Second)

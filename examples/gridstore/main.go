@@ -32,7 +32,7 @@ func must(op history.Op, err error) history.Op {
 func main() {
 	grid := quorum.Grid(2, 3, history.NameEnq, history.NameDeq)
 	fmt.Println("2×3 grid: initial quorums = rows {0,1,2} {3,4,5}; final quorums = columns {0,3} {1,4} {2,5}")
-	fmt.Printf("rows always meet columns → realized relation: %v\n", grid.Relation())
+	fmt.Printf("rows always meet columns → realized relation: %v\n", quorum.Joint(grid))
 	fmt.Printf("Deq availability at site-up 0.9: %.4f (quorum size 2-3 of 6 sites)\n\n",
 		grid.Availability(history.NameDeq, 0.9))
 

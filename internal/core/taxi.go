@@ -27,17 +27,32 @@ func TaxiUniverse() *lattice.Universe {
 	)
 }
 
+// taxiConstraints maps each taxi constraint to the quorum intersection
+// relation it asserts.
+var taxiConstraints = map[string]quorum.Relation{ConstraintQ1: quorum.Q1(), ConstraintQ2: quorum.Q2()}
+
 // taxiRelation converts a constraint set to the quorum intersection
 // relation it asserts.
 func taxiRelation(u *lattice.Universe, s lattice.Set) quorum.Relation {
 	rel := quorum.NewRelation()
-	if s.Has(u.Index(ConstraintQ1)) {
-		rel = rel.Union(quorum.Q1())
-	}
-	if s.Has(u.Index(ConstraintQ2)) {
-		rel = rel.Union(quorum.Q2())
+	for name, r := range taxiConstraints {
+		if s.Has(u.Index(name)) {
+			rel = rel.Union(r)
+		}
 	}
 	return rel
+}
+
+// TaxiLevel is taxiRelation's inverse: the constraint set a realized
+// relation guarantees, such as TaxiLevel(u, quorum.Joint(as...)).
+func TaxiLevel(u *lattice.Universe, rel quorum.Relation) lattice.Set {
+	var s lattice.Set
+	for name, r := range taxiConstraints {
+		if r.IsSubrelationOf(rel) {
+			s |= u.Named(name)
+		}
+	}
+	return s
 }
 
 // TaxiLattice returns the relaxation lattice of Section 3.3:

@@ -9,6 +9,7 @@ import (
 	"relaxlattice/internal/history"
 	"relaxlattice/internal/lattice"
 	"relaxlattice/internal/quorum"
+	"relaxlattice/internal/relaxcheck"
 	"relaxlattice/internal/resilience"
 	"relaxlattice/internal/sim"
 	"relaxlattice/internal/specs"
@@ -54,12 +55,7 @@ func runResilience(w io.Writer, cfg Config) error {
 		{"harsh", cluster.FaultConfig{MTTF: 15, MTTR: 10, MTBP: 40, PartitionDwell: 15}},
 	}
 	lat := core.TaxiSimpleLattice()
-	u := lat.Universe
-	claims := map[string]lattice.Set{
-		"Q1Q2": u.All(),
-		"Q1":   u.Named(core.ConstraintQ1),
-		"none": 0,
-	}
+	claims := relaxcheck.TaxiRungLevels(lat.Universe, quorum.TaxiAssignments(cfg.Sites))
 
 	fmt.Fprintf(w, "policy: attempts≤%d backoff=%g..%g ×2 jitter=%g; controller: descend@%d ascend@%d probe=%d hedge=%d\n",
 		resilience.MaxAttempts, resilience.BaseBackoff, resilience.BaseBackoff*(1<<(resilience.MaxAttempts-2)),
@@ -167,7 +163,7 @@ func runResilience(w io.Writer, cfg Config) error {
 	for _, a := range audits {
 		names := make([]string, len(a.weakest))
 		for i, s := range a.weakest {
-			names[i] = u.Format(s)
+			names[i] = lat.Universe.Format(s)
 		}
 		fmt.Fprintf(w, "%-8s floor=%-4s audit: WeakestAccepting=%v claim-sound=%s recovered-to-top=%s\n",
 			a.regime, a.floor, names, verdict(a.sound), verdict(a.recovered))

@@ -7,6 +7,7 @@ import (
 	"relaxlattice/internal/cluster"
 	"relaxlattice/internal/core"
 	"relaxlattice/internal/lattice"
+	"relaxlattice/internal/quorum"
 	"relaxlattice/internal/relaxcheck"
 	"relaxlattice/internal/sim"
 )
@@ -128,7 +129,7 @@ func runSoakCheck(w io.Writer, cfg Config) error {
 		Seed:     7,
 		Sites:    5,
 		Faults:   faults,
-		Claims:   relaxcheck.TaxiRungLevels(taxi.Universe),
+		Claims:   relaxcheck.TaxiRungLevels(taxi.Universe, quorum.TaxiAssignments(5)),
 	})
 	refutedOK := naiveErr != nil && naive.Violation != nil && naive.Violation.Kind == relaxcheck.KindClaim
 	if refutedOK {

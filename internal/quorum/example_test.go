@@ -26,8 +26,9 @@ func ExampleQCA() {
 // and what availability each operation gets.
 func ExampleVoting() {
 	v := quorum.TaxiAssignments(5)["Q1Q2"]
-	fmt.Println("Q1 (Deq sees Enq):", v.Intersects(history.NameDeq, history.NameEnq))
-	fmt.Println("Q2 (Deq sees Deq):", v.Intersects(history.NameDeq, history.NameDeq))
+	rel := quorum.Joint(v)
+	fmt.Println("Q1 (Deq sees Enq):", quorum.Q1().IsSubrelationOf(rel))
+	fmt.Println("Q2 (Deq sees Deq):", quorum.Q2().IsSubrelationOf(rel))
 	fmt.Printf("Deq availability at 90%% site-up: %.4f\n", v.Availability(history.NameDeq, 0.9))
 	// Output:
 	// Q1 (Deq sees Enq): true

@@ -131,12 +131,16 @@ func (a *ExplicitAssignment) Ops() []string {
 	return out
 }
 
-// Intersects reports whether every initial quorum for invOp intersects
-// every final quorum for finalOp — the condition defining
-// inv(invOp) Q finalOp (Section 3.1).
-func (a *ExplicitAssignment) Intersects(invOp, finalOp string) bool {
-	is, ok1 := a.initials[invOp]
-	fs, ok2 := a.finals[finalOp]
+// meets reports whether every initial quorum for inv intersects every
+// final quorum for op under b, set by set, over the same sites — the
+// condition defining inv(inv) Q op (Section 3.1).
+func (a *ExplicitAssignment) meets(inv string, b Assignment, op string) bool {
+	e, ok := b.(*ExplicitAssignment)
+	if !ok || e.sites != a.sites {
+		return false
+	}
+	is, ok1 := a.initials[inv]
+	fs, ok2 := e.finals[op]
 	if !ok1 || !ok2 {
 		return false
 	}
@@ -148,32 +152,6 @@ func (a *ExplicitAssignment) Intersects(invOp, finalOp string) bool {
 		}
 	}
 	return true
-}
-
-// Relation derives the quorum intersection relation this assignment
-// realizes.
-func (a *ExplicitAssignment) Relation() Relation {
-	names := map[string]bool{}
-	for op := range a.initials {
-		names[op] = true
-	}
-	for op := range a.finals {
-		names[op] = true
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	var pairs []Pair
-	for _, inv := range sorted {
-		for _, op := range sorted {
-			if a.Intersects(inv, op) {
-				pairs = append(pairs, Pair{Inv: inv, Op: op})
-			}
-		}
-	}
-	return NewRelation(pairs...)
 }
 
 // HasQuorum reports whether the alive sites contain both an initial and

@@ -44,21 +44,15 @@ func TestExplicitIntersection(t *testing.T) {
 			history.NameDeq: {Sites(0)},
 		},
 	)
-	if !a.Intersects(history.NameDeq, history.NameEnq) {
-		t.Errorf("Q1 should hold")
-	}
-	// Deq initial {2,3,4} misses Deq final {0}: Q2 fails.
-	if a.Intersects(history.NameDeq, history.NameDeq) {
-		t.Errorf("Q2 should fail")
-	}
-	rel := a.Relation()
+	rel := Joint(a)
 	if !Q1().IsSubrelationOf(rel) {
 		t.Errorf("relation %v misses Q1", rel)
 	}
+	// Deq initial {2,3,4} misses Deq final {0}: Q2 fails.
 	if Q2().IsSubrelationOf(rel) {
 		t.Errorf("relation %v wrongly includes Q2", rel)
 	}
-	if a.Intersects("nope", history.NameEnq) {
+	if holds(rel, "nope", history.NameEnq) {
 		t.Errorf("unknown op intersects")
 	}
 	if a.Sites() != 5 {
@@ -90,7 +84,7 @@ func TestGridQuorums(t *testing.T) {
 		t.Fatalf("Sites = %d", g.Sites())
 	}
 	// Every row intersects every column.
-	if !g.Intersects("Read", "Read") {
+	if !holds(Joint(g), "Read", "Read") {
 		t.Errorf("grid rows must intersect columns")
 	}
 	// A full row plus a full column alive forms both quorums.

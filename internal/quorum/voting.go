@@ -2,6 +2,7 @@ package quorum
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"relaxlattice/internal/history"
@@ -76,11 +77,6 @@ func (v *Voting) Ops() []string {
 	return names
 }
 
-// TotalWeight returns the sum of all vote weights.
-//
-//lint:ignore unreached quorum arithmetic: relaxcheck's claim-table tests check intersection against it
-func (v *Voting) TotalWeight() int { return v.total }
-
 // Quorums returns the thresholds for an operation; ok is false for
 // operations without an assignment.
 func (v *Voting) Quorums(op string) (OpQuorums, bool) {
@@ -88,42 +84,17 @@ func (v *Voting) Quorums(op string) (OpQuorums, bool) {
 	return q, ok
 }
 
-// Intersects reports whether every initial quorum for invOp intersects
-// every final quorum for finalOp: with weighted voting this holds
-// exactly when the thresholds sum to more than the total weight.
-func (v *Voting) Intersects(invOp, finalOp string) bool {
-	qi, ok1 := v.ops[invOp]
-	qf, ok2 := v.ops[finalOp]
-	if !ok1 || !ok2 {
+// meets applies Gifford's rule: over the same vote weights, every
+// initial quorum for inv meets every final quorum for op under b
+// exactly when the two thresholds sum to more than the total weight.
+func (v *Voting) meets(inv string, b Assignment, op string) bool {
+	w, ok := b.(*Voting)
+	if !ok || !slices.Equal(v.weights, w.weights) {
 		return false
 	}
-	return qi.Initial+qf.Final > v.total
-}
-
-// Relation derives the quorum intersection relation Q realized by this
-// assignment over the given operation names: inv(p) Q q for every pair
-// whose quorums are forced to intersect.
-func (v *Voting) Relation() Relation {
-	names := make([]string, 0, len(v.ops))
-	for n := range v.ops {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var pairs []Pair
-	for _, inv := range names {
-		for _, op := range names {
-			if v.Intersects(inv, op) {
-				pairs = append(pairs, Pair{Inv: inv, Op: op})
-			}
-		}
-	}
-	return NewRelation(pairs...)
-}
-
-// Satisfies reports whether the assignment realizes (at least) the
-// given intersection relation.
-func (v *Voting) Satisfies(rel Relation) bool {
-	return rel.IsSubrelationOf(v.Relation())
+	qi, ok1 := v.ops[inv]
+	qf, ok2 := w.ops[op]
+	return ok1 && ok2 && qi.Initial+qf.Final > v.total
 }
 
 // HasQuorum reports whether the alive site set (by index) can form both

@@ -17,29 +17,24 @@ func TestVotingIntersections(t *testing.T) {
 			"none": {false, false},
 		}
 		for name, want := range checks {
-			v := assigns[name]
-			gotQ1 := v.Intersects(history.NameDeq, history.NameEnq)
-			gotQ2 := v.Intersects(history.NameDeq, history.NameDeq)
+			rel := Joint(assigns[name])
+			gotQ1 := Q1().IsSubrelationOf(rel)
+			gotQ2 := Q2().IsSubrelationOf(rel)
 			if gotQ1 != want.q1 || gotQ2 != want.q2 {
 				t.Errorf("n=%d %s: Q1=%v Q2=%v, want %+v", n, name, gotQ1, gotQ2, want)
-			}
-			wantRel := NewRelation()
-			if want.q1 {
-				wantRel = wantRel.Union(Q1())
-			}
-			if want.q2 {
-				wantRel = wantRel.Union(Q2())
-			}
-			if !v.Satisfies(wantRel) {
-				t.Errorf("n=%d %s does not satisfy %v", n, name, wantRel)
 			}
 		}
 	}
 }
 
+// holds reports inv(inv) Q op.
+func holds(rel Relation, inv, op string) bool {
+	return NewRelation(Pair{Inv: inv, Op: op}).IsSubrelationOf(rel)
+}
+
 func TestVotingRelationDerivation(t *testing.T) {
 	v := TaxiAssignments(5)["Q1Q2"]
-	rel := v.Relation()
+	rel := Joint(v)
 	if !Q1().Union(Q2()).IsSubrelationOf(rel) {
 		t.Errorf("derived relation %v misses Q1∪Q2", rel)
 	}
@@ -51,8 +46,8 @@ func TestVotingRelationDerivation(t *testing.T) {
 
 func TestMajority(t *testing.T) {
 	v := Majority(5, history.NameEnq, history.NameDeq)
-	if v.Sites() != 5 || v.TotalWeight() != 5 {
-		t.Errorf("sites/weight: %v", v)
+	if v.Sites() != 5 {
+		t.Errorf("sites: %v", v)
 	}
 	q, ok := v.Quorums(history.NameEnq)
 	if !ok || q.Initial != 3 || q.Final != 3 {
@@ -62,8 +57,8 @@ func TestMajority(t *testing.T) {
 		t.Errorf("unknown op had quorums")
 	}
 	// Majorities always intersect.
-	if !v.Intersects(history.NameDeq, history.NameEnq) || !v.Intersects(history.NameEnq, history.NameDeq) {
-		t.Errorf("majorities must intersect")
+	if rel := Joint(v); !holds(rel, history.NameDeq, history.NameEnq) || !holds(rel, history.NameEnq, history.NameDeq) {
+		t.Errorf("majorities must intersect: %v", rel)
 	}
 }
 

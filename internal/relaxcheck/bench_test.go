@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"relaxlattice/internal/cluster"
 	"relaxlattice/internal/core"
 	"relaxlattice/internal/history"
 	"relaxlattice/internal/value"
@@ -76,7 +77,7 @@ func BenchmarkObserve32k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := New(lat, Options{Claims: TaxiClaims(lat.Universe)})
+		c := New(lat, Options{Claims: TaxiClaims(lat.Universe, cluster.TaxiLadder(5))})
 		for _, op := range h {
 			c.ObserveOp(op)
 		}

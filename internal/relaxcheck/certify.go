@@ -3,6 +3,7 @@ package relaxcheck
 import (
 	"fmt"
 
+	"relaxlattice/internal/cluster"
 	"relaxlattice/internal/history"
 	"relaxlattice/internal/lattice"
 )
@@ -11,8 +12,9 @@ import (
 // would — the one-shot form of the audit, used to certify recovered
 // state: after a crash-restart, the durable logs' history must still
 // land inside the level the service claims. rung, when non-empty, is
-// registered as a standing claim (from Options.Claims, which defaults
-// to TaxiClaims over lat's universe) before the first operation, so
+// registered as a standing claim (from claims, which defaults to
+// TaxiClaims over lat's universe and the taxi ladder; that table is
+// the same at every site count) before the first operation, so
 // the whole history is held to that rung's constraint set; an empty
 // rung checks only that the history stays inside the lattice at all.
 // It returns the first violation, or nil when the history certifies.
@@ -27,7 +29,7 @@ import (
 // as the live audit would.
 func Certify(lat *lattice.Relaxation, claims map[string]lattice.Set, rung string, h history.History) *Violation {
 	if claims == nil {
-		claims = TaxiClaims(lat.Universe)
+		claims = TaxiClaims(lat.Universe, cluster.TaxiLadder(3))
 	}
 	var floor lattice.Set
 	if rung != "" {

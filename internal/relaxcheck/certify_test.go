@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"relaxlattice/internal/automaton"
+	"relaxlattice/internal/cluster"
 	"relaxlattice/internal/core"
 	"relaxlattice/internal/history"
 	"relaxlattice/internal/lattice"
+	"relaxlattice/internal/quorum"
 )
 
 // fullReplay is Certify's previous body: the whole history through a
@@ -18,7 +20,7 @@ import (
 // deep-equal to this oracle's on every input.
 func fullReplay(lat *lattice.Relaxation, claims map[string]lattice.Set, rung string, h history.History) *Violation {
 	if claims == nil {
-		claims = TaxiClaims(lat.Universe)
+		claims = TaxiClaims(lat.Universe, cluster.TaxiLadder(3))
 	}
 	c := New(lat, Options{Claims: claims})
 	if rung != "" {
@@ -64,15 +66,18 @@ func taxiWithoutTop() *lattice.Relaxation {
 func certifyTargets() []certifyTarget {
 	taxi, partial := core.TaxiSimpleLattice(), taxiWithoutTop()
 	spool, opts := spoolOpts()
+	ladder, votes := cluster.TaxiLadder(5), quorum.TaxiAssignments(5)
 	return []certifyTarget{
 		{"taxi", taxi, []map[string]lattice.Set{
-			nil, TaxiClaims(taxi.Universe), TaxiRungLevels(taxi.Universe), edgeClaims(taxi.Universe),
+			nil, TaxiClaims(taxi.Universe, ladder), TaxiRungLevels(taxi.Universe, votes), edgeClaims(taxi.Universe),
 		}},
 		{"taxi-without-top", partial, []map[string]lattice.Set{
-			TaxiClaims(partial.Universe), TaxiRungLevels(partial.Universe), edgeClaims(partial.Universe),
+			TaxiClaims(partial.Universe, ladder), TaxiRungLevels(partial.Universe, votes), edgeClaims(partial.Universe),
 		}},
+		// The taxi rung names over the spooler's constraints: the top
+		// claims everything, the others nothing.
 		{"spool", spool, []map[string]lattice.Set{
-			opts.Claims, TaxiClaims(spool.Universe), edgeClaims(spool.Universe),
+			opts.Claims, {"Q1Q2": spool.Universe.All(), "Q1": 0, "none": 0}, edgeClaims(spool.Universe),
 		}},
 	}
 }
@@ -81,7 +86,7 @@ func certifyTargets() []certifyTarget {
 // nil, Certify's default), in a fixed order.
 func rungsOf(lat *lattice.Relaxation, claims map[string]lattice.Set) []string {
 	if claims == nil {
-		claims = TaxiClaims(lat.Universe)
+		claims = TaxiClaims(lat.Universe, cluster.TaxiLadder(3))
 	}
 	rungs := []string{""}
 	for r := range claims {

@@ -9,6 +9,7 @@ import (
 	"relaxlattice/internal/history"
 	"relaxlattice/internal/lattice"
 	"relaxlattice/internal/obs"
+	"relaxlattice/internal/quorum"
 	"relaxlattice/internal/value"
 )
 
@@ -56,7 +57,7 @@ func TestCheckerExhaustedViolation(t *testing.T) {
 
 func TestCheckerClaimViolationOnClaim(t *testing.T) {
 	lat := core.TaxiSimpleLattice()
-	c := New(lat, Options{Claims: TaxiRungLevels(lat.Universe)})
+	c := New(lat, Options{Claims: TaxiRungLevels(lat.Universe, quorum.TaxiAssignments(5))})
 	// Duplicate delivery: drops the level below the top.
 	c.ObserveOp(history.Enq(2))
 	c.ObserveOp(history.DeqOk(2))
@@ -77,7 +78,7 @@ func TestCheckerClaimViolationOnClaim(t *testing.T) {
 
 func TestCheckerClaimViolationOnOp(t *testing.T) {
 	lat := core.TaxiSimpleLattice()
-	c := New(lat, Options{Claims: TaxiRungLevels(lat.Universe)})
+	c := New(lat, Options{Claims: TaxiRungLevels(lat.Universe, quorum.TaxiAssignments(5))})
 	c.ObserveClaim(3, "Q1Q2") // claims the top while it still holds
 	c.ObserveOp(history.Enq(2))
 	c.ObserveOp(history.DeqOk(2))
@@ -93,7 +94,7 @@ func TestCheckerClaimViolationOnOp(t *testing.T) {
 
 func TestCheckerClaimFloorIsIntersection(t *testing.T) {
 	lat := core.TaxiSimpleLattice()
-	c := New(lat, Options{Claims: TaxiRungLevels(lat.Universe)})
+	c := New(lat, Options{Claims: TaxiRungLevels(lat.Universe, quorum.TaxiAssignments(5))})
 	c.ObserveClaim(0, "Q1Q2")
 	c.ObserveClaim(1, "Q1")
 	c.ObserveClaim(0, "Q1Q2") // an ascent does not raise the floor back
@@ -123,7 +124,7 @@ func TestCheckerClaimFloorIsIntersection(t *testing.T) {
 func TestCheckerInterleavedMultiClientClaims(t *testing.T) {
 	lat := core.TaxiSimpleLattice()
 	rec := obs.NewRecorder()
-	c := New(lat, Options{Claims: TaxiRungLevels(lat.Universe), Trace: rec})
+	c := New(lat, Options{Claims: TaxiRungLevels(lat.Universe, quorum.TaxiAssignments(5)), Trace: rec})
 
 	c.ObserveClaim(0, "Q1Q2")
 	c.ObserveOp(history.Enq(1))
@@ -189,7 +190,7 @@ func TestCheckerStickyClaimViolationOrdering(t *testing.T) {
 	lat := core.TaxiSimpleLattice()
 	reg := obs.NewRegistry()
 	c := New(lat, Options{
-		Claims:  TaxiRungLevels(lat.Universe),
+		Claims:  TaxiRungLevels(lat.Universe, quorum.TaxiAssignments(5)),
 		Metrics: reg,
 	})
 	// Escape the top rung first (duplicate delivery), then claim it.
@@ -222,7 +223,7 @@ func TestCheckerStickyClaimViolationOrdering(t *testing.T) {
 
 func TestCheckerUnknownClaimPanics(t *testing.T) {
 	lat := core.TaxiSimpleLattice()
-	c := New(lat, Options{Claims: TaxiRungLevels(lat.Universe)})
+	c := New(lat, Options{Claims: TaxiRungLevels(lat.Universe, quorum.TaxiAssignments(5))})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unknown claim level did not panic")

@@ -37,8 +37,9 @@ type ClusterSoakConfig struct {
 	// SampleEvery observed operations (for differential audits).
 	SampleEvery int
 	// Claims overrides the rung→constraint-set claim table (default
-	// TaxiClaims). Tests use TaxiRungLevels here to demonstrate that
-	// the checker refutes the nominal per-rung claims under mixing.
+	// TaxiClaims over the run's ladder). X06 uses TaxiRungLevels here
+	// to demonstrate that the checker refutes the nominal per-rung
+	// claims under mixing.
 	Claims map[string]lattice.Set
 	// Spans, when set, receives the run's causal span stream. The soak
 	// re-clocks the tracer onto simulated microseconds (a SimClock over
@@ -72,47 +73,37 @@ type SoakReport struct {
 	Observed history.History
 }
 
-// TaxiClaims maps the TaxiLadder rung names onto what a *joint*
-// execution actually guarantees while the weakest client sits at that
-// rung — the claim table the harness cross-checks adaptive descents
-// and ascents against.
+// TaxiClaims maps each rung of a degradation ladder onto what a *joint*
+// execution guarantees while the weakest client sits at that rung: the
+// taxi level of quorum.Joint over that rung and every rung above it,
+// since the clients above the floor may run any of them. It is the
+// claim table the harness cross-checks adaptive moves against.
 //
-// Only the top rung claims anything: while every client runs the Q1Q2
-// assignment, quorum intersection enforces both constraints and the
-// observed history must stay at the lattice top. The moment any client
-// descends, clients mix voting assignments, and assignments from
-// different rungs do not intersect each other's quorums — for n sites,
-// Q1Q2's final Enq quorum (n−⌈n/2⌉) plus Q1's initial Deq quorum
-// (⌊n/2⌋) covers only n sites, so a rung-Q1 dequeue can miss a
-// rung-Q1Q2 enqueue entirely and the merged history escapes even
-// φ({Q1}). Uncoordinated reassignment forfeits every constraint during
-// the mix, so the non-top rungs honestly claim ∅. TaxiRungLevels keeps
-// the per-rung nominal map; TestSoakOnlineCheckerRefutesNaiveRungClaims
-// pins the refutation the online checker produced.
-func TaxiClaims(u *lattice.Universe) map[string]lattice.Set {
-	return map[string]lattice.Set{
-		"Q1Q2": u.All(),
-		"Q1":   0,
-		"none": 0,
+// Over cluster.TaxiLadder, at every n ≥ 3, only the top rung claims
+// anything: mixed rungs' quorums do not meet. Q1Q2's final Enq quorum
+// (n−⌊n/2⌋) plus Q1's initial Deq quorum (⌊n/2⌋) covers only n sites,
+// so a rung-Q1 dequeue can miss a rung-Q1Q2 enqueue and the merged
+// history escapes even φ({Q1}).
+func TaxiClaims(u *lattice.Universe, ladder []cluster.Level) map[string]lattice.Set {
+	claims := make(map[string]lattice.Set, len(ladder))
+	active := make([]quorum.Assignment, 0, len(ladder))
+	for _, l := range ladder {
+		active = append(active, l.Quorums)
+		claims[l.Name] = core.TaxiLevel(u, quorum.Joint(active...))
 	}
+	return claims
 }
 
-// TaxiRungLevels maps each TaxiLadder rung onto the lattice element its
-// assignment realizes when *every* client runs that assignment — the
-// nominal per-rung levels of X05's post-hoc audit. Nominal is the
-// operative word: these claims are unsound for mixed executions (see
-// TaxiClaims), which is precisely what the online checker detects.
-func TaxiRungLevels(u *lattice.Universe) map[string]lattice.Set {
-	return map[string]lattice.Set{
-		"Q1Q2": u.All(),
-		// Unsound under mixing: a rung-Q1 Deq initial quorum can miss a
-		// rung-Q1Q2 Enq final quorum entirely. X06's online checker
-		// refutes it at runtime and TestClaimTablesQuorumIntersection
-		// refutes it from the quorum arithmetic; the table exists
-		// precisely as that foil, so it is kept rather than repaired.
-		"Q1":   u.Named(core.ConstraintQ1),
-		"none": 0,
+// TaxiRungLevels maps each assignment onto the taxi level it realizes
+// alone — sound while every client runs that one rung, as X05's
+// post-hoc audit assumes. Under mixing it is unsound (see TaxiClaims),
+// and X06 keeps it as the foil its online checker refutes.
+func TaxiRungLevels(u *lattice.Universe, assignments map[string]*quorum.Voting) map[string]lattice.Set {
+	claims := make(map[string]lattice.Set, len(assignments))
+	for name, a := range assignments {
+		claims[name] = core.TaxiLevel(u, quorum.Joint(a))
 	}
+	return claims
 }
 
 // RunClusterSoak executes one soak run. It returns the report and a
@@ -126,9 +117,10 @@ func RunClusterSoak(cfg ClusterSoakConfig) (*SoakReport, error) {
 	w.Sites = cfg.Sites
 
 	lat := core.TaxiSimpleLattice()
+	ladder := cluster.TaxiLadder(cfg.Sites)
 	claims := cfg.Claims
 	if claims == nil {
-		claims = TaxiClaims(lat.Universe)
+		claims = TaxiClaims(lat.Universe, ladder)
 	}
 	checker := New(lat, Options{
 		Metrics:     cfg.Metrics,
@@ -136,7 +128,6 @@ func RunClusterSoak(cfg ClusterSoakConfig) (*SoakReport, error) {
 		Claims:      claims,
 		SampleEvery: cfg.SampleEvery,
 	})
-	ladder := cluster.TaxiLadder(cfg.Sites)
 	// The run starts with every client on the top rung; registering that
 	// claim up front makes the pre-descent phase checked (not vacuous):
 	// any degradation observed while the floor is still the top fails

@@ -11,6 +11,7 @@ import (
 	"relaxlattice/internal/lattice"
 	"relaxlattice/internal/obs"
 	"relaxlattice/internal/obs/trace"
+	"relaxlattice/internal/quorum"
 )
 
 // soakScale reads the tier-2 scale knobs: RELAXSOAK_OPS and
@@ -180,7 +181,7 @@ func TestSoakOnlineCheckerRefutesNaiveRungClaims(t *testing.T) {
 			Workload: Workload{Kind: Bursty, Clients: 40, Ops: 1500},
 			Seed:     7,
 			Faults:   soakFaults(),
-			Claims:   TaxiRungLevels(lat.Universe),
+			Claims:   TaxiRungLevels(lat.Universe, quorum.TaxiAssignments(5)),
 			Trace:    rec,
 			Spans:    tr,
 		})

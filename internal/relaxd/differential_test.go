@@ -31,8 +31,8 @@ func TestDifferentialNetVsOracle(t *testing.T) {
 	)
 
 	lat := core.TaxiSimpleLattice()
-	oracleAudit := relaxcheck.New(lat, relaxcheck.Options{Claims: relaxcheck.TaxiClaims(lat.Universe)})
-	netAudit := relaxcheck.New(lat, relaxcheck.Options{Claims: relaxcheck.TaxiClaims(lat.Universe)})
+	oracleAudit := relaxcheck.New(lat, relaxcheck.Options{Claims: relaxcheck.TaxiClaims(lat.Universe, cluster.TaxiLadder(sites))})
+	netAudit := relaxcheck.New(lat, relaxcheck.Options{Claims: relaxcheck.TaxiClaims(lat.Universe, cluster.TaxiLadder(sites))})
 
 	oracle := cluster.New(cluster.Config{
 		Sites:   sites,

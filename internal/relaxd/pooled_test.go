@@ -35,7 +35,7 @@ func openTCPStack(t *testing.T, sites, nclients int) *tcpStack {
 	t.Helper()
 	lat := core.TaxiSimpleLattice()
 	st := &tcpStack{
-		audit: relaxcheck.New(lat, relaxcheck.Options{Claims: relaxcheck.TaxiClaims(lat.Universe)}),
+		audit: relaxcheck.New(lat, relaxcheck.Options{Claims: relaxcheck.TaxiClaims(lat.Universe, cluster.TaxiLadder(sites))}),
 	}
 	var err error
 	st.replicas, err = OpenSites(t.TempDir(), sites, StoreOptions{})
@@ -97,7 +97,7 @@ func TestDifferentialPooledVsOracle(t *testing.T) {
 	)
 
 	lat := core.TaxiSimpleLattice()
-	oracleAudit := relaxcheck.New(lat, relaxcheck.Options{Claims: relaxcheck.TaxiClaims(lat.Universe)})
+	oracleAudit := relaxcheck.New(lat, relaxcheck.Options{Claims: relaxcheck.TaxiClaims(lat.Universe, cluster.TaxiLadder(sites))})
 	oracle := cluster.New(cluster.Config{
 		Sites:   sites,
 		Quorums: quorum.TaxiAssignments(sites)["Q1Q2"],

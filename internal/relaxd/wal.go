@@ -143,7 +143,7 @@ type Store struct {
 	seq      int64    // records written (commit sequence numbers 1..seq)
 	durable  int64    // highest commit sequence known fsynced
 	syncing  bool     // an fsync is in flight
-	syncErr  error    // sticky: first fsync failure poisons the store
+	syncErr  error    // sticky: first write or fsync failure poisons the store
 }
 
 // segName formats a segment file name.
@@ -494,14 +494,21 @@ func appendRecord(b []byte, e quorum.Entry) ([]byte, error) {
 // path writes under the owner's lock, releases it, and then waits for
 // a group fsync to cover the batch, so concurrent batches from many
 // connections share fsyncs. An empty batch returns the current commit
-// sequence (already durable or in flight).
+// sequence (already durable or in flight). A failed write poisons the
+// store like a failed fsync: a short write has already moved the file
+// offset past a partial record, so no later batch may land behind it
+// and be acked. Every later AppendBatch and WaitDurable then fails.
 //
 // Writer-only: the owning Replica's mutex serializes writers.
 func (s *Store) AppendBatch(entries []quorum.Entry) (int64, error) {
+	s.cmu.Lock()
+	seq, poisoned := s.seq, s.syncErr
+	s.cmu.Unlock()
+	if poisoned != nil {
+		return 0, poisoned
+	}
 	if len(entries) == 0 {
-		s.cmu.Lock()
-		defer s.cmu.Unlock()
-		return s.seq, nil
+		return seq, nil
 	}
 	b := s.buf[:0]
 	var err error
@@ -524,6 +531,11 @@ func (s *Store) AppendBatch(entries []quorum.Entry) (int64, error) {
 		s.reserved = end
 	}
 	if _, err := s.wal.Write(b); err != nil {
+		s.cmu.Lock()
+		if s.syncErr == nil {
+			s.syncErr = err
+		}
+		s.cmu.Unlock()
 		return 0, err
 	}
 	s.walSize += int64(len(b))
@@ -546,8 +558,8 @@ func (s *Store) AppendBatch(entries []quorum.Entry) (int64, error) {
 // snapshot holds, and rotation syncs before sealing, so `durable` only
 // ever advances over stable records). Concurrent callers elect one
 // fsyncer at a time; everyone whose target the in-flight fsync covers
-// shares it (group commit). An fsync failure is sticky: the store is
-// poisoned and every waiter fails.
+// shares it (group commit). An fsync or write failure is sticky: the
+// store is poisoned and every waiter fails.
 func (s *Store) WaitDurable(target int64) error {
 	return s.waitDurable(target, false)
 }

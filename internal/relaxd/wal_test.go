@@ -312,3 +312,62 @@ func TestOpenStoreParsesEachTextOnce(t *testing.T) {
 		t.Fatalf("opening %d records took %v allocations", len(entries), n)
 	}
 }
+
+// TestFailedWriteIsSticky pins that a WAL write error poisons the
+// store. A short write moves the file offset past a partial record; a
+// later batch written after it would be fsynced and acked, and the next
+// OpenStore would refuse the segment. Swapping the active segment for a
+// read-only handle of the same file makes the write fail (EBADF).
+func TestFailedWriteIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	s, _, _, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	entries := serialPQEntries(5)
+	for _, e := range entries[:2] {
+		if err := appendDurable(s, e); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	// Written, not yet durable: its fsync is still to come.
+	pending, err := s.AppendBatch(entries[2:3])
+	if err != nil {
+		t.Fatalf("AppendBatch: %v", err)
+	}
+
+	good := s.wal
+	ro, err := os.Open(good.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.wal = ro
+	_, werr := s.AppendBatch(entries[3:4])
+	s.wal = good
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if werr == nil {
+		t.Fatal("AppendBatch to a read-only segment succeeded")
+	}
+	// The segment is writable again, but the store stays poisoned.
+	if _, err := s.AppendBatch(entries[4:]); !errors.Is(err, werr) {
+		t.Fatalf("AppendBatch after a failed write = %v, want the write's error %v", err, werr)
+	}
+	if err := s.WaitDurable(pending); !errors.Is(err, werr) {
+		t.Fatalf("WaitDurable after a failed write = %v, want the write's error %v", err, werr)
+	}
+	if err := s.Close(); !errors.Is(err, werr) {
+		t.Fatalf("Close after a failed write = %v, want the write's error %v", err, werr)
+	}
+
+	s2, log, info, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatalf("reopen after a failed write: %v", err)
+	}
+	defer s2.Close()
+	// The acked entries and the written one; neither refused one.
+	if want := quorum.LogOf(entries[:3]...); !log.Equal(want) || info.RepairedBytes != 0 {
+		t.Fatalf("reopened log %s (repaired %d bytes), want %s", log, info.RepairedBytes, want)
+	}
+}
